@@ -15,8 +15,9 @@ for the specht table, Q(q) with (q1, q2) = (-1, q).  ``--field rationals
 convention.  The environment variable HECKELINK_FIELD supplies a default
 ("generic", "rationals:VALUE", or "fp:P:VALUE").
 
-Exit codes: 0 success, 2 input or parse error, 3 unsupported field for the
-requested operation, 4 internal invariant violation.
+Exit codes: 0 success, 2 input or parse error (a malformed field spec
+included), 3 unsupported field for the requested operation, 4 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from .braid import (
     BraidError,
@@ -41,6 +43,8 @@ from .coefficients import (
     PrimeField,
     Rationals,
     generic_field_context,
+    generic_one_parameter_context,
+    one_parameter_context,
     quantum_e,
     render_scalar,
 )
@@ -75,7 +79,7 @@ class FieldSelectionError(ValueError):
     pass
 
 
-def _field_spec(args) -> tuple[str, int | None, str | None]:
+def _field_spec(args) -> tuple[str, int | str | None, str | None]:
     if args.field is not None:
         return args.field.lower(), args.p, args.q
     env = os.environ.get("HECKELINK_FIELD")
@@ -87,49 +91,36 @@ def _field_spec(args) -> tuple[str, int | None, str | None]:
         if kind == "rationals" and len(parts) == 2:
             return "rationals", None, parts[1]
         if kind == "fp" and len(parts) == 3:
-            return "fp", int(parts[1]), parts[2]
-        raise FieldSelectionError(f"cannot parse HECKELINK_FIELD={env!r}")
-    return "generic", args.p, args.q
+            return "fp", parts[1], parts[2]
+        raise CoefficientError(f"cannot parse HECKELINK_FIELD={env!r}")
+    return "generic", None, None
 
 
-def _resolve_hecke_field(args) -> FieldContext:
-    """Field for reduce: two free parameters when generic, else (-1, q)."""
+def _resolve_field(args, generic: Callable[[], FieldContext]) -> FieldContext:
+    """The field context the arguments select: ``generic()`` by default,
+    otherwise the one-parameter convention (q1, q2) = (-1, q).  A malformed
+    spec raises CoefficientError."""
     kind, p, q = _field_spec(args)
     if kind == "generic":
-        return generic_field_context()
+        return generic()
     if kind == "rationals":
         if q is None:
-            raise FieldSelectionError("--field rationals needs --q")
+            raise CoefficientError("--field rationals needs --q")
         field = Rationals()
-        return FieldContext(field, Fraction(-1), Fraction(q))
-    if kind == "fp":
+    elif kind == "fp":
         if p is None or q is None:
-            raise FieldSelectionError("--field fp needs --p and --q")
+            raise CoefficientError("--field fp needs --p and --q")
+        try:
+            p = int(p)
+        except ValueError as exc:
+            raise CoefficientError(f"cannot parse prime {p!r}") from exc
         field = PrimeField(p)
-        qv = int(q)
-        if not 0 < qv < p:
-            raise FieldSelectionError(f"need 0 < q < p, got q={qv}, p={p}")
-        return FieldContext(field, field.from_int(-1), field.from_int(qv))
-    raise FieldSelectionError(f"unknown field kind {kind!r}")
-
-
-def _resolve_specht_context(args, n: int) -> SpechtContext:
-    kind, p, q = _field_spec(args)
-    if kind == "generic":
-        return SpechtContext.generic(n)
-    if kind == "rationals":
-        if q is None:
-            raise FieldSelectionError("--field rationals needs --q")
-        return SpechtContext.at_value(n, Rationals(), Fraction(q))
-    if kind == "fp":
-        if p is None or q is None:
-            raise FieldSelectionError("--field fp needs --p and --q")
-        qv = int(q)
-        field = PrimeField(p)
-        if not 0 < qv < p:
-            raise FieldSelectionError(f"need 0 < q < p, got q={qv}, p={p}")
-        return SpechtContext.at_value(n, field, qv)
-    raise FieldSelectionError(f"unknown field kind {kind!r}")
+    else:
+        raise CoefficientError(f"unknown field kind {kind!r}")
+    q_value = field.parse(q)
+    if kind == "fp" and not 0 < int(q) < p:
+        raise CoefficientError(f"need 0 < q < p, got q={q}, p={p}")
+    return one_parameter_context(field, q_value)
 
 
 def _require_generic(args, operation: str) -> None:
@@ -150,7 +141,7 @@ def _parse_word(args) -> BraidWord:
 
 def cmd_reduce(args) -> int:
     word = _parse_word(args)
-    field = _resolve_hecke_field(args)
+    field = _resolve_field(args, generic_field_context)
     element = from_braid_word(word, HeckeContext(word.strands, field))
     if args.format == "json":
         print(json.dumps(element.to_json()))
@@ -203,7 +194,7 @@ def cmd_specht(args) -> int:
         raise BraidError(f"n must be >= 0, got {n}")
     rows = []
     if n > 0:
-        sctx = _resolve_specht_context(args, n)
+        sctx = SpechtContext(n, _resolve_field(args, generic_one_parameter_context))
         for lam in partitions_of(n):
             module = specht_module(lam, sctx)
             rows.append(

@@ -453,13 +453,6 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return _normalize_poly(cg * f)
 
 
-def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Gcd of Laurent polynomials up to units: the gcd of ordinary parts."""
-    _, pa = a.split_unit()
-    _, pb = b.split_unit()
-    return poly_gcd(pa, pb)
-
-
 # -- rational functions -------------------------------------------------------
 
 

@@ -21,6 +21,10 @@ the unique element with T_i T_i^{-1} = 1 under the quadratic relation, so
 braid words map to units and the assignment sigma_i -> T_i extends to a
 homomorphism from the braid group.
 
+One loop, ``_multiply_generator``, applies both rules on either side: braid
+letters, Hecke products and left multiplication by a generator all go
+through it, so the quadratic relation is written down once.
+
 At (q1, q2) = (1, -1) the quadratic relation collapses to T_i^2 = 1 and the
 algebra becomes the group algebra of the symmetric group; ``to_symmetric_group``
 exposes the coordinates for comparison against plain permutation composition.
@@ -143,11 +147,12 @@ class HeckeElement:
             return NotImplemented
         self._check(other)
         ctx = self.context
+        q_sum, q_prod = ctx.field.q_sum, ctx.field.q_prod
         result: dict[Permutation, object] = {}
         for v, d in other.terms.items():
             cur = self.terms
             for i in v.reduced_word():
-                cur = _fold_positive(cur, i, ctx)
+                cur = _multiply_generator(cur, i, False, False, q_sum, q_prod)
             for u, c in cur.items():
                 s = result.get(u)
                 cd = c * d
@@ -218,55 +223,37 @@ def _render_order(terms: Mapping[Permutation, object]) -> list[Permutation]:
     return sorted(terms, key=lambda w: (-w.length(), w.images))
 
 
-def _fold_positive(
-    terms: Mapping[Permutation, object], i: int, ctx: HeckeContext
+def _multiply_generator(
+    terms: Mapping[Permutation, object],
+    i: int,
+    inverse: bool,
+    left: bool,
+    q_sum,
+    q_prod,
 ) -> dict[Permutation, object]:
-    """Right-multiply a coordinate vector by the generator T_i."""
-    q_sum = ctx.field.q_sum
-    q_prod = ctx.field.q_prod
-    out: dict[Permutation, object] = {}
-    for w, c in terms.items():
-        ws = w.times_transposition(i)
-        if w.right_ascent(i):
-            s = out.get(ws)
-            s = c if s is None else s + c
-            if s:
-                out[ws] = s
-            else:
-                out.pop(ws, None)
-        else:
-            cs = c * q_sum
-            if cs:
-                s = out.get(w)
-                s = cs if s is None else s + cs
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-            cp = -(c * q_prod)
-            s = out.get(ws)
-            s = cp if s is None else s + cp
-            if s:
-                out[ws] = s
-            else:
-                out.pop(ws, None)
-    return out
+    """Multiply a coordinate dict by T_i, or T_i^{-1} when ``inverse``, on the
+    right, or on the left when ``left``; terms that cancel are pruned.
 
+    T_w moves to T_{w s_i} (T_{s_i w} on the left) when the length goes the
+    generator's way: up for T_i, down for T_i^{-1}.  Otherwise the quadratic
+    relation splits it, with ``q_prod`` as the q1 q2 coefficient:
 
-def _fold_negative(
-    terms: Mapping[Permutation, object], i: int, ctx: HeckeContext
-) -> dict[Permutation, object]:
-    """Right-multiply a coordinate vector by T_i^{-1}.
-
-    When the length drops, T_w T_i^{-1} = T_{w s_i}; otherwise expand the
-    inverse through the quadratic relation.
+        T_w T_i      = q_sum T_w - q_prod T_{w s_i},
+        T_w T_i^{-1} = (q_sum T_w - T_{w s_i}) / q_prod.
     """
-    inv_prod = 1 / ctx.field.q_prod
-    sum_over_prod = ctx.field.q_sum * inv_prod
+    if inverse:
+        inv_prod = 1 / q_prod
+        diagonal, swapped = q_sum * inv_prod, -inv_prod
+    else:
+        diagonal, swapped = q_sum, -q_prod
+    if left:
+        step, ascent = Permutation.transposition_times, Permutation.left_ascent
+    else:
+        step, ascent = Permutation.times_transposition, Permutation.right_ascent
     out: dict[Permutation, object] = {}
     for w, c in terms.items():
-        ws = w.times_transposition(i)
-        if not w.right_ascent(i):
+        ws = step(w, i)
+        if ascent(w, i) != inverse:
             s = out.get(ws)
             s = c if s is None else s + c
             if s:
@@ -274,7 +261,7 @@ def _fold_negative(
             else:
                 out.pop(ws, None)
         else:
-            cs = c * sum_over_prod
+            cs = c * diagonal
             if cs:
                 s = out.get(w)
                 s = cs if s is None else s + cs
@@ -282,7 +269,7 @@ def _fold_negative(
                     out[w] = s
                 else:
                     out.pop(w, None)
-            cp = -(c * inv_prod)
+            cp = c * swapped
             s = out.get(ws)
             s = cp if s is None else s + cp
             if s:
@@ -296,9 +283,10 @@ def fold_letter(
     terms: Mapping[Permutation, object], letter: int, ctx: HeckeContext
 ) -> dict[Permutation, object]:
     """Right-multiply by the image of a single signed braid letter."""
-    if letter > 0:
-        return _fold_positive(terms, letter, ctx)
-    return _fold_negative(terms, -letter, ctx)
+    field = ctx.field
+    return _multiply_generator(
+        terms, abs(letter), letter < 0, False, field.q_sum, field.q_prod
+    )
 
 
 def from_braid_word(b: BraidWord, ctx: HeckeContext) -> HeckeElement:
@@ -320,35 +308,10 @@ def left_multiply_generator(x: HeckeElement, i: int) -> HeckeElement:
     ctx = x.context
     if not 1 <= i <= ctx.n - 1:
         raise HeckeError(f"generator index {i} out of range for n={ctx.n}")
-    q_sum = ctx.field.q_sum
-    q_prod = ctx.field.q_prod
-    out: dict[Permutation, object] = {}
-    for w, c in x.terms.items():
-        sw = w.transposition_times(i)
-        if w.left_ascent(i):
-            s = out.get(sw)
-            s = c if s is None else s + c
-            if s:
-                out[sw] = s
-            else:
-                out.pop(sw, None)
-        else:
-            cs = c * q_sum
-            if cs:
-                s = out.get(w)
-                s = cs if s is None else s + cs
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-            cp = -(c * q_prod)
-            s = out.get(sw)
-            s = cp if s is None else s + cp
-            if s:
-                out[sw] = s
-            else:
-                out.pop(sw, None)
-    return HeckeElement(ctx, out)
+    field = ctx.field
+    return HeckeElement(
+        ctx, _multiply_generator(x.terms, i, False, True, field.q_sum, field.q_prod)
+    )
 
 
 def to_symmetric_group(x: HeckeElement) -> dict[Permutation, object]:

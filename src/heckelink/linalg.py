@@ -1,26 +1,15 @@
 """Exact linear algebra over the supported coefficient fields.
 
 Vectors and matrices are plain Python lists of scalars.  Everything here
-divides exactly and never touches floating point.  Two elimination styles
-are used:
-
-* ordinary Gaussian elimination with pivot normalization, for echelon bases,
-  solving, and determinants over any of the fields;
-* Bareiss fraction-free elimination for ranks over the rational function
-  fields, where clearing denominators first keeps every intermediate entry a
-  polynomial and sidesteps gcd churn.
+divides exactly and never touches floating point.  There is one elimination
+routine, the reduced-row-echelon basis ``EchelonBasis``; solving, ranks,
+kernels and determinants insert the rows of their matrix into one and read
+the answer off the echelon rows, on every field alike.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-from .coefficients import (
-    LaurentPoly,
-    RationalFunction,
-    RationalFunctionField,
-    poly_divexact,
-)
 
 
 class LinearAlgebraError(ValueError):
@@ -59,20 +48,14 @@ class EchelonBasis:
 
     def coordinates(self, vector: Sequence) -> list | None:
         """Coordinates of ``vector`` in the basis rows, or None if it is not
-        in the span."""
-        v = list(vector)
-        coords = [self.zero] * len(self.rows)
-        for k, (pivot, row) in enumerate(zip(self.pivots, self.rows)):
-            c = v[pivot]
-            if c:
-                coords[k] = c
-                for j in range(pivot, self.dimension):
-                    rj = row[j]
-                    if rj:
-                        v[j] = v[j] - c * rj
-        if any(v):
+        in the span.
+
+        Each row is the only one nonzero in its pivot column, where it holds
+        one, so a vector in the span has its own pivot entries as coordinates.
+        """
+        if any(self.reduce(vector)):
             return None
-        return coords
+        return [vector[pivot] or self.zero for pivot in self.pivots]
 
     def insert(self, vector: Sequence) -> list | None:
         """Reduce and insert; returns the stored normalized row when the span
@@ -104,192 +87,70 @@ class EchelonBasis:
         return not any(self.reduce(vector))
 
 
+def _echelon(rows: Sequence[Sequence], ncols: int, zero, one) -> EchelonBasis:
+    basis = EchelonBasis(ncols, zero, one)
+    for row in rows:
+        basis.insert(row)
+    return basis
+
+
 def solve_linear(matrix: Sequence[Sequence], rhs: Sequence, zero, one) -> list:
-    """Solve a square system exactly; raises LinearAlgebraError when singular."""
+    """Solve a square system exactly; raises LinearAlgebraError when singular.
+
+    The augmented rows of a regular system echelonize to [I | x]."""
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise LinearAlgebraError("system is not square")
-    a = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot_row is None:
-            raise LinearAlgebraError("singular matrix")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        inv = one / a[col][col]
-        a[col] = [c * inv if c else c for c in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y if y else x for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+    basis = _echelon([[*row, b] for row, b in zip(matrix, rhs)], n + 1, zero, one)
+    if basis.pivots != list(range(n)):
+        raise LinearAlgebraError("singular matrix")
+    return [row[n] for row in basis.rows]
 
 
 def determinant(matrix: Sequence[Sequence], zero, one):
-    """Exact determinant by Gaussian elimination over the field."""
+    """Exact determinant: the product of the pivot leads, signed by the order
+    in which the pivots arrive.
+
+    Each row is reduced against the rows before it, which leaves the
+    determinant alone; its lead is its first nonzero entry, and the reduced
+    rows form a triangular matrix once the columns are put in arrival order.
+    """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise LinearAlgebraError("matrix is not square")
-    a = [list(row) for row in matrix]
+    basis = EchelonBasis(n, zero, one)
     det = one
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot_row is None:
+    for row in matrix:
+        v = basis.reduce(row)
+        pivot = next((j for j, c in enumerate(v) if c), None)
+        if pivot is None:
             return zero
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
+        det = det * v[pivot]
+        if sum(p > pivot for p in basis.pivots) % 2:
             det = -det
-        det = det * a[col][col]
-        inv = one / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y if y else x for x, y in zip(a[r], a[col])]
+        basis.insert(v)
     return det
 
 
 def kernel_basis(matrix: Sequence[Sequence], zero, one) -> list[list]:
     """A basis of the right kernel, one vector per free column of the RREF."""
-    rows = [list(r) for r in matrix]
-    m = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, m) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = one / rows[r][c]
-        rows[r] = [x * inv if x else x for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    pivot_set = set(pivots)
-    basis = []
+    ncols = len(matrix[0]) if matrix else 0
+    basis = _echelon(matrix, ncols, zero, one)
+    pivot_set = set(basis.pivots)
+    kernel = []
     for free in range(ncols):
         if free in pivot_set:
             continue
         v = [zero] * ncols
         v[free] = one
-        for prow, pcol in enumerate(pivots):
-            v[pcol] = zero - rows[prow][free]
-        basis.append(v)
-    return basis
-
-
-def field_rank(matrix: Sequence[Sequence], zero, one) -> int:
-    """Rank by plain exact elimination; fine for rationals and prime fields."""
-    if not matrix:
-        return 0
-    a = [list(row) for row in matrix]
-    cols = len(a[0])
-    rank = 0
-    for col in range(cols):
-        pivot_row = next((r for r in range(rank, len(a)) if a[r][col]), None)
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        inv = one / a[rank][col]
-        for r in range(rank + 1, len(a)):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y if y else x for x, y in zip(a[r], a[rank])]
-        rank += 1
-        if rank == len(a):
-            break
-    return rank
-
-
-def _clear_row_denominators(row: Sequence[RationalFunction]) -> list[LaurentPoly]:
-    """Scale a row of rational functions to Laurent polynomials (the scaling
-    is a unit, so ranks are unchanged)."""
-    common = None
-    for entry in row:
-        if entry and not entry.den.is_one():
-            common = entry.den if common is None else common * entry.den
-    if common is None:
-        return [entry.num for entry in row]
-    out = []
-    for entry in row:
-        if not entry:
-            out.append(entry.num)
-        else:
-            scaled = poly_divexact(common, entry.den) if not entry.den.is_one() else common
-            out.append(entry.num * scaled)
-    return out
-
-
-def rational_function_rank(matrix: Sequence[Sequence[RationalFunction]]) -> int:
-    """Rank over a rational function field via fraction-free elimination.
-
-    Rows are cleared to polynomials first; the Bareiss update
-    (a[i][j]*pivot - a[i][c]*a[p][j]) / previous_pivot then stays polynomial
-    throughout, with the division exact by construction.
-    """
-    if not matrix:
-        return 0
-    rows = [_clear_row_denominators(row) for row in matrix]
-    variables = None
-    for row in rows:
-        for entry in row:
-            variables = entry.variables
-            break
-        if variables:
-            break
-    if variables is None:
-        return 0
-    one = LaurentPoly.constant(variables, 1)
-    # Bareiss needs ordinary polynomials; clear each row's negative exponents
-    # by a single monomial unit (row scaling leaves the rank alone).
-    cleaned = []
-    nvars = len(variables)
-    for row in rows:
-        mins = [0] * nvars
-        for entry in row:
-            for exps in entry.terms:
-                for k in range(nvars):
-                    if exps[k] < mins[k]:
-                        mins[k] = exps[k]
-        if any(mins):
-            unit = LaurentPoly.monomial(variables, tuple(-m for m in mins))
-            row = [entry * unit if entry else entry for entry in row]
-        cleaned.append(list(row))
-    a = cleaned
-    cols = len(a[0])
-    rank = 0
-    prev = one
-    for col in range(cols):
-        pivot_row = next((r for r in range(rank, len(a)) if a[r][col]), None)
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        pivot = a[rank][col]
-        for r in range(rank + 1, len(a)):
-            rc = a[r][col]
-            new_row = []
-            for j in range(cols):
-                num = a[r][j] * pivot - rc * a[rank][j] if rc else a[r][j] * pivot
-                new_row.append(poly_divexact(num, prev) if not num.is_zero() else num)
-            a[r] = new_row
-        prev = pivot
-        rank += 1
-        if rank == len(a):
-            break
-    return rank
+        for pcol, row in zip(basis.pivots, basis.rows):
+            v[pcol] = zero - row[free]
+        kernel.append(v)
+    return kernel
 
 
 def matrix_rank(matrix: Sequence[Sequence], field) -> int:
-    """Rank dispatcher: fraction-free over function fields, plain elsewhere."""
+    """Rank over the given field: the number of echelon rows."""
     if not matrix:
         return 0
-    if isinstance(field, RationalFunctionField):
-        coerced = [[field.coerce(x) for x in row] for row in matrix]
-        return rational_function_rank(coerced)
-    zero = field.zero()
-    one = field.one()
-    return field_rank(matrix, zero, one)
+    return len(_echelon(matrix, len(matrix[0]), field.zero(), field.one()))

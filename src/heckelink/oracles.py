@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 
 from .braid import BraidWord, Permutation
 from .coefficients import generic_field_context
-from .hecke import HeckeContext, HeckeElement, fold_letter
+from .hecke import HeckeContext, HeckeElement, _multiply_generator, from_braid_word
 
 
 class OracleError(ValueError):
@@ -96,7 +96,7 @@ def exhaustive_word_closure(
         )
     ctx = HeckeContext(n, generic_field_context())
     if image_fn is None:
-        image_fn = lambda b: HeckeElement(ctx, _incremental_image(b, ctx))
+        image_fn = lambda b: from_braid_word(b, ctx)
 
     alphabet = [j for i in range(1, n) for j in (i, -i)]
     checked = 0
@@ -128,32 +128,17 @@ def exhaustive_word_closure(
     }
 
 
-def _incremental_image(b: BraidWord, ctx: HeckeContext) -> dict:
-    cur = {Permutation.identity(ctx.n): ctx.field.one()}
-    for letter in b.letters:
-        cur = fold_letter(cur, letter, ctx)
-    return cur
-
-
 def faulty_braid_image(b: BraidWord, field=None) -> HeckeElement:
-    """A deliberately corrupted braid image: the sign of the q1*q2 term in
-    the quadratic rewrite is flipped.  Exists so the exhaustive checker can
-    demonstrate that it detects a broken pipeline."""
+    """A deliberately corrupted braid image: every letter, inverse or not,
+    is folded as T_i with the sign of the q1*q2 term in the quadratic rewrite
+    flipped.  Exists so the exhaustive checker can demonstrate that it
+    detects a broken pipeline.  (Flipping the sign for T_i^{-1} as well would
+    give the image in another Hecke algebra, which no rewrite can tell
+    apart.)"""
     if field is None:
         field = generic_field_context()
-    ctx = HeckeContext(b.strands, field)
-    q_sum = field.q_sum
-    q_prod = field.q_prod
-    cur = {Permutation.identity(ctx.n): field.one()}
+    q_sum, flipped = field.q_sum, -field.q_prod
+    cur = {Permutation.identity(b.strands): field.one()}
     for letter in b.letters:
-        i = abs(letter)
-        nxt: dict[Permutation, object] = {}
-        for w, c in cur.items():
-            ws = w.times_transposition(i)
-            if w.right_ascent(i):
-                nxt[ws] = nxt.get(ws, field.zero()) + c
-            else:
-                nxt[w] = nxt.get(w, field.zero()) + c * q_sum
-                nxt[ws] = nxt.get(ws, field.zero()) + c * q_prod
-        cur = {w: c for w, c in nxt.items() if c}
-    return HeckeElement(ctx, cur)
+        cur = _multiply_generator(cur, abs(letter), False, False, q_sum, flipped)
+    return HeckeElement(HeckeContext(b.strands, field), cur)

@@ -300,35 +300,18 @@ class SpechtModule:
 
     def matrix(self, w: Permutation) -> list[list]:
         """Action matrix of T_w, built along a reduced word."""
-        cached = self._matrices.get(w)
-        if cached is not None:
-            return cached
-        word = w.reduced_word()
-        if not word:
-            one = self.sctx.field_context.field.one()
-            zero = self.sctx.field_context.field.zero()
-            mat = [
-                [one if r == c else zero for c in range(self.dimension)]
-                for r in range(self.dimension)
-            ]
-        else:
-            prefix = self.matrix(w.times_transposition(word[-1]))
-            mat = _mat_mul(prefix, self.action[word[-1] - 1],
-                           self.sctx.field_context.field.zero())
-        self._matrices[w] = mat
-        return mat
+        return _word_matrix(
+            w, self._matrices, self.generator_matrix, self.dimension,
+            self.sctx.field_context.field,
+        )
 
     def character(self, w: Permutation):
         """Trace of the action of T_w."""
         cached = self._characters.get(w)
-        if cached is not None:
-            return cached
-        mat = self.matrix(w)
-        total = self.sctx.field_context.field.zero()
-        for i in range(self.dimension):
-            total = total + mat[i][i]
-        self._characters[w] = total
-        return total
+        if cached is None:
+            cached = _trace(self.matrix(w), self.sctx.field_context.field.zero())
+            self._characters[w] = cached
+        return cached
 
     def gram_determinant(self):
         field = self.sctx.field_context.field
@@ -355,6 +338,9 @@ class SpechtModule:
         return self._rad
 
     def _rad_generator(self, i: int) -> list[list]:
+        cached = self._rad_gens.get(i)
+        if cached is not None:
+            return cached
         rad = self._radical()
         field = self.sctx.field_context.field
         zero = field.zero()
@@ -372,26 +358,7 @@ class SpechtModule:
                 )
             for row in range(r):
                 mat[row][col] = coords[row]
-        return mat
-
-    def _rad_matrix(self, w: Permutation) -> list[list]:
-        cached = self._rad_matrices.get(w)
-        if cached is not None:
-            return cached
-        field = self.sctx.field_context.field
-        word = w.reduced_word()
-        r = len(self._radical())
-        if not word:
-            one, zero = field.one(), field.zero()
-            mat = [[one if a == b else zero for b in range(r)] for a in range(r)]
-        else:
-            prefix = self._rad_matrix(w.times_transposition(word[-1]))
-            if not self._rad_gens:
-                self._rad_gens = {
-                    i: self._rad_generator(i) for i in range(1, self.sctx.n)
-                }
-            mat = _mat_mul(prefix, self._rad_gens[word[-1]], field.zero())
-        self._rad_matrices[w] = mat
+        self._rad_gens[i] = mat
         return mat
 
     def head_character(self, w: Permutation):
@@ -400,11 +367,35 @@ class SpechtModule:
         chi = self.character(w)
         if not len(rad):
             return chi
-        mat = self._rad_matrix(w)
-        total = self.sctx.field_context.field.zero()
-        for i in range(len(rad)):
-            total = total + mat[i][i]
-        return chi - total
+        field = self.sctx.field_context.field
+        mat = _word_matrix(w, self._rad_matrices, self._rad_generator, len(rad), field)
+        return chi - _trace(mat, field.zero())
+
+
+def _word_matrix(w: Permutation, cache: dict, generator, dimension: int, field):
+    """The matrix of T_w as the product of ``generator(i)`` along the reduced
+    word of w, memoized in ``cache`` by prefix."""
+    cached = cache.get(w)
+    if cached is not None:
+        return cached
+    word = w.reduced_word()
+    if not word:
+        one, zero = field.one(), field.zero()
+        mat = [[one if r == c else zero for c in range(dimension)] for r in range(dimension)]
+    else:
+        prefix = _word_matrix(
+            w.times_transposition(word[-1]), cache, generator, dimension, field
+        )
+        mat = _mat_mul(prefix, generator(word[-1]), field.zero())
+    cache[w] = mat
+    return mat
+
+
+def _trace(mat: list[list], zero):
+    total = zero
+    for i in range(len(mat)):
+        total = total + mat[i][i]
+    return total
 
 
 def _dot_row(row: list, vec: list, zero):

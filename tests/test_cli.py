@@ -6,6 +6,8 @@ must reproduce the first exactly.
 
 import json
 
+import pytest
+
 from heckelink.cli import main
 
 
@@ -206,3 +208,31 @@ class TestDeterminism:
         code, out, _ = run(capsys, "reduce", "--strands", "2", "--field", "generic", "1 1")
         assert code == 0
         assert out == "(q1+q2)*T[2,1] + (-q1*q2)*T[1,2]\n"
+
+
+class TestMalformedFieldSpec:
+    @pytest.mark.parametrize(
+        "env, argv",
+        [
+            (None, ["reduce", "--strands", "2", "--field", "rationals", "--q", "abc", "1"]),
+            (None, ["reduce", "--strands", "2", "--field", "fp", "--p", "3", "--q", "2.5", "1"]),
+            (None, ["specht", "--n", "3", "--field", "rationals", "--q", "1/0"]),
+            (None, ["reduce", "--strands", "2", "--field", "fp", "--p", "3", "1"]),
+            (None, ["reduce", "--strands", "2", "--field", "rationals", "1"]),
+            (None, ["specht", "--n", "2", "--field", "fp", "--p", "3", "--q", "5"]),
+            ("fp:x:2", ["reduce", "--strands", "2", "1"]),
+            ("rationals:abc", ["reduce", "--strands", "2", "1"]),
+            ("bogus", ["reduce", "--strands", "2", "1"]),
+            ("bogus", ["jones", "--strands", "2", "1"]),
+        ],
+    )
+    def test_exits_2_with_one_line(self, capsys, monkeypatch, env, argv):
+        if env is None:
+            monkeypatch.delenv("HECKELINK_FIELD", raising=False)
+        else:
+            monkeypatch.setenv("HECKELINK_FIELD", env)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err

@@ -10,12 +10,12 @@ from heckelink.coefficients import (
     RationalFunctionField,
     Rationals,
     parse_scalar,
+    render_scalar,
 )
 from heckelink.linalg import (
     EchelonBasis,
     LinearAlgebraError,
     determinant,
-    field_rank,
     kernel_basis,
     matrix_rank,
     solve_linear,
@@ -27,6 +27,18 @@ QQ = RationalFunctionField(("q",))
 
 def fr(rows):
     return [[Fraction(x) for x in row] for row in rows]
+
+
+def cofactor(m, zero):
+    """Determinant by cofactor expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    total = zero
+    for j in range(len(m)):
+        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+        term = m[0][j] * cofactor(minor, zero)
+        total = total + term if j % 2 == 0 else total - term
+    return total
 
 
 class TestEchelonBasis:
@@ -68,20 +80,34 @@ class TestSolveAndDeterminant:
 
     def test_determinant_matches_cofactor_oracle(self):
         rng = random.Random(60)
-
-        def cofactor(m):
-            if len(m) == 1:
-                return m[0][0]
-            total = Fraction(0)
-            for j in range(len(m)):
-                minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-                total += (-1) ** j * m[0][j] * cofactor(minor)
-            return total
-
         for _ in range(20):
             n = rng.randrange(1, 5)
             m = [[Fraction(rng.randrange(-4, 5)) for _ in range(n)] for _ in range(n)]
-            assert determinant(m, Fraction(0), Fraction(1)) == cofactor(m)
+            assert determinant(m, Fraction(0), Fraction(1)) == cofactor(m, Fraction(0))
+
+    def test_determinant_with_pivots_out_of_column_order(self):
+        # Shuffled rows of an upper-triangular matrix: row k leads in column
+        # order[k], so the pivots arrive in that order and the sign of the
+        # shuffle must come out of the elimination.
+        f7 = PrimeField(7)
+        rng = random.Random(62)
+        shuffled = 0
+        for _ in range(40):
+            n = rng.randrange(2, 6)
+            upper = [
+                [f7.from_int(rng.randrange(1 if c == r else 0, 7) if c >= r else 0)
+                 for c in range(n)]
+                for r in range(n)
+            ]
+            if rng.random() < 0.2:
+                k = rng.randrange(n)
+                upper[k][k] = f7.zero()
+            order = list(range(n))
+            rng.shuffle(order)
+            shuffled += order != sorted(order)
+            m = [upper[k] for k in order]
+            assert determinant(m, f7.zero(), f7.one()) == cofactor(m, f7.zero())
+        assert shuffled > 20
 
     def test_determinant_over_function_field(self):
         q = QQ.variable("q")
@@ -92,7 +118,7 @@ class TestSolveAndDeterminant:
 class TestRank:
     def test_rank_rational(self):
         m = fr([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-        assert field_rank(m, Fraction(0), Fraction(1)) == 2
+        assert matrix_rank(m, Q) == 2
 
     def test_rank_prime_field(self):
         f5 = PrimeField(5)
@@ -130,7 +156,7 @@ class TestRank:
                 num = [
                     [specialize(x, {"q": sample}, Q) for x in row] for row in rows
                 ]
-                best = max(best, field_rank(num, Fraction(0), Fraction(1)))
+                best = max(best, matrix_rank(num, Q))
             assert rank >= best
             assert rank <= n
 
@@ -172,3 +198,79 @@ class TestKernel:
             for a, b in zip(row, v):
                 total = total + a * b
             assert not total
+
+
+class TestAgainstSympy:
+    """Exact rank, determinant and solutions over Q(q) against sympy's
+    DomainMatrix, an elimination that shares no code with this package."""
+
+    @pytest.fixture
+    def sp(self):
+        return pytest.importorskip("sympy")
+
+    @staticmethod
+    def random_entry(rng):
+        if rng.random() < 0.15:
+            return "0"
+        num = f"{rng.randrange(-3, 4)}*q^{rng.randrange(-1, 3)}+{rng.randrange(-2, 3)}"
+        if rng.random() < 0.3:
+            return f"{num} / q+{rng.randrange(1, 3)}"
+        return num
+
+    def random_matrix(self, rng, n):
+        text = [[self.random_entry(rng) for _ in range(n)] for _ in range(n)]
+        m = [[parse_scalar(t, QQ) for t in row] for row in text]
+        if n > 1 and rng.random() < 0.4:
+            # force a rank drop: the last row is a Q(q)-combination of others
+            a, b = parse_scalar("q^2-1", QQ), parse_scalar("1 / q+2", QQ)
+            m[-1] = [a * x + b * y for x, y in zip(m[0], m[1 % (n - 1)])]
+        return m
+
+    @staticmethod
+    def to_sympy(sp, x):
+        num, sep, den = render_scalar(x).partition(" / ")
+        expr = sp.sympify(num.replace("^", "**"))
+        if sep:
+            expr = expr / sp.sympify(den.replace("^", "**"))
+        return expr
+
+    def domain_matrix(self, sp, m):
+        from sympy.polys.matrices import DomainMatrix
+
+        rows = [[self.to_sympy(sp, x) for x in row] for row in m]
+        return DomainMatrix.from_Matrix(sp.Matrix(rows)).to_field()
+
+    def test_rank_and_determinant(self, sp):
+        rng = random.Random(63)
+        drops = 0
+        for _ in range(40):
+            n = rng.randrange(1, 5)
+            m = self.random_matrix(rng, n)
+            dm = self.domain_matrix(sp, m)
+            rank = matrix_rank(m, QQ)
+            assert rank == dm.rank()
+            drops += rank < n
+            det = determinant(m, QQ.zero(), QQ.one())
+            expected = dm.det()
+            assert sp.cancel(self.to_sympy(sp, det) - dm.domain.to_sympy(expected)) == 0
+        assert drops > 5
+
+    def test_solve_satisfies_the_system(self, sp):
+        rng = random.Random(64)
+        solved = 0
+        for _ in range(30):
+            n = rng.randrange(1, 5)
+            m = self.random_matrix(rng, n)
+            b = [parse_scalar(self.random_entry(rng), QQ) for _ in range(n)]
+            if self.domain_matrix(sp, m).rank() < n:
+                with pytest.raises(LinearAlgebraError):
+                    solve_linear(m, b, QQ.zero(), QQ.one())
+                continue
+            x = solve_linear(m, b, QQ.zero(), QQ.one())
+            for row, rhs in zip(m, b):
+                total = QQ.zero()
+                for a, xi in zip(row, x):
+                    total = total + a * xi
+                assert total == rhs
+            solved += 1
+        assert solved > 10
