@@ -269,15 +269,19 @@ class LaurentPoly:
         """Image under the ring homomorphism sending each variable to the
         given field element.  Negative exponents require the assigned value
         to be invertible."""
+        values = [
+            field.coerce(assignment[name]) if name in assignment else None
+            for name in self.variables
+        ]
         total = field.zero()
         for exps, coeff in self.terms.items():
             val = field.from_fraction(coeff)
-            for name, e in zip(self.variables, exps):
+            for name, value, e in zip(self.variables, values, exps):
                 if e == 0:
                     continue
-                if name not in assignment:
+                if value is None:
                     raise SpecializationError(f"variable {name!r} is not assigned")
-                val = val * _scalar_power(assignment[name], e)
+                val = val * value ** e
             total = total + val
         return total
 
@@ -311,14 +315,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.render()!r})"
-
-
-def _scalar_power(value, k: int):
-    """value ** k for any supported scalar, allowing negative k."""
-    if k >= 0:
-        return value ** k
-    inv = 1 / value
-    return inv ** (-k)
 
 
 # -- ordinary-polynomial gcd machinery ---------------------------------------
@@ -579,15 +575,10 @@ class RationalFunction:
     def __pow__(self, k: int) -> RationalFunction:
         if k < 0:
             return self.invert() ** (-k)
-        result = RationalFunction.constant(self.variables, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            if k > 1:
-                base = base * base
-            k >>= 1
-        return result
+        # Powers of coprime parts stay coprime, and by Gauss's lemma a power of
+        # a primitive denominator with a positive lead is again one, so the
+        # powered parts are already canonical.
+        return RationalFunction(self.num ** k, self.den ** k)
 
     # -- comparison --------------------------------------------------------
 

@@ -36,11 +36,9 @@ from .coefficients import (
     LaurentPoly,
     RationalFunction,
     RationalFunctionField,
-    generic_field_context,
     specialize,
 )
-from .hecke import HeckeContext, from_braid_word
-from .trace import markov_trace
+from .trace import trace_of_braid
 
 
 class InvariantError(ArithmeticError):
@@ -98,9 +96,7 @@ class JonesPolynomial:
 
 def homflypt(b: BraidWord, field: FieldContext | None = None) -> RationalFunction:
     """The two-variable invariant: the trace of the braid's Hecke image."""
-    if field is None:
-        field = generic_field_context()
-    return markov_trace(from_braid_word(b, HeckeContext(b.strands, field)))
+    return trace_of_braid(b, field)
 
 
 def jones(b: BraidWord) -> JonesPolynomial:

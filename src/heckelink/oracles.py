@@ -89,9 +89,9 @@ def exhaustive_word_closure(
     Exponential by nature and guarded accordingly; the report carries the
     number of checks and any violating pairs.
     """
-    if n > 4 or max_len > 8:
+    if n > 4 or not 0 <= max_len <= 8:
         raise OracleError(
-            f"exhaustive closure is capped at n <= 4, max_len <= 8 "
+            f"exhaustive closure is capped at n <= 4, 0 <= max_len <= 8 "
             f"(asked for n={n}, max_len={max_len})"
         )
     ctx = HeckeContext(n, generic_field_context())

@@ -204,6 +204,13 @@ class SubspaceBasis:
     def rows_as_elements(self) -> list[HeckeElement]:
         return [_from_vector(row, self.sctx) for row in self.echelon.rows]
 
+    def copy(self) -> SubspaceBasis:
+        """A basis over copied rows: inserting into it leaves this one alone."""
+        fresh = SubspaceBasis(self.sctx)
+        fresh.echelon.rows = [list(row) for row in self.echelon.rows]
+        fresh.echelon.pivots = list(self.echelon.pivots)
+        return fresh
+
 
 _M_CACHE: dict[tuple[Partition, SpechtContext], SubspaceBasis] = {}
 _I_CACHE: dict[tuple[Partition, SpechtContext], SubspaceBasis] = {}
@@ -226,16 +233,15 @@ def _coset_rows(lam: Partition, sctx: SpechtContext) -> list[HeckeElement]:
 
 
 def module_basis_M(lam: Partition, sctx: SpechtContext) -> SubspaceBasis:
-    """Echelon basis of the left ideal generated by m_lam."""
+    """Echelon basis of the left ideal generated by m_lam (a fresh copy)."""
     key = (lam, sctx)
     cached = _M_CACHE.get(key)
-    if cached is not None:
-        return cached
-    basis = SubspaceBasis(sctx)
-    for row in _coset_rows(lam, sctx):
-        basis.insert_element(row)
-    _M_CACHE[key] = basis
-    return basis
+    if cached is None:
+        cached = SubspaceBasis(sctx)
+        for row in _coset_rows(lam, sctx):
+            cached.insert_element(row)
+        _M_CACHE[key] = cached
+    return cached.copy()
 
 
 def ideal_I(lam: Partition, sctx: SpechtContext) -> SubspaceBasis:
@@ -244,12 +250,13 @@ def ideal_I(lam: Partition, sctx: SpechtContext) -> SubspaceBasis:
 
     Each seed left ideal H m_mu is inserted whole, after which the span only
     needs closing under right multiplication by the generators; the worklist
-    drains when the dimension stops growing.
+    drains when the dimension stops growing.  Returns a fresh copy of the
+    cached basis.
     """
     key = (lam, sctx)
     cached = _I_CACHE.get(key)
     if cached is not None:
-        return cached
+        return cached.copy()
     basis = SubspaceBasis(sctx)
     ctx = sctx.hecke_context()
     queue: list[HeckeElement] = []
@@ -270,7 +277,7 @@ def ideal_I(lam: Partition, sctx: SpechtContext) -> SubspaceBasis:
             if stored is not None:
                 queue.append(_from_vector(stored, sctx))
     _I_CACHE[key] = basis
-    return basis
+    return basis.copy()
 
 
 # -- cell modules -----------------------------------------------------------------

@@ -18,8 +18,15 @@ with u fixing n and lengths adding, hence
     T_w = T_u T_{n-1} T_y,   y = s_{n-2} ... s_p,
 
 and cyclicity plus the strand-addition rule give
-tr_n(T_w) = tr_{n-1}(T_y T_u).  Basis traces are memoized per coefficient
-context, so repeated invariant computations stay cheap.
+tr_n(T_w) = tr_{n-1}(T_y T_u).
+
+The recursion runs on the scaled trace tau_n = (q1 + q2)^(n-1) * tr_n, which
+has no denominator: tau_1 = 1, tau_n(T_w) = (1 + q1 q2) * tau_{n-1}(T_w')
+when w fixes n, and tau_n(T_w) = (q1 + q2) * tau_{n-1}(T_y T_u) otherwise.
+The trace of an element is its scaled sum divided once by (q1 + q2)^(n-1),
+so over Q(q1, q2) the only gcd is in that final division.  Scaled basis
+traces are memoized per coefficient context, so repeated invariant
+computations stay cheap.
 
 Closed braids decompose over the basis indexed by partitions: the
 coefficients are recovered algebraically by solving the character system
@@ -38,8 +45,6 @@ from .braid import BraidWord, Permutation
 from .coefficients import (
     CoefficientError,
     FieldContext,
-    RationalFunction,
-    canonicalize,
     generic_field_context,
     render_scalar,
 )
@@ -152,64 +157,48 @@ _TRACE_CACHE: dict[FieldContext, dict[Permutation, object]] = {}
 
 
 def _trace_basis(w: Permutation, field: FieldContext, cache: dict) -> object:
+    """tau_n(T_w) = (q1 + q2)^(n-1) * tr_n(T_w), which needs no division."""
     n = w.degree
     if n == 1:
-        return field.field.one()
+        return field.one()
     cached = cache.get(w)
     if cached is not None:
         return cached
     if w.fixes_last():
-        value = field.delta() * _trace_basis(w.restricted(), field, cache)
-        cache[w] = value
-        return value
-    p = w.images.index(n) + 1
-    # Peeling the chain off w = x d_p leaves x: drop the entry holding n.
-    x = Permutation(w.images[: p - 1] + w.images[p:])
-    # y = s_{n-2} ... s_p, the chain below the split generator.
-    y = Permutation(tuple(range(1, p)) + (n - 1,) + tuple(range(p, n - 1)))
-    sub_ctx = HeckeContext(n - 1, field)
-    product = sub_ctx.basis_element(y) * sub_ctx.basis_element(x)
-    value = _weighted_trace_sum(product.terms, field, cache)
+        tau = _trace_basis(w.restricted(), field, cache)
+        value = (field.one() + field.q_prod) * tau
+    else:
+        p = w.images.index(n) + 1
+        # Peeling the chain off w = x d_p leaves x: drop the entry holding n.
+        x = Permutation(w.images[: p - 1] + w.images[p:])
+        # y = s_{n-2} ... s_p, the chain below the split generator.
+        y = Permutation(tuple(range(1, p)) + (n - 1,) + tuple(range(p, n - 1)))
+        sub_ctx = HeckeContext(n - 1, field)
+        product = sub_ctx.basis_element(y) * sub_ctx.basis_element(x)
+        value = field.q_sum * _scaled_trace_sum(product.terms, field, cache)
     cache[w] = value
     return value
 
 
-def _weighted_trace_sum(terms, field: FieldContext, cache: dict):
-    """Sum c_w * tr(T_w) over a support.
-
-    Trace values over a function field share denominators (powers of q1+q2
-    up to monomials), so summing naively re-runs a gcd for every term.
-    Grouping by denominator turns almost all of the work into plain
-    polynomial addition, with one fraction combination per distinct
-    denominator at the end.
-    """
-    zero = field.field.zero()
-    if not isinstance(zero, RationalFunction):
-        total = zero
-        for w, c in terms.items():
-            total = total + c * _trace_basis(w, field, cache)
-        return total
-    groups: dict[object, object] = {}
+def _scaled_trace_sum(terms, field: FieldContext, cache: dict):
+    """Sum c_w * tau(T_w) over a support on one strand count."""
+    total = field.zero()
     for w, c in terms.items():
-        value = c * _trace_basis(w, field, cache)
-        num = groups.get(value.den)
-        groups[value.den] = value.num if num is None else num + value.num
-    total = zero
-    for den, num in groups.items():
-        total = total + canonicalize(num, den)
+        total = total + c * _trace_basis(w, field, cache)
     return total
 
 
 def markov_trace(h: HeckeElement) -> object:
     """The normalized Markov trace, extended linearly over the support."""
     field = h.context.field
-    if not field.q_sum:
+    q_sum = field.q_sum
+    if not q_sum:
         raise CoefficientError(
             "the Markov trace needs q1 + q2 to be a unit; context "
             + field.describe()
         )
     cache = _TRACE_CACHE.setdefault(field, {})
-    return _weighted_trace_sum(h.terms, field, cache)
+    return _scaled_trace_sum(h.terms, field, cache) / q_sum ** (h.context.n - 1)
 
 
 def trace_of_braid(b: BraidWord, field: FieldContext | None = None) -> object:

@@ -224,6 +224,7 @@ class TestMalformedFieldSpec:
             ("rationals:abc", ["reduce", "--strands", "2", "1"]),
             ("bogus", ["reduce", "--strands", "2", "1"]),
             ("bogus", ["jones", "--strands", "2", "1"]),
+            (None, ["verify", "--exhaustive", "--n", "2", "--max-len", "-1"]),
         ],
     )
     def test_exits_2_with_one_line(self, capsys, monkeypatch, env, argv):

@@ -159,6 +159,23 @@ class TestRationalFunction:
         with pytest.raises(ZeroDivisionError):
             RationalFunction.constant(Q12, 0).invert()
 
+    def test_power_matches_repeated_product(self):
+        # the k-fold product canonicalizes after every step; ** does not
+        rng = random.Random(18)
+        one = RationalFunction.constant(Q12, 1)
+        checked = 0
+        while checked < 20:
+            x = _random_rf(rng)
+            if x.is_polynomial():
+                continue
+            checked += 1
+            for k in range(-2, 5):
+                base = x if k >= 0 else x.invert()
+                expected = one
+                for _ in range(abs(k)):
+                    expected = expected * base
+                assert x ** k == expected
+
 
 class TestPrimeField:
     def test_invert(self):
@@ -226,6 +243,14 @@ class TestSpecialize:
     def test_unassigned_variable(self):
         with pytest.raises(SpecializationError):
             specialize(rf("q1"), {"q2": Fraction(1)}, Rationals())
+
+    def test_negative_exponents_stay_in_the_target_field(self):
+        x = lp("q1^-1*q2^-2+3")
+        value = specialize(x, {"q1": 2, "q2": 3}, Rationals())
+        assert type(value) is Fraction
+        assert value == Fraction(55, 18)
+        f7 = PrimeField(7)
+        assert specialize(x, {"q1": 2, "q2": 3}, f7) == f7.from_int(5)
 
     def test_vanishing_denominator_reported(self):
         value = rf("1 / q1+q2")

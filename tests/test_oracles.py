@@ -73,6 +73,8 @@ class TestExhaustiveClosure:
             exhaustive_word_closure(5, 3)
         with pytest.raises(OracleError):
             exhaustive_word_closure(3, 9)
+        with pytest.raises(OracleError):
+            exhaustive_word_closure(3, -1)
 
     def test_fault_injection_detected(self):
         report = exhaustive_word_closure(2, 4, image_fn=faulty_braid_image)

@@ -111,6 +111,17 @@ class TestSubspaces:
                 assert ideal.contains(left_multiply_generator(row, i))
                 assert ideal.contains(row * ctx.generator_image(i))
 
+    def test_returned_bases_are_copies(self):
+        sctx = SpechtContext.generic(3)
+        lam = Partition((2, 1))
+        ideal_dim = ideal_I(lam, sctx).dimension
+        module_dim = module_basis_M(lam, sctx).dimension
+        assert ideal_I(lam, sctx).insert_element(m_lambda(lam, sctx)) is not None
+        identity = sctx.hecke_context().identity()
+        assert module_basis_M(lam, sctx).insert_element(identity) is not None
+        assert ideal_I(lam, sctx).dimension == ideal_dim
+        assert module_basis_M(lam, sctx).dimension == module_dim
+
     def test_echelon_pivots_increase(self):
         sctx = SpechtContext.generic(4)
         basis = module_basis_M(Partition((2, 2)), sctx)

@@ -9,8 +9,10 @@ from heckelink.braid import BraidWord, conjugate, random_word, stabilize
 from heckelink.coefficients import (
     CoefficientError,
     FieldContext,
+    PrimeField,
     Rationals,
     generic_field_context,
+    specialize,
 )
 from heckelink.hecke import HeckeContext, from_braid_word
 from heckelink.trace import (
@@ -167,6 +169,27 @@ class TestMarkovTrace:
         ctx = HeckeContext(2, symmetric)
         with pytest.raises(CoefficientError):
             markov_trace(ctx.identity())
+
+
+def _random_braids(seed):
+    """20 braids on 2-5 strands with up to 6 letters of both signs."""
+    rng = random.Random(seed)
+    return [random_word(rng, rng.randrange(2, 6), rng.randrange(0, 7)) for _ in range(20)]
+
+
+class TestScaledTrace:
+    @pytest.mark.parametrize("field", [Rationals(), PrimeField(11)], ids=["Q", "F11"])
+    def test_specialized_field_matches_generic_trace(self, field):
+        ctx = FieldContext(field, 2, 3)
+        assignment = {"q1": field.from_int(2), "q2": field.from_int(3)}
+        for b in _random_braids(26):
+            value = markov_trace(from_braid_word(b, HeckeContext(b.strands, ctx)))
+            assert value == specialize(trace_of_braid(b), assignment, field)
+
+    def test_scaled_trace_is_a_laurent_polynomial(self):
+        for b in _random_braids(27):
+            scaled = trace_of_braid(b) * FIELD.q_sum ** (b.strands - 1)
+            assert scaled.is_polynomial()
 
 
 class TestDecomposeClosure:
