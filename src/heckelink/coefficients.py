@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Union
 
 
@@ -125,10 +126,6 @@ class LaurentPoly:
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
-
-    def is_ordinary(self) -> bool:
-        """True when no exponent is negative."""
-        return all(e >= 0 for exps in self.terms for e in exps)
 
     # -- structure ---------------------------------------------------------
 
@@ -373,15 +370,6 @@ def _univariate_view(p: LaurentPoly, index: int) -> dict[int, LaurentPoly]:
     return {d: LaurentPoly(p.variables, t) for d, t in out.items()}
 
 
-def _from_univariate(coeffs: Mapping[int, LaurentPoly], index: int, variables) -> LaurentPoly:
-    terms: dict[Exponents, Fraction] = {}
-    for d, poly in coeffs.items():
-        for exps, coeff in poly.terms.items():
-            e = exps[:index] + (d,) + exps[index + 1 :]
-            terms[e] = terms.get(e, Fraction(0)) + coeff
-    return LaurentPoly(variables, terms)
-
-
 def _content_and_primitive(p: LaurentPoly, index: int) -> tuple[LaurentPoly, LaurentPoly]:
     view = _univariate_view(p, index)
     content = LaurentPoly.zero(p.variables)
@@ -494,11 +482,6 @@ class RationalFunction:
 
     def is_polynomial(self) -> bool:
         return self.den.is_one()
-
-    def as_laurent(self) -> LaurentPoly:
-        if not self.den.is_one():
-            raise CoefficientError(f"{self.render()} is not a Laurent polynomial")
-        return self.num
 
     def is_constant(self) -> bool:
         return self.den.is_one() and self.num.is_constant()
@@ -732,10 +715,8 @@ class PrimeFieldElement:
         return o / self
 
     def __pow__(self, k: int):
-        if k < 0:
-            if self.value == 0:
-                raise ZeroDivisionError(f"inverting zero in F_{self.p}")
-            return PrimeFieldElement(pow(self.value, k, self.p), self.p)
+        if k < 0 and self.value == 0:
+            raise ZeroDivisionError(f"inverting zero in F_{self.p}")
         return PrimeFieldElement(pow(self.value, k, self.p), self.p)
 
     def __bool__(self) -> bool:
@@ -918,11 +899,11 @@ class FieldContext:
         if not q1 or not q2:
             raise CoefficientError("q1 and q2 must be units")
 
-    @property
+    @cached_property
     def q_sum(self):
         return self.q1 + self.q2
 
-    @property
+    @cached_property
     def q_prod(self):
         return self.q1 * self.q2
 
@@ -1013,11 +994,7 @@ def quantum_e(q) -> int | float:
             if acc == 0:
                 return e
         return math.inf
-    if isinstance(q, (int, Fraction)):
-        if q == 0:
-            raise CoefficientError("q must be a unit")
-        return 2 if q == -1 else math.inf
-    if isinstance(q, RationalFunction):
+    if isinstance(q, (int, Fraction, RationalFunction)):
         if not q:
             raise CoefficientError("q must be a unit")
         return 2 if q == -1 else math.inf

@@ -22,7 +22,7 @@ braid words map to units and the assignment sigma_i -> T_i extends to a
 homomorphism from the braid group.
 
 One loop, ``_multiply_generator``, applies both rules on either side: braid
-letters, Hecke products and left multiplication by a generator all go
+letters, Hecke products, generator images and left multiplication all go
 through it, so the quadratic relation is written down once.
 
 At (q1, q2) = (1, -1) the quadratic relation collapses to T_i^2 = 1 and the
@@ -33,6 +33,7 @@ exposes the coordinates for comparison against plain permutation composition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 from .braid import BraidWord, Permutation
@@ -69,16 +70,12 @@ class HeckeContext:
         """T_i for positive sign, T_i^{-1} for negative."""
         if not 1 <= i <= self.n - 1:
             raise HeckeError(f"generator index {i} out of range for n={self.n}")
-        s = Permutation.transposition(self.n, i)
-        if sign > 0:
-            return HeckeElement(self, {s: self.field.one()})
-        inv_prod = 1 / self.field.q_prod
+        field = self.field
         return HeckeElement(
             self,
-            {
-                Permutation.identity(self.n): self.field.q_sum * inv_prod,
-                s: -inv_prod,
-            },
+            _multiply_generator(
+                self.identity().terms, i, sign < 0, False, field.q_sum, field.q_prod
+            ),
         )
 
 
@@ -242,8 +239,7 @@ def _multiply_generator(
         T_w T_i^{-1} = (q_sum T_w - T_{w s_i}) / q_prod.
     """
     if inverse:
-        inv_prod = 1 / q_prod
-        diagonal, swapped = q_sum * inv_prod, -inv_prod
+        diagonal, swapped = _inverse_coefficients(q_sum, q_prod)
     else:
         diagonal, swapped = q_sum, -q_prod
     if left:
@@ -277,6 +273,14 @@ def _multiply_generator(
             else:
                 out.pop(ws, None)
     return out
+
+
+@lru_cache(maxsize=64, typed=True)
+def _inverse_coefficients(q_sum, q_prod) -> tuple:
+    """(q_sum / q_prod, -1 / q_prod), the two coefficients of T_w T_i^{-1} at
+    an ascent; computed once per parameter pair, not once per letter."""
+    inv_prod = 1 / q_prod
+    return q_sum * inv_prod, -inv_prod
 
 
 def fold_letter(

@@ -21,6 +21,10 @@ be the generic variable or any specialized field value.  For a partition
   form value.  The rank of the Gram matrix is the dimension of the
   irreducible head, which is nonzero exactly for e-restricted shapes.
 
+A cell module is built with its basis and generator action only.  The form
+is evaluated on first use, since characters (and so closure decompositions)
+never read the Gram matrix.
+
 Dimensions are validated against an independent standard-tableaux count,
 never assumed.
 """
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .braid import Permutation
@@ -249,9 +253,8 @@ def ideal_I(lam: Partition, sctx: SpechtContext) -> SubspaceBasis:
     strictly dominating lam.
 
     Each seed left ideal H m_mu is inserted whole, after which the span only
-    needs closing under right multiplication by the generators; the worklist
-    drains when the dimension stops growing.  Returns a fresh copy of the
-    cached basis.
+    needs closing under right multiplication by the generators.  Returns a
+    fresh copy of the cached basis.
     """
     key = (lam, sctx)
     cached = _I_CACHE.get(key)
@@ -259,25 +262,27 @@ def ideal_I(lam: Partition, sctx: SpechtContext) -> SubspaceBasis:
         return cached.copy()
     basis = SubspaceBasis(sctx)
     ctx = sctx.hecke_context()
-    queue: list[HeckeElement] = []
-    for mu in partitions_of(sctx.n):
-        if not strictly_dominates(mu, lam):
-            continue
-        for row in _coset_rows(mu, sctx):
-            stored = basis.insert_element(row)
-            if stored is not None:
-                queue.append(_from_vector(stored, sctx))
-    gens = [
-        ctx.generator_image(i) for i in range(1, sctx.n)
-    ]
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            stored = basis.insert_element(x * g)
-            if stored is not None:
-                queue.append(_from_vector(stored, sctx))
+    gens = [ctx.generator_image(i) for i in range(1, sctx.n)]
+    dominating = [mu for mu in partitions_of(sctx.n) if strictly_dominates(mu, lam)]
+    seeds = (row for mu in dominating for row in _coset_rows(mu, sctx))
+    _close(basis, seeds, lambda x, i: x * gens[i - 1])
     _I_CACHE[key] = basis
     return basis.copy()
+
+
+def _close(basis: SubspaceBasis, seeds, step) -> None:
+    """Grow ``basis`` to the span of ``seeds`` closed under x -> step(x, i)
+    for i = 1, ..., n-1.  The worklist holds the stored rows themselves and
+    converts one when it is popped: later inserts have back-substituted into
+    it by then, and unit-triangular combinations span the same space."""
+    sctx = basis.sctx
+    queue = [row for row in map(basis.insert_element, seeds) if row is not None]
+    while queue:
+        x = _from_vector(queue.pop(), sctx)
+        for i in range(1, sctx.n):
+            row = basis.insert_element(step(x, i))
+            if row is not None:
+                queue.append(row)
 
 
 # -- cell modules -----------------------------------------------------------------
@@ -291,12 +296,9 @@ class SpechtModule:
     sctx: SpechtContext
     basis: list[HeckeElement]
     action: list[list[list]]  # action[i-1] is the matrix of T_i, column convention
-    gram: list[list]
     _matrices: dict[Permutation, list[list]] = dataclass_field(default_factory=dict)
     _characters: dict[Permutation, object] = dataclass_field(default_factory=dict)
-    _rad: EchelonBasis | None = None
     _rad_matrices: dict[Permutation, list[list]] = dataclass_field(default_factory=dict)
-    _rad_gens: dict[int, list[list]] = dataclass_field(default_factory=dict)
 
     @property
     def dimension(self) -> int:
@@ -308,7 +310,7 @@ class SpechtModule:
     def matrix(self, w: Permutation) -> list[list]:
         """Action matrix of T_w, built along a reduced word."""
         return _word_matrix(
-            w, self._matrices, self.generator_matrix, self.dimension,
+            w, self._matrices, self.action, self.dimension,
             self.sctx.field_context.field,
         )
 
@@ -320,6 +322,18 @@ class SpechtModule:
             self._characters[w] = cached
         return cached
 
+    @cached_property
+    def gram(self) -> list[list]:
+        """The form on the basis, each element scaled to clear denominators."""
+        form = _form(self.lam, self.sctx)
+        cleared = [_clear_denominators(b) for b in self.basis]
+        dim = self.dimension
+        gram = [[self.sctx.field_context.field.zero()] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
+                gram[i][j] = gram[j][i] = form(cleared[i], cleared[j])
+        return gram
+
     def gram_determinant(self):
         field = self.sctx.field_context.field
         return determinant(self.gram, field.zero(), field.one())
@@ -329,59 +343,48 @@ class SpechtModule:
 
     # -- the irreducible head ------------------------------------------------
 
+    @cached_property
     def _radical(self) -> EchelonBasis:
         """The Gram kernel as an echelon basis inside the module coordinates.
 
         The radical is an invariant subspace, so each generator restricts to
         it; the head character is the module character minus the restricted
         trace."""
-        if self._rad is None:
-            field = self.sctx.field_context.field
-            zero, one = field.zero(), field.one()
-            rad = EchelonBasis(self.dimension, zero, one)
-            for vec in kernel_basis(self.gram, zero, one):
-                rad.insert(vec)
-            self._rad = rad
-        return self._rad
-
-    def _rad_generator(self, i: int) -> list[list]:
-        cached = self._rad_gens.get(i)
-        if cached is not None:
-            return cached
-        rad = self._radical()
         field = self.sctx.field_context.field
-        zero = field.zero()
-        r = len(rad)
-        mat = [[zero] * r for _ in range(r)]
-        gen = self.action[i - 1]
-        for col, vec in enumerate(rad.rows):
-            image = [
-                _dot_row(gen[row], vec, zero) for row in range(self.dimension)
-            ]
-            coords = rad.coordinates(image)
-            if coords is None:
-                raise ProportionalityError(
-                    f"Gram radical of {self.lam.render()} is not invariant"
-                )
-            for row in range(r):
-                mat[row][col] = coords[row]
-        self._rad_gens[i] = mat
-        return mat
+        zero, one = field.zero(), field.one()
+        rad = EchelonBasis(self.dimension, zero, one)
+        for vec in kernel_basis(self.gram, zero, one):
+            rad.insert(vec)
+        return rad
+
+    @cached_property
+    def _rad_action(self) -> list[list[list]]:
+        """The generators restricted to the radical, in its row coordinates."""
+        rad = self._radical
+        zero = self.sctx.field_context.field.zero()
+        message = f"Gram radical of {self.lam.render()} is not invariant"
+        return [
+            _coordinate_matrix(
+                rad, ([_dot_row(row, vec, zero) for row in gen] for vec in rad.rows),
+                message,
+            )
+            for gen in self.action
+        ]
 
     def head_character(self, w: Permutation):
         """Trace of T_w on the head: the module trace minus the radical trace."""
-        rad = self._radical()
+        rad = self._radical
         chi = self.character(w)
         if not len(rad):
             return chi
         field = self.sctx.field_context.field
-        mat = _word_matrix(w, self._rad_matrices, self._rad_generator, len(rad), field)
+        mat = _word_matrix(w, self._rad_matrices, self._rad_action, len(rad), field)
         return chi - _trace(mat, field.zero())
 
 
-def _word_matrix(w: Permutation, cache: dict, generator, dimension: int, field):
-    """The matrix of T_w as the product of ``generator(i)`` along the reduced
-    word of w, memoized in ``cache`` by prefix."""
+def _word_matrix(w: Permutation, cache: dict, generators, dimension: int, field):
+    """The matrix of T_w as the product of ``generators[i-1]`` along the
+    reduced word of w, memoized in ``cache`` by prefix."""
     cached = cache.get(w)
     if cached is not None:
         return cached
@@ -391,9 +394,9 @@ def _word_matrix(w: Permutation, cache: dict, generator, dimension: int, field):
         mat = [[one if r == c else zero for c in range(dimension)] for r in range(dimension)]
     else:
         prefix = _word_matrix(
-            w.times_transposition(word[-1]), cache, generator, dimension, field
+            w.times_transposition(word[-1]), cache, generators, dimension, field
         )
-        mat = _mat_mul(prefix, generator(word[-1]), field.zero())
+        mat = _mat_mul(prefix, generators[word[-1] - 1], field.zero())
     cache[w] = mat
     return mat
 
@@ -403,6 +406,18 @@ def _trace(mat: list[list], zero):
     for i in range(len(mat)):
         total = total + mat[i][i]
     return total
+
+
+def _coordinate_matrix(span: EchelonBasis, images, message: str) -> list[list]:
+    """The matrix whose columns are the coordinates of ``images`` in the rows
+    of ``span``; raises ProportionalityError(message) if one leaves the span."""
+    columns = []
+    for image in images:
+        coords = span.coordinates(image)
+        if coords is None:
+            raise ProportionalityError(message)
+        columns.append(coords)
+    return [list(row) for row in zip(*columns)]
 
 
 def _dot_row(row: list, vec: list, zero):
@@ -446,7 +461,8 @@ def _clear_denominators(x: HeckeElement) -> HeckeElement:
 
 
 def specht_module(lam: Partition, sctx: SpechtContext) -> SpechtModule:
-    """Build the cell module of shape lam over the given context."""
+    """Build the cell module of shape lam over the given context: its basis
+    and generator action."""
     key = (lam, sctx)
     cached = _MODULE_CACHE.get(key)
     if cached is not None:
@@ -454,79 +470,51 @@ def specht_module(lam: Partition, sctx: SpechtContext) -> SpechtModule:
     if lam.n != sctx.n:
         raise SpechtError(f"{lam.render()} is not a partition of {sctx.n}")
     ideal = ideal_I(lam, sctx)
-    field = sctx.field_context.field
+
+    def step(x: HeckeElement, i: int) -> HeckeElement:
+        return ideal.reduce_element(left_multiply_generator(x, i))
 
     quotient = SubspaceBasis(sctx)
-    queue: list[HeckeElement] = []
-    m_bar_vec = ideal.echelon.reduce(_to_vector(m_lambda(lam, sctx), sctx))
-    stored = quotient.echelon.insert(m_bar_vec)
-    if stored is not None:
-        queue.append(_from_vector(stored, sctx))
-    while queue:
-        x = queue.pop()
-        for i in range(1, sctx.n):
-            image = ideal.reduce_element(left_multiply_generator(x, i))
-            stored = quotient.echelon.insert(_to_vector(image, sctx))
-            if stored is not None:
-                queue.append(_from_vector(stored, sctx))
-
+    _close(quotient, [ideal.reduce_element(m_lambda(lam, sctx))], step)
     basis = quotient.rows_as_elements()
-    dim = len(basis)
-
-    action: list[list[list]] = []
-    for i in range(1, sctx.n):
-        zero = field.zero()
-        mat = [[zero] * dim for _ in range(dim)]
-        for col, vec in enumerate(basis):
-            image = ideal.reduce_element(left_multiply_generator(vec, i))
-            coords = quotient.echelon.coordinates(_to_vector(image, sctx))
-            if coords is None:
-                raise ProportionalityError(
-                    f"generator action left the cell module for {lam.render()}"
-                )
-            for row in range(dim):
-                mat[row][col] = coords[row]
-        action.append(mat)
-
-    cleared = [_clear_denominators(b) for b in basis]
-    gram = [[field.zero()] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            value = _form_value(cleared[i], cleared[j], lam, sctx, ideal, m_bar_vec)
-            gram[i][j] = value
-            gram[j][i] = value
-
-    module = SpechtModule(lam, sctx, basis, action, gram)
+    message = f"generator action left the cell module for {lam.render()}"
+    action = [
+        _coordinate_matrix(
+            quotient.echelon, (_to_vector(step(b, i), sctx) for b in basis), message
+        )
+        for i in range(1, sctx.n)
+    ]
+    module = SpechtModule(lam, sctx, basis, action)
     _MODULE_CACHE[key] = module
     return module
 
 
-def _form_value(
-    x: HeckeElement,
-    y: HeckeElement,
-    lam: Partition,
-    sctx: SpechtContext,
-    ideal: SubspaceBasis,
-    m_bar_vec: list,
-):
-    """The scalar r with star(x) * y = r * m_lam modulo the ideal."""
-    product = x.star() * y
-    reduced = ideal.echelon.reduce(_to_vector(product, sctx))
-    pivot = next((k for k, c in enumerate(m_bar_vec) if c), None)
-    if pivot is None:
-        if any(reduced):
-            raise ProportionalityError(
-                f"form value undefined: m_{lam.render()} lies in the ideal "
-                "but the product does not"
-            )
-        return sctx.field_context.field.zero()
-    ratio = reduced[pivot] / m_bar_vec[pivot]
-    for a, b in zip(reduced, m_bar_vec):
-        if a != ratio * b:
-            raise ProportionalityError(
-                f"star(x)*y is not proportional to m_{lam.render()} modulo the ideal"
-            )
-    return ratio
+def _form(lam: Partition, sctx: SpechtContext):
+    """The bilinear form (x, y) -> <x, y>: the scalar r with
+    star(x) * y = r * m_lam modulo the ideal."""
+    ideal = ideal_I(lam, sctx).echelon
+    m_bar = ideal.reduce(_to_vector(m_lambda(lam, sctx), sctx))
+    pivot = next((k for k, c in enumerate(m_bar) if c), None)
+    zero = sctx.field_context.field.zero()
+
+    def form(x: HeckeElement, y: HeckeElement):
+        reduced = ideal.reduce(_to_vector(x.star() * y, sctx))
+        if pivot is None:
+            if any(reduced):
+                raise ProportionalityError(
+                    f"form value undefined: m_{lam.render()} lies in the ideal "
+                    "but the product does not"
+                )
+            return zero
+        ratio = reduced[pivot] / m_bar[pivot]
+        for a, b in zip(reduced, m_bar):
+            if a != ratio * b:
+                raise ProportionalityError(
+                    f"star(x)*y is not proportional to m_{lam.render()} modulo the ideal"
+                )
+        return ratio
+
+    return form
 
 
 def gram_entry(x: HeckeElement, y: HeckeElement, lam: Partition, sctx: SpechtContext):
@@ -534,9 +522,7 @@ def gram_entry(x: HeckeElement, y: HeckeElement, lam: Partition, sctx: SpechtCon
     module_m = module_basis_M(lam, sctx)
     if not module_m.contains(x) or not module_m.contains(y):
         raise SpechtError("form arguments must lie in the left ideal of m_lambda")
-    ideal = ideal_I(lam, sctx)
-    m_bar_vec = ideal.echelon.reduce(_to_vector(m_lambda(lam, sctx), sctx))
-    return _form_value(x, y, lam, sctx, ideal, m_bar_vec)
+    return _form(lam, sctx)(x, y)
 
 
 def dim_D_lambda(lam: Partition, sctx: SpechtContext) -> int:

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from heckelink.braid import Permutation
+from heckelink import specht
+from heckelink.braid import BraidWord, Permutation
 from heckelink.coefficients import PrimeField, Rationals, quantum_e
 from heckelink.specht import (
     ProportionalityError,
@@ -21,7 +22,7 @@ from heckelink.specht import (
     specht_module,
     young_subgroup,
 )
-from heckelink.trace import Partition, e_restricted, partitions_of
+from heckelink.trace import Partition, decompose_closure, e_restricted, partitions_of
 
 
 class TestYoungSubgroup:
@@ -231,6 +232,23 @@ class TestGram:
         for lam in partitions_of(4):
             g = specht_module(lam, sctx).gram
             assert g == [list(row) for row in zip(*g)]
+
+    def test_gram_matches_gram_entry(self):
+        sctx = SpechtContext.at_value(4, PrimeField(3), 2)
+        for lam in partitions_of(4):
+            mod = specht_module(lam, sctx)
+            for i, x in enumerate(mod.basis):
+                for j, y in enumerate(mod.basis):
+                    assert mod.gram[i][j] == gram_entry(x, y, lam, sctx)
+
+    def test_closure_decomposition_builds_no_gram(self, monkeypatch):
+        monkeypatch.setattr(specht, "_MODULE_CACHE", {})
+        decompose_closure(BraidWord(4, [1, -2, 3]))
+        modules = list(specht._MODULE_CACHE.values())
+        assert modules
+        assert all("gram" not in vars(m) for m in modules)
+        modules[0].gram_rank()
+        assert "gram" in vars(modules[0])
 
     def test_generic_gram_rank_full(self):
         for n in (2, 3, 4):
