@@ -630,6 +630,34 @@ def canonicalize(num: LaurentPoly, den: LaurentPoly) -> RationalFunction:
     return RationalFunction(new_num, pd)
 
 
+def divide_by_power(x, base, k: int):
+    """x / base**k for k >= 0, dividing the known factor out exactly.
+
+    For a rational function and a base with denominator one, the ordinary
+    part of the base is divided out of the numerator's ordinary part as often
+    as it goes in, up to k times; ``canonicalize`` removes whatever common
+    factor is left, so the result is canonical whatever the base factors into.
+    """
+    exact = isinstance(x, RationalFunction) and isinstance(base, RationalFunction)
+    if not (exact and x and base.den.is_one() and k >= 0):
+        return x / base ** k
+    unit_n, pn = x.num.split_unit()
+    unit_b, pb = base.num.split_unit()
+    m = 0
+    while m < k:
+        try:
+            pn = poly_divexact(pn, pb)
+        except CoefficientError:
+            break
+        m += 1
+    shift = tuple(a - k * b for a, b in zip(unit_n, unit_b))
+    num = LaurentPoly(
+        x.variables,
+        {tuple(e + s for e, s in zip(exps, shift)): c for exps, c in pn.terms.items()},
+    )
+    return canonicalize(num, x.den * pb ** (k - m))
+
+
 # -- prime fields -------------------------------------------------------------
 
 

@@ -5,9 +5,12 @@ trace of its Hecke image over the generic field; the substitution
 
     q1 -> -s,   q2 -> s^3,        s = t^(1/2)
 
-turns it into the Jones polynomial.  For knots (one-component closures) only
-even powers of s survive, so the result is rendered in t; multi-component
-links may keep half-integer t-powers and are rendered in s.
+turns it into the Jones polynomial.  Jones is computed as the trace over
+Q(s) at (q1, q2) = (-s, s^3), which equals that substitution: specialization
+is a ring homomorphism, the trace recursion is polynomial in q1 and q2, and
+q1 + q2 = s^3 - s is still a unit in Q(s).  For knots (one-component
+closures) only even powers of s survive, so the result is rendered in t;
+multi-component links may keep half-integer t-powers and are rendered in s.
 
 As an independent check the Jones polynomial is recomputed from scratch by a
 Kauffman bracket state sum.  The oracle shares nothing with the trace
@@ -36,7 +39,6 @@ from .coefficients import (
     LaurentPoly,
     RationalFunction,
     RationalFunctionField,
-    specialize,
 )
 from .trace import trace_of_braid
 
@@ -50,6 +52,9 @@ class BracketCapError(ValueError):
 
 
 _S_FIELD = RationalFunctionField(("s",))
+_S_CONTEXT = FieldContext(
+    _S_FIELD, -_S_FIELD.variable("s"), _S_FIELD.variable("s") ** 3
+)
 _T_VARS = ("t",)
 
 
@@ -100,16 +105,15 @@ def homflypt(b: BraidWord, field: FieldContext | None = None) -> RationalFunctio
 
 
 def jones(b: BraidWord) -> JonesPolynomial:
-    """The one-variable invariant via the substitution q1=-s, q2=s^3."""
-    value = homflypt(b)
-    s = _S_FIELD.variable("s")
-    specialized = specialize(value, {"q1": -s, "q2": s ** 3}, _S_FIELD)
-    if not specialized.den.is_one():
+    """The one-variable invariant: the trace over Q(s) at q1=-s, q2=s^3,
+    equal to the substitution q1=-s, q2=s^3 into ``homflypt(b)``."""
+    value = homflypt(b, _S_CONTEXT)
+    if not value.den.is_one():
         raise InvariantError(
             "Jones substitution left a denominator "
-            f"{specialized.den.render()}; the trace pipeline is inconsistent"
+            f"{value.den.render()}; the trace pipeline is inconsistent"
         )
-    return JonesPolynomial(specialized.num, closure_components(b))
+    return JonesPolynomial(value.num, closure_components(b))
 
 
 # -- the state-sum oracle ------------------------------------------------------

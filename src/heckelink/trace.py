@@ -23,9 +23,11 @@ tr_n(T_w) = tr_{n-1}(T_y T_u).
 The recursion runs on the scaled trace tau_n = (q1 + q2)^(n-1) * tr_n, which
 has no denominator: tau_1 = 1, tau_n(T_w) = (1 + q1 q2) * tau_{n-1}(T_w')
 when w fixes n, and tau_n(T_w) = (q1 + q2) * tau_{n-1}(T_y T_u) otherwise.
-The trace of an element is its scaled sum divided once by (q1 + q2)^(n-1),
-so over Q(q1, q2) the only gcd is in that final division.  Scaled basis
-traces are memoized per coefficient context, so repeated invariant
+The trace of an element is its scaled sum divided once by (q1 + q2)^(n-1).
+That factor is known in advance, so over a rational function field it is
+divided out of the numerator by exact polynomial division, and the gcd that
+canonicalizes the result is trivial when it divides out completely.  Scaled
+basis traces are memoized per coefficient context, so repeated invariant
 computations stay cheap.
 
 Closed braids decompose over the basis indexed by partitions: the
@@ -45,6 +47,7 @@ from .braid import BraidWord, Permutation
 from .coefficients import (
     CoefficientError,
     FieldContext,
+    divide_by_power,
     generic_field_context,
     render_scalar,
 )
@@ -198,7 +201,9 @@ def markov_trace(h: HeckeElement) -> object:
             + field.describe()
         )
     cache = _TRACE_CACHE.setdefault(field, {})
-    return _scaled_trace_sum(h.terms, field, cache) / q_sum ** (h.context.n - 1)
+    return divide_by_power(
+        _scaled_trace_sum(h.terms, field, cache), q_sum, h.context.n - 1
+    )
 
 
 def trace_of_braid(b: BraidWord, field: FieldContext | None = None) -> object:

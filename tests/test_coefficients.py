@@ -18,12 +18,14 @@ from heckelink.coefficients import (
     Rationals,
     SpecializationError,
     canonicalize,
+    divide_by_power,
     generic_field_context,
     parse_laurent,
     parse_scalar,
     poly_divexact,
     poly_gcd,
     quantum_e,
+    render_scalar,
     specialize,
 )
 
@@ -175,6 +177,59 @@ class TestRationalFunction:
                 for _ in range(abs(k)):
                     expected = expected * base
                 assert x ** k == expected
+
+
+class TestDivideByPower:
+    # (variables, base) pairs: reducible, non-primitive, monomial-times,
+    # constant and unit bases, over Q(q1,q2) and Q(s).
+    BASES = [
+        (Q12, "q1+q2"),
+        (Q12, "2*q1+2*q2"),
+        (Q12, "q1*q2+q1"),
+        (Q12, "q1^2-q2^2"),
+        (Q12, "3"),
+        (Q12, "-2*q1^2*q2^-1"),
+        (("s",), "s^3-s"),
+        (("s",), "s-1"),
+        (("s",), "4*s^2-4"),
+    ]
+
+    @staticmethod
+    def _check(x, base, k):
+        expected = x / base ** k
+        got = divide_by_power(x, base, k)
+        assert got == expected
+        assert render_scalar(got) == render_scalar(expected)
+
+    def test_matches_division_by_the_power(self):
+        rng = random.Random(44)
+        for variables, text in self.BASES:
+            base = rf(text, variables)
+            for _ in range(4):
+                p = _random_poly(rng, variables)
+                k = rng.randrange(0, 4)
+                # j < k leaves a power of the base in the denominator,
+                # j = k cancels exactly, j = k + 1 leaves one in the numerator.
+                for j in range(k + 2):
+                    self._check(RationalFunction.from_poly(p) * base ** j, base, k)
+                x = _random_rf(rng, variables)
+                while x.is_polynomial():
+                    x = _random_rf(rng, variables)
+                self._check(x * base ** rng.randrange(0, k + 2), base, k)
+            self._check(RationalFunctionField(variables).zero(), base, 2)
+
+    def test_base_with_a_denominator(self):
+        rng = random.Random(45)
+        base = rf("q1+q2 / q1-q2")
+        for k in range(4):
+            self._check(_random_rf(rng) * base ** rng.randrange(0, 3), base, k)
+
+    def test_scalars(self):
+        for field in (Rationals(), PrimeField(7)):
+            for x, base in ((3, -2), (5, 4), (0, 6)):
+                for k in range(4):
+                    self._check(field.from_int(x), field.from_int(base), k)
+        self._check(Fraction(3, 4), Fraction(-2, 3), 3)
 
 
 class TestPrimeField:
@@ -338,9 +393,9 @@ def _random_poly(rng, variables=Q12, ordinary=False):
     return LaurentPoly(variables, terms)
 
 
-def _random_rf(rng):
-    num = _random_poly(rng)
-    den = _random_poly(rng, ordinary=True)
+def _random_rf(rng, variables=Q12):
+    num = _random_poly(rng, variables)
+    den = _random_poly(rng, variables, ordinary=True)
     while den.is_zero():
-        den = _random_poly(rng, ordinary=True)
+        den = _random_poly(rng, variables, ordinary=True)
     return canonicalize(num, den)

@@ -13,7 +13,13 @@ from heckelink.braid import (
     random_word,
     stabilize,
 )
-from heckelink.coefficients import generic_field_context, parse_laurent, parse_scalar
+from heckelink.coefficients import (
+    RationalFunctionField,
+    generic_field_context,
+    parse_laurent,
+    parse_scalar,
+    specialize,
+)
 from heckelink.invariants import (
     BracketCapError,
     InvariantError,
@@ -92,6 +98,25 @@ class TestJones:
         for n in range(1, 5):
             assert jones(BraidWord(n)).spoly == acc
             acc = acc * s_minus
+
+    def test_matches_the_substitution_into_homflypt(self):
+        # The reference route: specialize the two-variable invariant.
+        s_field = RationalFunctionField(("s",))
+        s = s_field.variable("s")
+        rng = random.Random(46)
+        components = set()
+        longest = 0
+        for i in range(20):
+            n = 2 + i % 5
+            length = rng.randrange(17, 21) if i % 4 == 3 else rng.randrange(0, 9)
+            b = random_word(rng, n, length)
+            old = specialize(homflypt(b), {"q1": -s, "q2": s ** 3}, s_field)
+            assert old.den.is_one()
+            k = closure_components(b)
+            assert jones(b) == JonesPolynomial(old.num, k)
+            components.add(k)
+            longest = max(longest, length)
+        assert len(components) > 2 and longest > 16
 
 
 class TestBracketOracle:
