@@ -132,15 +132,6 @@ class Permutation:
             i + 1 if v == i else i if v == i + 1 else v for v in self.images
         )
 
-    def fixes_last(self) -> bool:
-        return self.images[-1] == len(self.images)
-
-    def restricted(self) -> Permutation:
-        """Drop the last point; only valid when it is fixed."""
-        if not self.fixes_last():
-            raise BraidError(f"{self.images} does not fix its last point")
-        return Permutation(self.images[:-1])
-
     def cycles(self) -> list[tuple[int, ...]]:
         seen = [False] * len(self.images)
         out: list[tuple[int, ...]] = []

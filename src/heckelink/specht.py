@@ -294,20 +294,20 @@ class SpechtModule:
 
     lam: Partition
     sctx: SpechtContext
-    basis: list[HeckeElement]
-    action: list[list[list]]  # action[i-1] is the matrix of T_i, column convention
-    _matrices: dict[Permutation, list[list]] = dataclass_field(default_factory=dict)
+    basis: tuple[HeckeElement, ...]
+    action: tuple  # action[i-1] is the matrix of T_i, column convention
+    _matrices: dict[Permutation, tuple] = dataclass_field(default_factory=dict)
     _characters: dict[Permutation, object] = dataclass_field(default_factory=dict)
-    _rad_matrices: dict[Permutation, list[list]] = dataclass_field(default_factory=dict)
+    _rad_matrices: dict[Permutation, tuple] = dataclass_field(default_factory=dict)
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
-    def generator_matrix(self, i: int) -> list[list]:
+    def generator_matrix(self, i: int) -> tuple:
         return self.action[i - 1]
 
-    def matrix(self, w: Permutation) -> list[list]:
+    def matrix(self, w: Permutation) -> tuple:
         """Action matrix of T_w, built along a reduced word."""
         return _word_matrix(
             w, self._matrices, self.action, self.dimension,
@@ -323,7 +323,7 @@ class SpechtModule:
         return cached
 
     @cached_property
-    def gram(self) -> list[list]:
+    def gram(self) -> tuple:
         """The form on the basis, each element scaled to clear denominators."""
         form = _form(self.lam, self.sctx)
         cleared = [_clear_denominators(b) for b in self.basis]
@@ -332,7 +332,7 @@ class SpechtModule:
         for i in range(dim):
             for j in range(i, dim):
                 gram[i][j] = gram[j][i] = form(cleared[i], cleared[j])
-        return gram
+        return tuple(map(tuple, gram))
 
     def gram_determinant(self):
         field = self.sctx.field_context.field
@@ -358,18 +358,18 @@ class SpechtModule:
         return rad
 
     @cached_property
-    def _rad_action(self) -> list[list[list]]:
+    def _rad_action(self) -> tuple:
         """The generators restricted to the radical, in its row coordinates."""
         rad = self._radical
         zero = self.sctx.field_context.field.zero()
         message = f"Gram radical of {self.lam.render()} is not invariant"
-        return [
+        return tuple(
             _coordinate_matrix(
                 rad, ([_dot_row(row, vec, zero) for row in gen] for vec in rad.rows),
                 message,
             )
             for gen in self.action
-        ]
+        )
 
     def head_character(self, w: Permutation):
         """Trace of T_w on the head: the module trace minus the radical trace."""
@@ -391,7 +391,8 @@ def _word_matrix(w: Permutation, cache: dict, generators, dimension: int, field)
     word = w.reduced_word()
     if not word:
         one, zero = field.one(), field.zero()
-        mat = [[one if r == c else zero for c in range(dimension)] for r in range(dimension)]
+        rows = range(dimension)
+        mat = tuple(tuple(one if r == c else zero for c in rows) for r in rows)
     else:
         prefix = _word_matrix(
             w.times_transposition(word[-1]), cache, generators, dimension, field
@@ -401,14 +402,14 @@ def _word_matrix(w: Permutation, cache: dict, generators, dimension: int, field)
     return mat
 
 
-def _trace(mat: list[list], zero):
+def _trace(mat: tuple, zero):
     total = zero
     for i in range(len(mat)):
         total = total + mat[i][i]
     return total
 
 
-def _coordinate_matrix(span: EchelonBasis, images, message: str) -> list[list]:
+def _coordinate_matrix(span: EchelonBasis, images, message: str) -> tuple:
     """The matrix whose columns are the coordinates of ``images`` in the rows
     of ``span``; raises ProportionalityError(message) if one leaves the span."""
     columns = []
@@ -417,10 +418,10 @@ def _coordinate_matrix(span: EchelonBasis, images, message: str) -> list[list]:
         if coords is None:
             raise ProportionalityError(message)
         columns.append(coords)
-    return [list(row) for row in zip(*columns)]
+    return tuple(zip(*columns))
 
 
-def _dot_row(row: list, vec: list, zero):
+def _dot_row(row: Sequence, vec: Sequence, zero):
     total = zero
     for x, y in zip(row, vec):
         if x and y:
@@ -428,7 +429,7 @@ def _dot_row(row: list, vec: list, zero):
     return total
 
 
-def _mat_mul(a: list[list], b: list[list], zero) -> list[list]:
+def _mat_mul(a: tuple, b: tuple, zero) -> tuple:
     n = len(a)
     out = []
     for r in range(n):
@@ -443,8 +444,8 @@ def _mat_mul(a: list[list], b: list[list], zero) -> list[list]:
                     if y:
                         s = s + x * y
             row.append(s)
-        out.append(row)
-    return out
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def _clear_denominators(x: HeckeElement) -> HeckeElement:
@@ -476,14 +477,14 @@ def specht_module(lam: Partition, sctx: SpechtContext) -> SpechtModule:
 
     quotient = SubspaceBasis(sctx)
     _close(quotient, [ideal.reduce_element(m_lambda(lam, sctx))], step)
-    basis = quotient.rows_as_elements()
+    basis = tuple(quotient.rows_as_elements())
     message = f"generator action left the cell module for {lam.render()}"
-    action = [
+    action = tuple(
         _coordinate_matrix(
             quotient.echelon, (_to_vector(step(b, i), sctx) for b in basis), message
         )
         for i in range(1, sctx.n)
-    ]
+    )
     module = SpechtModule(lam, sctx, basis, action)
     _MODULE_CACHE[key] = module
     return module

@@ -9,26 +9,26 @@ Each extra closure component multiplies the trace by
 delta = (1 + q1 q2)/(q1 + q2), so on the braid attached to a partition with
 k parts the trace is delta^(k-1).
 
-On a basis element T_w the trace is computed recursively.  If w fixes the
-last point, T_w comes from one strand down and tr_n = delta * tr_{n-1}.
-Otherwise let p = w^{-1}(n) and split off the descending chain
-d_p = s_{n-1} s_{n-2} ... s_p, a minimal coset representative: w = u d_p
-with u fixing n and lengths adding, hence
+The trace factors through the conditional expectation E: H_n -> H_{n-1},
+tr_n = tr_{n-1} o E.  For a basis element T_w let p = w^{-1}(n) and let x be
+w with the entry n deleted.  If p = n, then E(T_w) = delta * T_x.  Otherwise
+split off the descending chain d_p = s_{n-1} s_{n-2} ... s_p, a minimal coset
+representative: w = x d_p, with x fixing n and lengths adding, hence
 
-    T_w = T_u T_{n-1} T_y,   y = s_{n-2} ... s_p,
+    T_w = T_x T_{n-1} T_y,   y = s_{n-2} ... s_p,
 
-and cyclicity plus the strand-addition rule give
-tr_n(T_w) = tr_{n-1}(T_y T_u).
+and E(T_w) = T_x T_y, whose trace is tr_{n-1}(T_y T_x) by cyclicity.
 
-The recursion runs on the scaled trace tau_n = (q1 + q2)^(n-1) * tr_n, which
-has no denominator: tau_1 = 1, tau_n(T_w) = (1 + q1 q2) * tau_{n-1}(T_w')
-when w fixes n, and tau_n(T_w) = (q1 + q2) * tau_{n-1}(T_y T_u) otherwise.
-The trace of an element is its scaled sum divided once by (q1 + q2)^(n-1).
-That factor is known in advance, so over a rational function field it is
-divided out of the numerator by exact polynomial division, and the gcd that
-canonicalizes the result is trivial when it divides out completely.  Scaled
-basis traces are memoized per coefficient context, so repeated invariant
-computations stay cheap.
+``markov_trace`` takes n - 1 such steps on the whole element.  Each step
+buckets the terms by p (within a bucket w -> x is injective) and
+left-multiplies each bucket by T_p, ..., T_{n-2} in turn.  It scales the
+p = n bucket by 1 + q1 q2 and the others by q1 + q2, which carries the scaled
+trace tau_n = (q1 + q2)^(n-1) * tr_n to tau_{n-1} without dividing, and it
+stores nothing between calls.  The trace is the coefficient left on one
+strand divided once by (q1 + q2)^(n-1).  That factor is known in advance,
+so over a rational function field it is divided out of the numerator by
+exact polynomial division, and the gcd that canonicalizes the result is
+trivial when it divides out completely.
 
 Closed braids decompose over the basis indexed by partitions: the
 coefficients are recovered algebraically by solving the character system
@@ -51,7 +51,7 @@ from .coefficients import (
     generic_field_context,
     render_scalar,
 )
-from .hecke import HeckeContext, HeckeElement, from_braid_word
+from .hecke import HeckeContext, HeckeElement, from_braid_word, left_multiply_generator
 from .linalg import LinearAlgebraError, solve_linear
 
 
@@ -156,38 +156,28 @@ def b_lambda(lam: Partition) -> BraidWord:
 
 # -- the normalized Markov trace -----------------------------------------------
 
-_TRACE_CACHE: dict[FieldContext, dict[Permutation, object]] = {}
 
+def _expectation(h: HeckeElement) -> HeckeElement:
+    """One scaled trace step H_n -> H_{n-1}: tau_n(h) = tau_{n-1} of the result.
 
-def _trace_basis(w: Permutation, field: FieldContext, cache: dict) -> object:
-    """tau_n(T_w) = (q1 + q2)^(n-1) * tr_n(T_w), which needs no division."""
-    n = w.degree
-    if n == 1:
-        return field.one()
-    cached = cache.get(w)
-    if cached is not None:
-        return cached
-    if w.fixes_last():
-        tau = _trace_basis(w.restricted(), field, cache)
-        value = (field.one() + field.q_prod) * tau
-    else:
+    With p = w^{-1}(n) and x = w with the entry n deleted, T_w goes to
+    (1 + q1 q2) T_x when p = n and to (q1 + q2) T_{n-2} ... T_p T_x
+    otherwise.  That is (q1 + q2) times the conditional expectation up to a
+    commutator, which the trace does not see.
+    """
+    n, field = h.context.n, h.context.field
+    buckets: dict[int, dict[Permutation, object]] = {}
+    for w, c in h.terms.items():
         p = w.images.index(n) + 1
-        # Peeling the chain off w = x d_p leaves x: drop the entry holding n.
-        x = Permutation(w.images[: p - 1] + w.images[p:])
-        # y = s_{n-2} ... s_p, the chain below the split generator.
-        y = Permutation(tuple(range(1, p)) + (n - 1,) + tuple(range(p, n - 1)))
-        sub_ctx = HeckeContext(n - 1, field)
-        product = sub_ctx.basis_element(y) * sub_ctx.basis_element(x)
-        value = field.q_sum * _scaled_trace_sum(product.terms, field, cache)
-    cache[w] = value
-    return value
-
-
-def _scaled_trace_sum(terms, field: FieldContext, cache: dict):
-    """Sum c_w * tau(T_w) over a support on one strand count."""
-    total = field.zero()
-    for w, c in terms.items():
-        total = total + c * _trace_basis(w, field, cache)
+        buckets.setdefault(p, {})[Permutation(w.images[: p - 1] + w.images[p:])] = c
+    sub_ctx = HeckeContext(n - 1, field)
+    total = sub_ctx.zero_element()
+    for p, bucket in buckets.items():
+        x = HeckeElement(sub_ctx, bucket)
+        for i in range(p, n - 1):
+            x = left_multiply_generator(x, i)
+        scale = field.q_sum if p < n else field.one() + field.q_prod
+        total = total + x.scalar_mul(scale)
     return total
 
 
@@ -200,10 +190,10 @@ def markov_trace(h: HeckeElement) -> object:
             "the Markov trace needs q1 + q2 to be a unit; context "
             + field.describe()
         )
-    cache = _TRACE_CACHE.setdefault(field, {})
-    return divide_by_power(
-        _scaled_trace_sum(h.terms, field, cache), q_sum, h.context.n - 1
-    )
+    n = h.context.n
+    for _ in range(n - 1):
+        h = _expectation(h)
+    return divide_by_power(h.coefficient(Permutation.identity(1)), q_sum, n - 1)
 
 
 def trace_of_braid(b: BraidWord, field: FieldContext | None = None) -> object:

@@ -172,13 +172,13 @@ class TestSpechtModules:
             # quadratic: T^2 = (q - 1) T + q
             for g in gens:
                 lhs = mm(g, g)
-                rhs = [
-                    [
+                rhs = tuple(
+                    tuple(
                         (q - 1) * g[r][c] + (q * ident[r][c] if r == c else zero)
                         for c in range(d)
-                    ]
+                    )
                     for r in range(d)
-                ]
+                )
                 assert lhs == rhs
             # braid and commutation
             assert mm(mm(gens[0], gens[1]), gens[0]) == mm(mm(gens[1], gens[0]), gens[1])
@@ -231,7 +231,20 @@ class TestGram:
         sctx = SpechtContext.generic(4)
         for lam in partitions_of(4):
             g = specht_module(lam, sctx).gram
-            assert g == [list(row) for row in zip(*g)]
+            assert g == tuple(zip(*g))
+
+    def test_shared_module_cannot_be_mutated(self):
+        sctx = SpechtContext.generic(3)
+        lam = Partition((2, 1))
+        mod = specht_module(lam, sctx)
+        det = mod.gram_determinant()
+        with pytest.raises(TypeError):
+            mod.gram[0][0] = sctx.field_context.field.zero()
+        with pytest.raises(TypeError):
+            mod.generator_matrix(1)[0][0] = sctx.q
+        with pytest.raises(TypeError):
+            mod.basis[0] = mod.basis[1]
+        assert specht_module(lam, sctx).gram_determinant() == det
 
     def test_gram_matches_gram_entry(self):
         sctx = SpechtContext.at_value(4, PrimeField(3), 2)

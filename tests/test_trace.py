@@ -1,20 +1,22 @@
 """Partitions, the braids attached to them, and the Markov trace."""
 
+import itertools
 import math
 import random
 
 import pytest
 
-from heckelink.braid import BraidWord, conjugate, random_word, stabilize
+from heckelink.braid import BraidWord, Permutation, conjugate, random_word, stabilize
 from heckelink.coefficients import (
     CoefficientError,
     FieldContext,
     PrimeField,
+    RationalFunctionField,
     Rationals,
     generic_field_context,
     specialize,
 )
-from heckelink.hecke import HeckeContext, from_braid_word
+from heckelink.hecke import HeckeContext, HeckeElement, from_braid_word
 from heckelink.trace import (
     ClosureDecomposition,
     DecompositionError,
@@ -190,6 +192,82 @@ class TestScaledTrace:
         for b in _random_braids(27):
             scaled = trace_of_braid(b) * FIELD.q_sum ** (b.strands - 1)
             assert scaled.is_polynomial()
+
+
+def reference_trace(h):
+    """The Markov trace by the per-basis recursion on the scaled trace
+    tau_n(T_w) = (q1 + q2)^(n-1) tr_n(T_w), divided once at the end:
+    tau_n(T_w) = (1 + q1 q2) tau_{n-1}(T_x) when w fixes n, and otherwise
+    (q1 + q2) tau_{n-1}(T_y T_x), with x = w minus the entry n and
+    y = s_{n-2} ... s_p for p = w^{-1}(n)."""
+    field = h.context.field
+    cache = {}
+
+    def tau(w):
+        n = w.degree
+        if n == 1:
+            return field.one()
+        if w not in cache:
+            p = w.images.index(n) + 1
+            x = Permutation(w.images[: p - 1] + w.images[p:])
+            if p == n:
+                cache[w] = (field.one() + field.q_prod) * tau(x)
+            else:
+                y = Permutation(tuple(range(1, p)) + (n - 1,) + tuple(range(p, n - 1)))
+                sub = HeckeContext(n - 1, field)
+                product = sub.basis_element(y) * sub.basis_element(x)
+                cache[w] = field.q_sum * tau_sum(product.terms)
+        return cache[w]
+
+    def tau_sum(terms):
+        total = field.zero()
+        for w, c in terms.items():
+            total = total + c * tau(w)
+        return total
+
+    return tau_sum(h.terms) / field.q_sum ** (h.context.n - 1)
+
+
+def _s_context():
+    s_field = RationalFunctionField(("s",))
+    s = s_field.variable("s")
+    return FieldContext(s_field, -s, s**3)
+
+
+REFERENCE_CONTEXTS = [
+    pytest.param(FIELD, id="Q(q1,q2)"),
+    pytest.param(_s_context(), id="Q(s)"),
+    pytest.param(FieldContext(Rationals(), 2, 3), id="Q"),
+    pytest.param(FieldContext(PrimeField(11), 2, 3), id="F11"),
+]
+
+
+class TestAgainstReferenceTrace:
+    @pytest.mark.parametrize("field", REFERENCE_CONTEXTS)
+    def test_every_basis_element(self, field):
+        for n in range(1, 6):
+            ctx = HeckeContext(n, field)
+            for images in itertools.permutations(range(1, n + 1)):
+                t_w = ctx.basis_element(Permutation(images))
+                assert markov_trace(t_w) == reference_trace(t_w)
+
+    @pytest.mark.parametrize("field", REFERENCE_CONTEXTS)
+    def test_random_elements(self, field):
+        # Arbitrary integer coefficients: these are not braid images.
+        rng = random.Random(28)
+        sizes = set()
+        for i in range(30):
+            n = 1 + i % 6
+            perms = list(itertools.permutations(range(1, n + 1)))
+            support = rng.sample(perms, min(len(perms), rng.randrange(0, 9)))
+            terms = {
+                Permutation(w): field.field.from_int(rng.randint(-3, 3))
+                for w in support
+            }
+            h = HeckeElement(HeckeContext(n, field), terms)
+            sizes.add(len(h.terms))
+            assert markov_trace(h) == reference_trace(h)
+        assert 0 in sizes and max(sizes) >= 6
 
 
 class TestDecomposeClosure:
