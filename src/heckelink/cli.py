@@ -59,7 +59,6 @@ from .specht import (
     specht_module,
 )
 from .trace import (
-    DecompositionError,
     b_lambda,
     decompose_closure,
     markov_trace,
@@ -463,7 +462,7 @@ def main(argv=None) -> int:
     except (BraidError, HeckeError, CoefficientError, OracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (FieldSelectionError, DecompositionError) as exc:
+    except FieldSelectionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FIELD
     except (InvariantError, ProportionalityError) as exc:

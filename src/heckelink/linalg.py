@@ -2,9 +2,9 @@
 
 Vectors and matrices are plain Python lists of scalars.  Everything here
 divides exactly and never touches floating point.  There is one elimination
-routine, the reduced-row-echelon basis ``EchelonBasis``; solving, ranks,
-kernels and determinants insert the rows of their matrix into one and read
-the answer off the echelon rows, on every field alike.
+routine, the reduced-row-echelon basis ``EchelonBasis``; ranks, kernels and
+determinants insert the rows of their matrix into one and read the answer off
+the echelon rows, on every field alike.
 """
 
 from __future__ import annotations
@@ -92,19 +92,6 @@ def _echelon(rows: Sequence[Sequence], ncols: int, zero, one) -> EchelonBasis:
     for row in rows:
         basis.insert(row)
     return basis
-
-
-def solve_linear(matrix: Sequence[Sequence], rhs: Sequence, zero, one) -> list:
-    """Solve a square system exactly; raises LinearAlgebraError when singular.
-
-    The augmented rows of a regular system echelonize to [I | x]."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise LinearAlgebraError("system is not square")
-    basis = _echelon([[*row, b] for row, b in zip(matrix, rhs)], n + 1, zero, one)
-    if basis.pivots != list(range(n)):
-        raise LinearAlgebraError("singular matrix")
-    return [row[n] for row in basis.rows]
 
 
 def determinant(matrix: Sequence[Sequence], zero, one):

@@ -30,11 +30,14 @@ so over a rational function field it is divided out of the numerator by
 exact polynomial division, and the gcd that canonicalizes the result is
 trivial when it divides out completely.
 
-Closed braids decompose over the basis indexed by partitions: the
-coefficients are recovered algebraically by solving the character system
-chi_mu(b) = sum_lambda c_lambda chi_mu(b_lambda) over the generic
-one-parameter field, where chi_mu is the trace of the action on the cell
-module of shape mu.
+Closed braids decompose over the basis T_{w_lambda} of H_n / [H_n, H_n],
+the images of the braids b_lambda at (q1, q2) = (-1, q).  The coordinates
+of T_w are its class polynomials (Geck-Pfeiffer, Adv. Math. 102, 1993;
+Characters of Finite Coxeter Groups and Iwahori-Hecke Algebras, 2000,
+Thm 3.2.9 and 8.2).  Equal-length cyclic shifts x -> s x s keep them; a
+shift that lowers the length gives T_x = T_s T_{sxs} T_s, hence
+f_x = (q1 + q2) f_{sx} - q1 q2 f_{sxs}; and an element with neither has
+minimal length in its class, where f is the unit vector at its cycle type.
 """
 
 from __future__ import annotations
@@ -49,18 +52,14 @@ from .coefficients import (
     FieldContext,
     divide_by_power,
     generic_field_context,
+    generic_one_parameter_context,
     render_scalar,
 )
 from .hecke import HeckeContext, HeckeElement, from_braid_word, left_multiply_generator
-from .linalg import LinearAlgebraError, solve_linear
 
 
 class PartitionError(ValueError):
     """Malformed partitions or size mismatches."""
-
-
-class DecompositionError(ValueError):
-    """Closure decomposition requested over an unsuitable field."""
 
 
 @dataclass(frozen=True)
@@ -234,40 +233,45 @@ class ClosureDecomposition:
         return {lam.render(): render_scalar(c) for lam, c in self.items()}
 
 
+def _class_polynomial(w: Permutation, field: FieldContext, memo: dict) -> dict:
+    """Coordinates of T_w modulo [H, H] in the basis T_{w_lambda}; stores
+    them for every element of the explored shift class of w."""
+    if w in memo:
+        return memo[w]
+    length = w.length()
+    shift_class, value = [w], None
+    for x in shift_class:  # the list grows as the class is explored
+        for i in range(1, w.degree):
+            y = x.times_transposition(i).transposition_times(i)
+            y_length = y.length()
+            if y_length < length:
+                sx = _class_polynomial(x.transposition_times(i), field, memo)
+                sxs = _class_polynomial(y, field, memo)
+                zero = field.field.zero()
+                value = {
+                    lam: field.q_sum * sx.get(lam, zero) - field.q_prod * sxs.get(lam, zero)
+                    for lam in sx.keys() | sxs.keys()
+                }
+                break
+            if y_length == length and y not in shift_class:
+                shift_class.append(y)
+        if value is not None:
+            break
+    else:
+        value = {Partition(sorted(map(len, w.cycles()), reverse=True)): field.field.one()}
+    for x in shift_class:
+        memo[x] = value
+    return value
+
+
 def decompose_closure(b: BraidWord) -> ClosureDecomposition:
-    """Decompose the closure of b over the partition basis.
-
-    Works over the generic one-parameter field, where the character matrix
-    [chi_mu(b_lambda)] is invertible; the Hecke image of b is taken at
-    (q1, q2) = (-1, q) to match the cell-module characters.
-    """
-    from . import specht
-
-    n = b.strands
-    sctx = specht.SpechtContext.generic(n)
-    parts = partitions_of(n)
-    hecke_ctx = sctx.hecke_context()
-    modules = [specht.specht_module(lam, sctx) for lam in parts]
-
-    def chi(module, element: HeckeElement):
-        total = sctx.field_context.field.zero()
-        for w, c in element.terms.items():
-            total = total + c * module.character(w)
-        return total
-
-    matrix = []
-    images = [from_braid_word(b_lambda(lam), hecke_ctx) for lam in parts]
-    for module in modules:
-        matrix.append([chi(module, img) for img in images])
-    target = from_braid_word(b, hecke_ctx)
-    rhs = [chi(module, target) for module in modules]
-    field = sctx.field_context.field
-    try:
-        coeffs = solve_linear(matrix, rhs, field.zero(), field.one())
-    except LinearAlgebraError as exc:
-        raise DecompositionError(
-            "character matrix is singular; decomposition needs the generic field"
-        ) from exc
-    return ClosureDecomposition(
-        n, {lam: c for lam, c in zip(parts, coeffs) if c}
-    )
+    """Decompose the closure of b over the partition basis: the Hecke image
+    of b over Q(q) at (q1, q2) = (-1, q), summed term by term over class
+    polynomials."""
+    field = generic_one_parameter_context()
+    zero, totals, memo = field.field.zero(), {}, {}
+    for w, c in from_braid_word(b, HeckeContext(b.strands, field)).terms.items():
+        for lam, f in _class_polynomial(w, field, memo).items():
+            totals[lam] = totals.get(lam, zero) + c * f
+    coefficients = {lam: totals[lam] for lam in partitions_of(b.strands) if totals.get(lam)}
+    return ClosureDecomposition(b.strands, coefficients)

@@ -118,6 +118,11 @@ class TestDecompose:
         assert code == 0
         assert json.loads(out) == {"(2)": "q-1", "(1,1)": "q"}
 
+    def test_six_strand_cycle(self, capsys):
+        code, out, _ = run(capsys, "decompose", "--strands", "6", "1 2 3 4 5 -1 2")
+        assert code == 0
+        assert out == "(6): 1\n"
+
     def test_non_generic_rejected(self, capsys):
         code, _, err = run(
             capsys,

@@ -1,4 +1,4 @@
-"""Exact linear algebra: echelon bases, solving, ranks, kernels."""
+"""Exact linear algebra: echelon bases, determinants, ranks, kernels."""
 
 import random
 from fractions import Fraction
@@ -18,7 +18,6 @@ from heckelink.linalg import (
     determinant,
     kernel_basis,
     matrix_rank,
-    solve_linear,
 )
 
 Q = Rationals()
@@ -68,15 +67,9 @@ class TestEchelonBasis:
 
 
 class TestSolveAndDeterminant:
-    def test_solve(self):
-        a = fr([[2, 1], [1, 3]])
-        x = solve_linear(a, [Fraction(5), Fraction(10)], Fraction(0), Fraction(1))
-        assert x == [Fraction(1), Fraction(3)]
-
-    def test_singular(self):
-        a = fr([[1, 2], [2, 4]])
+    def test_non_square_rejected(self):
         with pytest.raises(LinearAlgebraError):
-            solve_linear(a, [Fraction(1), Fraction(2)], Fraction(0), Fraction(1))
+            determinant(fr([[1, 2]]), Fraction(0), Fraction(1))
 
     def test_determinant_matches_cofactor_oracle(self):
         rng = random.Random(60)
@@ -201,7 +194,7 @@ class TestKernel:
 
 
 class TestAgainstSympy:
-    """Exact rank, determinant and solutions over Q(q) against sympy's
+    """Exact rank and determinant over Q(q) against sympy's
     DomainMatrix, an elimination that shares no code with this package."""
 
     @pytest.fixture
@@ -254,23 +247,3 @@ class TestAgainstSympy:
             expected = dm.det()
             assert sp.cancel(self.to_sympy(sp, det) - dm.domain.to_sympy(expected)) == 0
         assert drops > 5
-
-    def test_solve_satisfies_the_system(self, sp):
-        rng = random.Random(64)
-        solved = 0
-        for _ in range(30):
-            n = rng.randrange(1, 5)
-            m = self.random_matrix(rng, n)
-            b = [parse_scalar(self.random_entry(rng), QQ) for _ in range(n)]
-            if self.domain_matrix(sp, m).rank() < n:
-                with pytest.raises(LinearAlgebraError):
-                    solve_linear(m, b, QQ.zero(), QQ.one())
-                continue
-            x = solve_linear(m, b, QQ.zero(), QQ.one())
-            for row, rhs in zip(m, b):
-                total = QQ.zero()
-                for a, xi in zip(row, x):
-                    total = total + a * xi
-                assert total == rhs
-            solved += 1
-        assert solved > 10

@@ -257,11 +257,11 @@ class TestGram:
     def test_closure_decomposition_builds_no_gram(self, monkeypatch):
         monkeypatch.setattr(specht, "_MODULE_CACHE", {})
         decompose_closure(BraidWord(4, [1, -2, 3]))
-        modules = list(specht._MODULE_CACHE.values())
-        assert modules
-        assert all("gram" not in vars(m) for m in modules)
-        modules[0].gram_rank()
-        assert "gram" in vars(modules[0])
+        assert specht._MODULE_CACHE == {}
+        module = specht_module(Partition((2, 2)), SpechtContext.generic(4))
+        assert "gram" not in vars(module)
+        module.gram_rank()
+        assert "gram" in vars(module)
 
     def test_generic_gram_rank_full(self):
         for n in (2, 3, 4):

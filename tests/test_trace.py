@@ -19,9 +19,9 @@ from heckelink.coefficients import (
 from heckelink.hecke import HeckeContext, HeckeElement, from_braid_word
 from heckelink.trace import (
     ClosureDecomposition,
-    DecompositionError,
     Partition,
     PartitionError,
+    _class_polynomial,
     b_lambda,
     decompose_closure,
     dominates,
@@ -272,7 +272,7 @@ class TestAgainstReferenceTrace:
 
 class TestDecomposeClosure:
     def test_basis_braids_are_unit_vectors(self):
-        for n in (2, 3, 4):
+        for n in range(1, 8):
             for lam in partitions_of(n):
                 dec = decompose_closure(b_lambda(lam))
                 one = next(iter(dec.coefficients.values()))
@@ -305,16 +305,59 @@ class TestDecomposeClosure:
         from heckelink.specht import SpechtContext
 
         rng = random.Random(25)
-        for _ in range(10):
-            n = rng.randrange(2, 5)
-            b = random_word(rng, n, rng.randrange(0, 5))
+        braids = [
+            random_word(rng, rng.randrange(2, 5), rng.randrange(0, 5)) for _ in range(10)
+        ]
+        braids += [random_word(rng, n, rng.randrange(0, 9)) for n in (1, 5, 6, 7, 7)]
+        for b in braids:
             dec = decompose_closure(b)
-            sctx = SpechtContext.generic(n)
+            sctx = SpechtContext.generic(b.strands)
             field = sctx.field_context.field
             total = field.zero()
             for lam, c in dec.items():
                 total = total + c * field.from_int(-1) ** (lam.k - 1)
             assert total == trace_of_braid(b, sctx.field_context)
+
+    def test_class_polynomials_give_the_generic_trace(self):
+        # A second route to the trace over Q(q1, q2), sharing only the fold:
+        # T_{w_lambda} traces to delta^(k(lambda)-1).
+        rng = random.Random(28)
+        for k in range(40):
+            n = 1 + k % 7
+            image = from_braid_word(
+                random_word(rng, n, rng.randrange(0, 10)), HeckeContext(n, FIELD)
+            )
+            memo = {}
+            total = FIELD.field.zero()
+            for w, c in image.terms.items():
+                for lam, f in _class_polynomial(w, FIELD, memo).items():
+                    total = total + c * f * DELTA ** (lam.k - 1)
+            assert total == markov_trace(image)
+
+    def test_character_system(self):
+        # chi_mu(b) = sum_lambda c_lambda chi_mu(b_lambda) for every cell
+        # module; the character matrix is invertible, so this pins the
+        # coefficients.
+        from heckelink.specht import SpechtContext, specht_module
+
+        def chi(module, braid, sctx):
+            total = sctx.field_context.field.zero()
+            for w, c in from_braid_word(braid, sctx.hecke_context()).terms.items():
+                total = total + c * module.character(w)
+            return total
+
+        rng = random.Random(29)
+        for k in range(12):
+            n = 2 + k % 4
+            b = random_word(rng, n, rng.randrange(0, 7))
+            sctx = SpechtContext.generic(n)
+            dec = decompose_closure(b)
+            for mu in partitions_of(n):
+                module = specht_module(mu, sctx)
+                expected = sctx.field_context.field.zero()
+                for lam, c in dec.items():
+                    expected = expected + c * chi(module, b_lambda(lam), sctx)
+                assert chi(module, b, sctx) == expected
 
     def test_rendering(self):
         dec = ClosureDecomposition(2, {Partition((2,)): 1})
