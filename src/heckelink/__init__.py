@@ -82,5 +82,16 @@ from .trace import (
     trace_of_braid,
 )
 
+
+def clear_caches() -> None:
+    """Empty the module-level caches: left ideals, ideals and cell modules per
+    (partition, context), coordinate orders and T_i^{-1} coefficients."""
+    from . import hecke, specht
+    for cache in (specht._M_CACHE, specht._I_CACHE, specht._MODULE_CACHE):
+        cache.clear()
+    specht._perm_order.cache_clear()
+    hecke._inverse_coefficients.cache_clear()
+
+
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -2,16 +2,18 @@
 
 Elements are finitely supported maps from permutations to scalars: the map
 IS the coordinate vector in the natural basis T_w indexed by the symmetric
-group.  Products are computed by folding the right factor one generator at a
-time along a reduced word, using
+group.  Right multiplication by a generator is the folding rule
 
     T_w * T_i = T_{w s_i}                              if length goes up,
     T_w * T_i = (q1+q2) T_w - q1 q2 T_{w s_i}          otherwise,
 
-which is the quadratic relation (T_i - q1)(T_i - q2) = 0 in action.  Because
-any reduced word of the right factor gives the same answer, associativity of
-the product doubles as a confluence check and is exercised heavily by the
-test suite.
+which is the quadratic relation (T_i - q1)(T_i - q2) = 0 in action.  A
+product x * y walks a prefix tree: every T_v in the support of y hangs off
+its parent T_{v s_i}, down to the identity, and a depth-first walk folds x
+by one generator per edge, so x * T_v is formed once however many right
+factors share v.  The tree's paths are reduced words chosen per support, so
+associativity of the product doubles as a confluence check and is exercised
+heavily by the test suite.
 
 The generators are units:
 
@@ -22,7 +24,7 @@ braid words map to units and the assignment sigma_i -> T_i extends to a
 homomorphism from the braid group.
 
 One loop, ``_multiply_generator``, applies both rules on either side: braid
-letters, Hecke products, generator images and left multiplication all go
+letters, the product walk, generator images and left multiplication all go
 through it, so the quadratic relation is written down once.
 
 At (q1, q2) = (1, -1) the quadratic relation collapses to T_i^2 = 1 and the
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .braid import BraidWord, Permutation
 from .coefficients import FieldContext, Rationals, render_scalar
@@ -143,22 +145,11 @@ class HeckeElement:
         if not isinstance(other, HeckeElement):
             return NotImplemented
         self._check(other)
-        ctx = self.context
-        q_sum, q_prod = ctx.field.q_sum, ctx.field.q_prod
-        result: dict[Permutation, object] = {}
-        for v, d in other.terms.items():
-            cur = self.terms
-            for i in v.reduced_word():
-                cur = _multiply_generator(cur, i, False, False, q_sum, q_prod)
-            for u, c in cur.items():
-                s = result.get(u)
-                cd = c * d
-                s = cd if s is None else s + cd
-                if s:
-                    result[u] = s
-                else:
-                    result.pop(u, None)
-        return HeckeElement(ctx, result)
+        field = self.context.field
+        (product,) = _right_products(
+            self.terms, [other.terms], field.q_sum, field.q_prod
+        )
+        return HeckeElement(self.context, product)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -273,6 +264,50 @@ def _multiply_generator(
             else:
                 out.pop(ws, None)
     return out
+
+
+def _right_products(left: Mapping, rights: Sequence[Mapping], q_sum, q_prod) -> list:
+    """The products left * r, one coordinate dict per r in ``rights``.
+
+    Every v in the rights' supports hangs off its parent v s_i, with i the
+    last letter of its reduced word, so v and its ancestors form a tree
+    rooted at the identity.  A depth-first walk folds ``left`` by one
+    generator per edge and adds d (left T_v) into every product whose right
+    factor holds v with coefficient d.
+    """
+    holders: dict[Permutation, list] = {}
+    for k, r in enumerate(rights):
+        for v, d in r.items():
+            holders.setdefault(v, []).append((k, d))
+    products: list[dict] = [{} for _ in rights]
+    if not holders:
+        return products
+    root = Permutation.identity(next(iter(holders)).degree)
+    children: dict[Permutation, list] = {}
+    linked = {root}
+    for v in holders:
+        while v not in linked:
+            linked.add(v)
+            i = v.reduced_word()[-1]
+            parent = v.times_transposition(i)
+            children.setdefault(parent, []).append((i, v))
+            v = parent
+    stack = [(root, 0, left)]
+    while stack:
+        v, i, cur = stack.pop()
+        if i:
+            cur = _multiply_generator(cur, i, False, False, q_sum, q_prod)
+        for k, d in holders.get(v, ()):
+            out = products[k]
+            for u, c in cur.items():
+                s = out.get(u)
+                s = c * d if s is None else s + c * d
+                if s:
+                    out[u] = s
+                else:
+                    out.pop(u, None)
+        stack.extend((child, j, cur) for j, child in children.get(v, ()))
+    return products
 
 
 @lru_cache(maxsize=64, typed=True)

@@ -18,8 +18,10 @@ be the generic variable or any specialized field value.  For a partition
   concretely by reducing M^lam generators modulo an echelon basis of I^lam;
 * the bilinear form evaluates star(x) * y modulo I^lam, which by Murphy's
   proportionality is always a scalar multiple of m_lam; the scalar is the
-  form value.  The rank of the Gram matrix is the dimension of the
-  irreducible head, which is nonzero exactly for e-restricted shapes.
+  form value.  Each Gram row shares one product walk: star(b_i) is folded
+  once along a prefix tree for all the right factors b_i, ..., b_dim.  The
+  rank of the Gram matrix is the dimension of the irreducible head, which
+  is nonzero exactly for e-restricted shapes.
 
 A cell module is built with its basis and generator action only.  The form
 is evaluated on first use, since characters (and so closure decompositions)
@@ -44,7 +46,13 @@ from .coefficients import (
     generic_one_parameter_context,
     one_parameter_context,
 )
-from .hecke import HeckeContext, HeckeElement, left_multiply_generator
+from .hecke import (
+    HeckeContext,
+    HeckeElement,
+    _right_products,
+    fold_letter,
+    left_multiply_generator,
+)
 from .linalg import EchelonBasis, determinant, kernel_basis, matrix_rank
 from .trace import Partition, partitions_of, strictly_dominates
 
@@ -262,10 +270,9 @@ def ideal_I(lam: Partition, sctx: SpechtContext) -> SubspaceBasis:
         return cached.copy()
     basis = SubspaceBasis(sctx)
     ctx = sctx.hecke_context()
-    gens = [ctx.generator_image(i) for i in range(1, sctx.n)]
     dominating = [mu for mu in partitions_of(sctx.n) if strictly_dominates(mu, lam)]
     seeds = (row for mu in dominating for row in _coset_rows(mu, sctx))
-    _close(basis, seeds, lambda x, i: x * gens[i - 1])
+    _close(basis, seeds, lambda x, i: HeckeElement(ctx, fold_letter(x.terms, i, ctx)))
     _I_CACHE[key] = basis
     return basis.copy()
 
@@ -324,14 +331,20 @@ class SpechtModule:
 
     @cached_property
     def gram(self) -> tuple:
-        """The form on the basis, each element scaled to clear denominators."""
+        """The form on the basis, each element scaled to clear denominators.
+
+        Row i is one walk: star(b_i) times all of b_i, ..., b_dim at once."""
         form = _form(self.lam, self.sctx)
         cleared = [_clear_denominators(b) for b in self.basis]
+        ctx = self.sctx.hecke_context()
+        fc = self.sctx.field_context
         dim = self.dimension
-        gram = [[self.sctx.field_context.field.zero()] * dim for _ in range(dim)]
+        gram = [[fc.field.zero()] * dim for _ in range(dim)]
         for i in range(dim):
-            for j in range(i, dim):
-                gram[i][j] = gram[j][i] = form(cleared[i], cleared[j])
+            rights = [b.terms for b in cleared[i:]]
+            row = _right_products(cleared[i].star().terms, rights, fc.q_sum, fc.q_prod)
+            for j, product in enumerate(row, i):
+                gram[i][j] = gram[j][i] = form(HeckeElement(ctx, product))
         return tuple(map(tuple, gram))
 
     def gram_determinant(self):
@@ -491,15 +504,15 @@ def specht_module(lam: Partition, sctx: SpechtContext) -> SpechtModule:
 
 
 def _form(lam: Partition, sctx: SpechtContext):
-    """The bilinear form (x, y) -> <x, y>: the scalar r with
-    star(x) * y = r * m_lam modulo the ideal."""
+    """The bilinear form as a function of the product star(x) * y: the
+    scalar r with star(x) * y = r * m_lam modulo the ideal."""
     ideal = ideal_I(lam, sctx).echelon
     m_bar = ideal.reduce(_to_vector(m_lambda(lam, sctx), sctx))
     pivot = next((k for k, c in enumerate(m_bar) if c), None)
     zero = sctx.field_context.field.zero()
 
-    def form(x: HeckeElement, y: HeckeElement):
-        reduced = ideal.reduce(_to_vector(x.star() * y, sctx))
+    def form(product: HeckeElement):
+        reduced = ideal.reduce(_to_vector(product, sctx))
         if pivot is None:
             if any(reduced):
                 raise ProportionalityError(
@@ -523,7 +536,7 @@ def gram_entry(x: HeckeElement, y: HeckeElement, lam: Partition, sctx: SpechtCon
     module_m = module_basis_M(lam, sctx)
     if not module_m.contains(x) or not module_m.contains(y):
         raise SpechtError("form arguments must lie in the left ideal of m_lambda")
-    return _form(lam, sctx)(x, y)
+    return _form(lam, sctx)(x.star() * y)
 
 
 def dim_D_lambda(lam: Partition, sctx: SpechtContext) -> int:

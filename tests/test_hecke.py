@@ -1,5 +1,6 @@
 """The Hecke algebra: relations, the braid-group homomorphism, star."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,14 +9,18 @@ import pytest
 from heckelink.braid import BraidWord, Permutation, random_word
 from heckelink.coefficients import (
     FieldContext,
+    PrimeField,
     Rationals,
     generic_field_context,
+    one_parameter_context,
     parse_scalar,
 )
 from heckelink.hecke import (
     HeckeContext,
     HeckeElement,
     HeckeError,
+    _multiply_generator,
+    _right_products,
     from_braid_word,
     left_multiply_generator,
     to_symmetric_group,
@@ -28,6 +33,45 @@ def generic_ctx(n):
 
 def scalar(text):
     return parse_scalar(text, generic_field_context().field)
+
+
+def _reference_product(x, y):
+    """x * y by folding all of x along the reduced word of every term T_v of
+    y, one term at a time: the product before the shared prefix walk."""
+    field = x.context.field
+    result = {}
+    for v, d in y.terms.items():
+        cur = x.terms
+        for i in v.reduced_word():
+            cur = _multiply_generator(cur, i, False, False, field.q_sum, field.q_prod)
+        for u, c in cur.items():
+            s = result.get(u)
+            s = c * d if s is None else s + c * d
+            if s:
+                result[u] = s
+            else:
+                result.pop(u, None)
+    return HeckeElement(x.context, result)
+
+
+FIELDS = {
+    "Q(q1,q2)": generic_field_context(),
+    "Q at q=2": one_parameter_context(Rationals(), 2),
+    "F_7 at q=3": one_parameter_context(PrimeField(7), 3),
+}
+
+
+def random_element(rng, ctx, size):
+    """``size`` random terms, with coefficients a + b*q2 for small a, b."""
+    fc = ctx.field
+    perms = list(itertools.permutations(range(1, ctx.n + 1)))
+    terms = {}
+    for _ in range(size):
+        a, b = rng.randrange(-3, 4), rng.randrange(-2, 3)
+        terms[Permutation(rng.choice(perms))] = (
+            fc.field.from_int(a) + fc.field.from_int(b) * fc.q2
+        )
+    return HeckeElement(ctx, terms)
 
 
 class TestLinearStructure:
@@ -105,6 +149,49 @@ class TestMultiplication:
             w = BraidWord(4, [rng.randrange(1, 4) for _ in range(k)])
             x = from_braid_word(w, generic_ctx(4))
             assert all(u.length() <= k for u in x.terms)
+
+
+class TestRightProducts:
+    """The prefix-tree walk against the per-term reference fold."""
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_product_matches_reference(self, name):
+        rng = random.Random(13)
+        for n in (1, 2, 3, 4, 5):
+            ctx = HeckeContext(n, FIELDS[name])
+            for _ in range(12):
+                x = random_element(rng, ctx, rng.randrange(0, 7))
+                y = random_element(rng, ctx, rng.randrange(0, 7))
+                assert x * y == _reference_product(x, y)
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_shared_walk_matches_reference(self, name):
+        rng = random.Random(14)
+        for n in (1, 2, 3, 4, 5):
+            ctx = HeckeContext(n, FIELDS[name])
+            fc = ctx.field
+            for _ in range(4):
+                left = random_element(rng, ctx, rng.randrange(1, 8))
+                y = random_element(rng, ctx, 8)
+                z = random_element(rng, ctx, 5)
+                single = random_element(rng, ctx, 1)
+                part = HeckeElement(ctx, dict(list(y.terms.items())[::2]))
+                rights = [
+                    ctx.zero_element(), ctx.identity(), single, y, part, y + z, z, y
+                ]
+                for lhs in (left, ctx.zero_element(), ctx.identity()):
+                    products = _right_products(
+                        lhs.terms, [r.terms for r in rights], fc.q_sum, fc.q_prod
+                    )
+                    assert len(products) == len(rights)
+                    for r, product in zip(rights, products):
+                        assert HeckeElement(ctx, product) == _reference_product(lhs, r)
+
+    def test_no_right_factors(self):
+        ctx = generic_ctx(3)
+        fc = ctx.field
+        x = ctx.generator_image(1)
+        assert _right_products(x.terms, [], fc.q_sum, fc.q_prod) == []
 
 
 class TestGeneratorInverse:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckelink import specht
+from heckelink import clear_caches, hecke, specht
 from heckelink.braid import BraidWord, Permutation
 from heckelink.coefficients import PrimeField, Rationals, quantum_e
 from heckelink.specht import (
@@ -23,6 +23,7 @@ from heckelink.specht import (
     young_subgroup,
 )
 from heckelink.trace import Partition, decompose_closure, e_restricted, partitions_of
+from test_hecke import _reference_product
 
 
 class TestYoungSubgroup:
@@ -269,6 +270,54 @@ class TestGram:
             for lam in partitions_of(n):
                 mod = specht_module(lam, sctx)
                 assert mod.gram_rank() == mod.dimension
+
+
+class TestGramAgainstReferenceProduct:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            SpechtContext.generic,
+            lambda n: SpechtContext.at_value(n, PrimeField(3), 2),
+            lambda n: SpechtContext.at_value(n, Rationals(), 2),
+        ],
+        ids=["Q(q)", "F_3 at q=2", "Q at q=2"],
+    )
+    def test_gram_rows_match_entrywise_products(self, make):
+        for n in (1, 2, 3, 4):
+            sctx = make(n)
+            for lam in partitions_of(n):
+                mod = specht_module(lam, sctx)
+                form = specht._form(lam, sctx)
+                cleared = [specht._clear_denominators(b) for b in mod.basis]
+                expected = tuple(
+                    tuple(form(_reference_product(x.star(), y)) for y in cleared)
+                    for x in cleared
+                )
+                assert mod.gram == expected
+
+
+class TestClearCaches:
+    def test_caches_empty_and_modules_rebuild_equal(self, monkeypatch):
+        for name in ("_M_CACHE", "_I_CACHE", "_MODULE_CACHE"):
+            monkeypatch.setattr(specht, name, {})
+        sctx = SpechtContext.at_value(3, PrimeField(3), 2)
+        lam = Partition((2, 1))
+        before = specht_module(lam, sctx)
+        gram = before.gram
+        module_basis_M(lam, sctx)
+        sctx.hecke_context().generator_image(1, -1)
+        assert specht._M_CACHE and specht._I_CACHE and specht._MODULE_CACHE
+        assert specht._perm_order.cache_info().currsize
+        assert hecke._inverse_coefficients.cache_info().currsize
+        clear_caches()
+        assert not (specht._M_CACHE or specht._I_CACHE or specht._MODULE_CACHE)
+        assert specht._perm_order.cache_info().currsize == 0
+        assert hecke._inverse_coefficients.cache_info().currsize == 0
+        after = specht_module(lam, sctx)
+        assert after is not before
+        assert after.basis == before.basis
+        assert after.action == before.action
+        assert after.gram == gram
 
 
 class TestMurphyProportionality:
