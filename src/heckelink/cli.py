@@ -13,7 +13,8 @@ Field selection: ``--field generic`` (the default) works over Q(q1, q2) or,
 for the specht table, Q(q) with (q1, q2) = (-1, q).  ``--field rationals
 --q VALUE`` and ``--field fp --p P --q VALUE`` pin q in the one-parameter
 convention.  The environment variable HECKELINK_FIELD supplies a default
-("generic", "rationals:VALUE", or "fp:P:VALUE").
+("generic", "rationals:VALUE", or "fp:P:VALUE").  A --p or --q that the
+selected field does not read is an input error.
 
 Exit codes: 0 success, 2 input or parse error (a malformed field spec
 included), 3 unsupported field for the requested operation, 4 internal
@@ -79,20 +80,28 @@ class FieldSelectionError(ValueError):
 
 
 def _field_spec(args) -> tuple[str, int | str | None, str | None]:
-    if args.field is not None:
-        return args.field.lower(), args.p, args.q
+    """(kind, p, q) from --field, else HECKELINK_FIELD, else generic.  A --p
+    or --q that the selected field does not read raises CoefficientError."""
     env = os.environ.get("HECKELINK_FIELD")
-    if env:
+    if args.field is not None:
+        kind, p, q = args.field.lower(), args.p, args.q
+        source, reads = f"--field {kind}", {"rationals": "q", "fp": "pq"}.get(kind, "")
+    elif env:
         parts = env.split(":")
-        kind = parts[0].lower()
-        if kind == "generic":
-            return "generic", None, None
+        kind, p, q = parts[0].lower(), None, None
         if kind == "rationals" and len(parts) == 2:
-            return "rationals", None, parts[1]
-        if kind == "fp" and len(parts) == 3:
-            return "fp", parts[1], parts[2]
-        raise CoefficientError(f"cannot parse HECKELINK_FIELD={env!r}")
-    return "generic", None, None
+            q = parts[1]
+        elif kind == "fp" and len(parts) == 3:
+            p, q = parts[1], parts[2]
+        elif kind != "generic" or len(parts) != 1:
+            raise CoefficientError(f"cannot parse HECKELINK_FIELD={env!r}")
+        source, reads = f"HECKELINK_FIELD={env!r}", ""
+    else:
+        kind, p, q, source, reads = "generic", None, None, "the default generic field", ""
+    for flag, value in (("p", args.p), ("q", args.q)):
+        if value is not None and flag not in reads:
+            raise CoefficientError(f"--{flag} is not read by {source}")
+    return kind, p, q
 
 
 def _resolve_field(args, generic: Callable[[], FieldContext]) -> FieldContext:
@@ -106,7 +115,7 @@ def _resolve_field(args, generic: Callable[[], FieldContext]) -> FieldContext:
         if q is None:
             raise CoefficientError("--field rationals needs --q")
         field = Rationals()
-    elif kind == "fp":
+    else:
         if p is None or q is None:
             raise CoefficientError("--field fp needs --p and --q")
         try:
@@ -114,8 +123,6 @@ def _resolve_field(args, generic: Callable[[], FieldContext]) -> FieldContext:
         except ValueError as exc:
             raise CoefficientError(f"cannot parse prime {p!r}") from exc
         field = PrimeField(p)
-    else:
-        raise CoefficientError(f"unknown field kind {kind!r}")
     q_value = field.parse(q)
     if kind == "fp" and not 0 < int(q) < p:
         raise CoefficientError(f"need 0 < q < p, got q={q}, p={p}")

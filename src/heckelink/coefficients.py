@@ -15,7 +15,9 @@ order.  A pure-monomial denominator is a unit and gets absorbed into the
 numerator, so "denominator 1" is the common case and equality of values is
 plain structural comparison.
 
-Laurent polynomials are stored sparsely as ``{exponent tuple: Fraction}``.
+Laurent polynomials are stored sparsely as ``{exponent tuple: coefficient}``,
+each coefficient an ``int`` when it is integral and a ``Fraction`` otherwise;
+every division in this module is exact and keeps that rule.
 For gcd purposes every Laurent polynomial factors uniquely as
 (monomial unit) * (ordinary polynomial); gcds are computed on the ordinary
 parts by a primitive pseudo-remainder sequence, one variable at a time.
@@ -52,21 +54,34 @@ def _grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     return (sum(exps), exps)
 
 
+def _div(a, b) -> int | Fraction:
+    """The exact quotient a / b of two rationals (int / int is a float)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
+
+
 class LaurentPoly:
-    """A multivariate Laurent polynomial with Fraction coefficients.
+    """A multivariate Laurent polynomial with rational coefficients.
 
     ``variables`` is the fixed, ordered tuple of variable names; every
-    exponent tuple has that length.  No stored coefficient is zero.
+    exponent tuple has that length.  No stored coefficient is zero, and each
+    is an ``int`` when integral and a ``Fraction`` otherwise.  Any other
+    coefficient type, ``float`` included, raises :class:`CoefficientError`.
     """
 
     __slots__ = ("variables", "terms", "_hash")
 
-    def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Fraction]):
+    def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, int | Fraction]):
         vs = tuple(variables)
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, int | Fraction] = {}
         for exps, coeff in terms.items():
-            if not isinstance(coeff, Fraction):
-                coeff = Fraction(coeff)
+            if type(coeff) is not int:
+                if not isinstance(coeff, (int, Fraction)):
+                    raise CoefficientError(f"{coeff!r} is not an int or a Fraction")
+                if coeff.denominator == 1:
+                    coeff = coeff.numerator
             if coeff:
                 e = tuple(exps)
                 if len(e) != len(vs):
@@ -87,7 +102,7 @@ class LaurentPoly:
     @classmethod
     def constant(cls, variables: Iterable[str], value) -> LaurentPoly:
         vs = tuple(variables)
-        return cls(vs, {(0,) * len(vs): Fraction(value)})
+        return cls(vs, {(0,) * len(vs): value})
 
     @classmethod
     def variable(cls, variables: Iterable[str], name: str, power: int = 1) -> LaurentPoly:
@@ -95,11 +110,11 @@ class LaurentPoly:
         if name not in vs:
             raise CoefficientError(f"unknown variable {name!r}; have {vs}")
         exps = tuple(power if v == name else 0 for v in vs)
-        return cls(vs, {exps: Fraction(1)})
+        return cls(vs, {exps: 1})
 
     @classmethod
     def monomial(cls, variables: Iterable[str], exps: Exponents, coeff=1) -> LaurentPoly:
-        return cls(variables, {tuple(exps): Fraction(coeff)})
+        return cls(variables, {tuple(exps): coeff})
 
     # -- predicates --------------------------------------------------------
 
@@ -114,22 +129,22 @@ class LaurentPoly:
             return True
         return len(self.terms) == 1 and not any(next(iter(self.terms)))
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if not self.terms:
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise CoefficientError(f"{self.render()} is not constant")
         return next(iter(self.terms.values()))
 
     def is_one(self) -> bool:
-        return self.is_constant() and self.constant_value() == 1
+        return len(self.terms) == 1 and self.terms.get((0,) * len(self.variables)) == 1
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
     # -- structure ---------------------------------------------------------
 
-    def leading(self) -> tuple[Exponents, Fraction]:
+    def leading(self) -> tuple[Exponents, int | Fraction]:
         """Leading (exponents, coefficient) under graded-lex order."""
         if not self.terms:
             raise CoefficientError("zero polynomial has no leading term")
@@ -151,17 +166,17 @@ class LaurentPoly:
         }
         return mins, LaurentPoly(self.variables, shifted)
 
-    def content(self) -> Fraction:
+    def content(self) -> int | Fraction:
         """The positive rational c with self/c having coprime integer
         coefficients.  Zero polynomial has content 1."""
         if not self.terms:
-            return Fraction(1)
+            return 1
         num = 0
         den = 1
         for c in self.terms.values():
             num = math.gcd(num, abs(c.numerator))
             den = den * c.denominator // math.gcd(den, c.denominator)
-        return Fraction(num, den)
+        return num if den == 1 else Fraction(num, den)
 
     def degree_in(self, index: int) -> int:
         if not self.terms:
@@ -197,18 +212,18 @@ class LaurentPoly:
         return LaurentPoly(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> LaurentPoly:
-        return self + (-other if isinstance(other, LaurentPoly) else -Fraction(other))
+        return self + (-other)
 
     def __rsub__(self, other) -> LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other) -> LaurentPoly:
         if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(other))
+            return self.scale(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
@@ -221,7 +236,7 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def scale(self, factor: Fraction) -> LaurentPoly:
+    def scale(self, factor: int | Fraction) -> LaurentPoly:
         if not factor:
             return LaurentPoly.zero(self.variables)
         return LaurentPoly(self.variables, {e: c * factor for e, c in self.terms.items()})
@@ -233,7 +248,7 @@ class LaurentPoly:
                 raise CoefficientError("negative power of a non-monomial polynomial")
             exps, coeff = next(iter(self.terms.items()))
             return LaurentPoly(
-                self.variables, {tuple(e * k for e in exps): Fraction(1) / coeff ** (-k)}
+                self.variables, {tuple(e * k for e in exps): _div(1, coeff ** (-k))}
             )
         result = LaurentPoly.constant(self.variables, 1)
         base = self
@@ -330,14 +345,14 @@ def poly_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     variables = a.variables
     lead_b, lcb = b.leading()
     rem = dict(a.terms)
-    quo: dict[Exponents, Fraction] = {}
+    quo: dict[Exponents, int | Fraction] = {}
     while rem:
         exps = max(rem, key=_grlex_key)
         coeff = rem[exps]
         qe = tuple(e - f for e, f in zip(exps, lead_b))
         if any(e < 0 for e in qe):
             raise CoefficientError("inexact polynomial division")
-        qc = coeff / lcb
+        qc = _div(coeff, lcb)
         quo[qe] = qc
         for be, bc in b.terms.items():
             te = tuple(x + y for x, y in zip(qe, be))
@@ -356,13 +371,13 @@ def _normalize_poly(p: LaurentPoly) -> LaurentPoly:
     c = p.content()
     if p.leading()[1] < 0:
         c = -c
-    return p.scale(1 / c)
+    return p.scale(_div(1, c))
 
 
 def _univariate_view(p: LaurentPoly, index: int) -> dict[int, LaurentPoly]:
     """View p as a polynomial in variable #index with polynomial coefficients
     (the coefficients keep the full exponent tuples, with entry #index zeroed)."""
-    out: dict[int, dict[Exponents, Fraction]] = {}
+    out: dict[int, dict[Exponents, int | Fraction]] = {}
     for exps, coeff in p.terms.items():
         d = exps[index]
         rest = exps[:index] + (0,) + exps[index + 1 :]
@@ -383,7 +398,7 @@ def _prem(f: LaurentPoly, g: LaurentPoly, index: int) -> LaurentPoly:
 
     The rational content of the intermediate remainders is stripped after
     every elimination step; it is a unit, and keeping it would make the
-    Fraction coefficients grow exponentially along the remainder sequence.
+    coefficients grow exponentially along the remainder sequence.
     """
     dg = g.degree_in(index)
     lcg = _univariate_view(g, index)[dg]
@@ -399,7 +414,7 @@ def _prem(f: LaurentPoly, g: LaurentPoly, index: int) -> LaurentPoly:
         f = lcg * f - lcf * mono * g
         c = f.content()
         if c != 1:
-            f = f.scale(1 / c)
+            f = f.scale(_div(1, c))
     return f
 
 
@@ -616,12 +631,12 @@ def canonicalize(num: LaurentPoly, den: LaurentPoly) -> RationalFunction:
     if pd.leading()[1] < 0:
         c = -c
     if c != 1:
-        pd = pd.scale(1 / c)
+        pd = pd.scale(_div(1, c))
     shift = tuple(a - b for a, b in zip(unit_n, unit_d))
     new_num = LaurentPoly(
         variables,
         {
-            tuple(e + s for e, s in zip(exps, shift)): coeff / c
+            tuple(e + s for e, s in zip(exps, shift)): _div(coeff, c)
             for exps, coeff in pn.terms.items()
         },
     )
@@ -786,7 +801,7 @@ class RationalFunctionField:
         return RationalFunction.constant(self.variables, 1)
 
     def from_fraction(self, value) -> RationalFunction:
-        return RationalFunction.constant(self.variables, Fraction(value))
+        return RationalFunction.constant(self.variables, value)
 
     from_int = from_fraction
 

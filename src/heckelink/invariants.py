@@ -31,7 +31,6 @@ t-powers and is then frozen.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .braid import BraidWord, closure_components, writhe
 from .coefficients import (
@@ -222,7 +221,7 @@ def kauffman_bracket_oracle(b: BraidWord, cap: int = 16) -> LaurentPoly:
             k += 1
         loops = _state_loops(b, state)
         _bracket_add(acc, shift, d_powers[loops - 1])
-    return LaurentPoly(("A",), {(e,): Fraction(c) for e, c in acc.items()})
+    return LaurentPoly(("A",), {(e,): c for e, c in acc.items()})
 
 
 def jones_via_bracket(b: BraidWord, cap: int = 16) -> JonesPolynomial:
@@ -230,7 +229,7 @@ def jones_via_bracket(b: BraidWord, cap: int = 16) -> JonesPolynomial:
     bracket = kauffman_bracket_oracle(b, cap=cap)
     w = writhe(b)
     sign = -1 if w % 2 else 1
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], int] = {}
     for exps, coeff in bracket.terms.items():
         m = exps[0] - 3 * w
         if m % 2:

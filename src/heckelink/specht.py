@@ -104,7 +104,7 @@ class SpechtContext:
 # -- coordinates ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _perm_order(n: int) -> tuple[tuple[Permutation, ...], dict[Permutation, int]]:
     """All permutations sorted by (length, one-line); the coordinate order."""
     perms = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]

@@ -230,6 +230,15 @@ class TestMalformedFieldSpec:
             ("bogus", ["reduce", "--strands", "2", "1"]),
             ("bogus", ["jones", "--strands", "2", "1"]),
             (None, ["verify", "--exhaustive", "--n", "2", "--max-len", "-1"]),
+            ("generic:2", ["reduce", "--strands", "2", "1"]),
+            ("rationals:2", ["reduce", "--strands", "2", "1 1", "--q", "3"]),
+            ("fp:3:2", ["reduce", "--strands", "2", "1", "--p", "5"]),
+            (None, ["reduce", "--strands", "2", "--field", "rationals", "--q", "2", "--p", "7", "1"]),
+            (None, ["reduce", "--strands", "2", "--field", "generic", "--q", "3", "1"]),
+            (None, ["reduce", "--strands", "2", "--field", "generic", "--p", "3", "1"]),
+            (None, ["reduce", "--strands", "2", "--q", "3", "1"]),
+            (None, ["homfly", "--strands", "2", "--q", "3", "1"]),
+            (None, ["specht", "--n", "2", "--field", "rationals", "--p", "5", "--q", "2"]),
         ],
     )
     def test_exits_2_with_one_line(self, capsys, monkeypatch, env, argv):
@@ -242,3 +251,21 @@ class TestMalformedFieldSpec:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "env, argv, flag",
+        [
+            ("rationals:2", ["reduce", "--strands", "2", "1 1", "--q", "3"], "--q"),
+            (None, ["reduce", "--strands", "2", "--field", "rationals", "--q", "2", "--p", "7", "1"], "--p"),
+            (None, ["reduce", "--strands", "2", "--field", "generic", "--q", "3", "1"], "--q"),
+            (None, ["jones", "--strands", "2", "--q", "3", "1"], "--q"),
+        ],
+    )
+    def test_unread_flag_is_named(self, capsys, monkeypatch, env, argv, flag):
+        if env is None:
+            monkeypatch.delenv("HECKELINK_FIELD", raising=False)
+        else:
+            monkeypatch.setenv("HECKELINK_FIELD", env)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"error: {flag} is not read by" in err

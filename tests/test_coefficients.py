@@ -60,6 +60,11 @@ class TestLaurentPoly:
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
 
+    def test_is_one(self):
+        assert lp("1").is_one() and RationalFunction.constant(Q12, 1).den.is_one()
+        for text in ("0", "2", "-1", "q1", "1+q1", "q1*q2^-1"):
+            assert not lp(text).is_one()
+
     def test_split_unit(self):
         unit, ordinary = lp("q1*q2+q1^2*q2").split_unit()
         assert unit == (1, 1)
@@ -177,6 +182,67 @@ class TestRationalFunction:
                 for _ in range(abs(k)):
                     expected = expected * base
                 assert x ** k == expected
+
+
+class TestExactCoefficients:
+    X = ("x",)
+
+    def test_divexact_quotient_is_an_exact_fraction(self):
+        x = LaurentPoly.variable(self.X, "x")
+        quotient = poly_divexact(x, x * 3)
+        assert quotient == Fraction(1, 3)
+        assert type(quotient.constant_value()) is Fraction
+
+    def test_canonicalize_by_a_constant(self):
+        x = LaurentPoly.variable(self.X, "x")
+        assert canonicalize(x, LaurentPoly.constant(self.X, 3)).render() == "1/3*x"
+
+    def test_integer_arithmetic_stores_ints(self):
+        a, b = lp("3*q1^2-q1*q2+2"), lp("q2^-1-5*q1")
+        r = canonicalize(a * b * lp("q1+1"), b * lp("q1^2-1"))
+        for p in (a + b, a - b, a * b, a * b * b - a, -a, a * 4, a ** 3, r.num, r.den):
+            assert p and all(type(c) is int for c in p.terms.values())
+
+    def test_integral_fractions_are_stored_as_ints(self):
+        p = LaurentPoly(self.X, {(1,): Fraction(6, 3), (0,): Fraction(1, 2)})
+        assert type(p.terms[(1,)]) is int and type(p.terms[(0,)]) is Fraction
+        assert p == LaurentPoly(self.X, {(1,): 2, (0,): Fraction(1, 2)})
+        assert hash(p) == hash(LaurentPoly(self.X, {(1,): 2, (0,): Fraction(1, 2)}))
+
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(CoefficientError):
+            LaurentPoly(self.X, {(1,): 1 / 3})
+        with pytest.raises(CoefficientError):
+            LaurentPoly.constant(self.X, 0.5)
+
+
+class TestCanonicalizeAgainstSympy:
+    def test_cancel_equals_the_canonical_form(self):
+        sp = pytest.importorskip("sympy")
+        names = {v: sp.Symbol(v) for v in Q12}
+
+        def to_sympy(p):
+            return sp.sympify(p.render().replace("^", "**"), locals=names)
+
+        rng = random.Random(29)
+        checked = 0
+        while checked < 40:
+            common = _random_poly(rng, ordinary=True)
+            num = _random_poly(rng) * common * Fraction(rng.randrange(1, 4), 2)
+            den = _random_poly(rng, ordinary=True) * common * rng.randrange(1, 4)
+            if den.is_zero():
+                continue
+            checked += 1
+            r = canonicalize(num, den)
+            expected = sp.cancel(to_sympy(num) / to_sympy(den))
+            rendered = sp.sympify(
+                "(" + r.render().replace("^", "**").replace(" / ", ")/(") + ")",
+                locals=names,
+            )
+            assert sp.cancel(expected - rendered) == 0
+            # no common factor left: sympy finds none either
+            ordinary_num, _ = sp.fraction(sp.together(to_sympy(r.num)))
+            assert sp.gcd(ordinary_num, to_sympy(r.den)).is_number
 
 
 class TestDivideByPower:

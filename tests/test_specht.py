@@ -319,6 +319,9 @@ class TestClearCaches:
         assert after.action == before.action
         assert after.gram == gram
 
+    def test_coordinate_order_cache_is_bounded(self):
+        assert specht._perm_order.cache_info().maxsize is not None
+
 
 class TestMurphyProportionality:
     def test_random_sandwiches(self):
