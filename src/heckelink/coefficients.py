@@ -29,6 +29,7 @@ so values can be shared freely between threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -226,7 +227,7 @@ class LaurentPoly:
         terms: dict[Exponents, int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 s = terms.get(e, 0) + c1 * c2
                 if s:
                     terms[e] = s

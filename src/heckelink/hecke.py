@@ -10,10 +10,10 @@ group.  Right multiplication by a generator is the folding rule
 which is the quadratic relation (T_i - q1)(T_i - q2) = 0 in action.  A
 product x * y walks a prefix tree: every T_v in the support of y hangs off
 its parent T_{v s_i}, down to the identity, and a depth-first walk folds x
-by one generator per edge, so x * T_v is formed once however many right
-factors share v.  The tree's paths are reduced words chosen per support, so
-associativity of the product doubles as a confluence check and is exercised
-heavily by the test suite.
+by one generator per edge, so the products x * T_v share the folds along
+their common prefixes.  The tree's paths are reduced words chosen per
+support, so associativity of the product doubles as a confluence check and
+is exercised heavily by the test suite.
 
 The generators are units:
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .braid import BraidWord, Permutation
 from .coefficients import FieldContext, Rationals, render_scalar
@@ -146,9 +146,7 @@ class HeckeElement:
             return NotImplemented
         self._check(other)
         field = self.context.field
-        (product,) = _right_products(
-            self.terms, [other.terms], field.q_sum, field.q_prod
-        )
+        product = _right_product(self.terms, other.terms, field.q_sum, field.q_prod)
         return HeckeElement(self.context, product)
 
     def is_zero(self) -> bool:
@@ -266,26 +264,22 @@ def _multiply_generator(
     return out
 
 
-def _right_products(left: Mapping, rights: Sequence[Mapping], q_sum, q_prod) -> list:
-    """The products left * r, one coordinate dict per r in ``rights``.
+def _right_product(left: Mapping, right: Mapping, q_sum, q_prod) -> dict:
+    """The product left * right of two coordinate dicts.
 
-    Every v in the rights' supports hangs off its parent v s_i, with i the
-    last letter of its reduced word, so v and its ancestors form a tree
+    Every v in the support of ``right`` hangs off its parent v s_i, with i
+    the last letter of its reduced word, so v and its ancestors form a tree
     rooted at the identity.  A depth-first walk folds ``left`` by one
-    generator per edge and adds d (left T_v) into every product whose right
-    factor holds v with coefficient d.
+    generator per edge and adds d (left T_v) wherever ``right`` holds v with
+    coefficient d.
     """
-    holders: dict[Permutation, list] = {}
-    for k, r in enumerate(rights):
-        for v, d in r.items():
-            holders.setdefault(v, []).append((k, d))
-    products: list[dict] = [{} for _ in rights]
-    if not holders:
-        return products
-    root = Permutation.identity(next(iter(holders)).degree)
+    product: dict[Permutation, object] = {}
+    if not right:
+        return product
+    root = Permutation.identity(next(iter(right)).degree)
     children: dict[Permutation, list] = {}
     linked = {root}
-    for v in holders:
+    for v in right:
         while v not in linked:
             linked.add(v)
             i = v.reduced_word()[-1]
@@ -297,17 +291,17 @@ def _right_products(left: Mapping, rights: Sequence[Mapping], q_sum, q_prod) -> 
         v, i, cur = stack.pop()
         if i:
             cur = _multiply_generator(cur, i, False, False, q_sum, q_prod)
-        for k, d in holders.get(v, ()):
-            out = products[k]
+        d = right.get(v)
+        if d:
             for u, c in cur.items():
-                s = out.get(u)
+                s = product.get(u)
                 s = c * d if s is None else s + c * d
                 if s:
-                    out[u] = s
+                    product[u] = s
                 else:
-                    out.pop(u, None)
+                    product.pop(u, None)
         stack.extend((child, j, cur) for j, child in children.get(v, ()))
-    return products
+    return product
 
 
 @lru_cache(maxsize=64, typed=True)

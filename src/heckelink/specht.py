@@ -18,8 +18,10 @@ be the generic variable or any specialized field value.  For a partition
   concretely by reducing M^lam generators modulo an echelon basis of I^lam;
 * the bilinear form evaluates star(x) * y modulo I^lam, which by Murphy's
   proportionality is always a scalar multiple of m_lam; the scalar is the
-  form value.  Each Gram row shares one product walk: star(b_i) is folded
-  once along a prefix tree for all the right factors b_i, ..., b_dim.  The
+  form value.  The Gram matrix is solved in the module's own coordinates:
+  the form is symmetric and invariant, <T_i x, y> = <x, T_i y>, and
+  m_lam y = <m_lam, y> m_lam modulo I^lam, so the action matrices and the
+  coordinates of m_lam determine it with no product in the algebra.  The
   rank of the Gram matrix is the dimension of the irreducible head, which
   is nonzero exactly for e-restricted shapes.
 
@@ -49,7 +51,6 @@ from .coefficients import (
 from .hecke import (
     HeckeContext,
     HeckeElement,
-    _right_products,
     fold_letter,
     left_multiply_generator,
 )
@@ -62,7 +63,9 @@ class SpechtError(ValueError):
 
 
 class ProportionalityError(ArithmeticError):
-    """A product m h m failed to reduce to a multiple of m modulo the ideal.
+    """The form's defining identities failed: a product m h m did not reduce
+    to a multiple of m modulo the ideal, or the Gram matrix came out not
+    symmetric or not invariant under the generators.
 
     This signals an internal inconsistency, never a user error.
     """
@@ -303,6 +306,7 @@ class SpechtModule:
     sctx: SpechtContext
     basis: tuple[HeckeElement, ...]
     action: tuple  # action[i-1] is the matrix of T_i, column convention
+    seed: tuple  # coordinates of m_lam modulo the ideal; it generates the module
     _matrices: dict[Permutation, tuple] = dataclass_field(default_factory=dict)
     _characters: dict[Permutation, object] = dataclass_field(default_factory=dict)
     _rad_matrices: dict[Permutation, tuple] = dataclass_field(default_factory=dict)
@@ -331,21 +335,56 @@ class SpechtModule:
 
     @cached_property
     def gram(self) -> tuple:
-        """The form on the basis, each element scaled to clear denominators.
+        """The form on the basis, each element b scaled by
+        ``_denominator_factor(b)`` to clear denominators.
 
-        Row i is one walk: star(b_i) times all of b_i, ..., b_dim at once."""
-        form = _form(self.lam, self.sctx)
-        cleared = [_clear_denominators(b) for b in self.basis]
-        ctx = self.sctx.hecke_context()
-        fc = self.sctx.field_context
+        Solved in module coordinates from the action and the seed u alone.
+        The action of m_lam sends b_k to phi_k u, where phi_k = <m_lam, b_k>.
+        For h in H, v = A(h) u holds the coordinates of h m_lam and
+        rho = phi A(star h) the values <h m_lam, b_k>, so v G = rho; a
+        closure over h -> T_i h collects rows [v | rho] until their echelon
+        form reads [I | G].  G and every G A_i must come out symmetric, which
+        is <x, y> = <y, x> and <T_i x, y> = <x, T_i y>."""
         dim = self.dimension
-        gram = [[fc.field.zero()] * dim for _ in range(dim)]
-        for i in range(dim):
-            rights = [b.terms for b in cleared[i:]]
-            row = _right_products(cleared[i].star().terms, rights, fc.q_sum, fc.q_prod)
-            for j, product in enumerate(row, i):
-                gram[i][j] = gram[j][i] = form(HeckeElement(ctx, product))
-        return tuple(map(tuple, gram))
+        if not dim:
+            return ()
+        field = self.sctx.field_context.field
+        zero, one = field.zero(), field.one()
+        shape = self.lam.render()
+        memo: dict = {}
+        young = young_subgroup(self.lam)
+        mats = [_word_matrix(w, memo, self.action, dim, field) for w in young]
+        m_action = [[sum(col, zero) for col in zip(*rows)] for rows in zip(*mats)]
+        pivot = next(k for k, c in enumerate(self.seed) if c)
+        phi = [c / self.seed[pivot] for c in m_action[pivot]]
+        if m_action != [[p * s for p in phi] for s in self.seed]:
+            raise ProportionalityError(
+                f"m_{shape} * b is not proportional to m_{shape} modulo the ideal"
+            )
+        span = EchelonBasis(2 * dim, zero, one)
+        queue = [span.insert(list(self.seed) + phi)]
+        while queue and len(span) < dim:
+            row = queue.pop()
+            v, rho = row[:dim], row[dim:]
+            for gen in self.action:
+                image = [_dot_row(r, v, zero) for r in gen]
+                image += [_dot_row(c, rho, zero) for c in zip(*gen)]
+                grown = span.insert(image)
+                if grown is not None:
+                    queue.append(grown)
+        if span.pivots != list(range(dim)):
+            raise ProportionalityError(f"the action on {shape} determines no form")
+        gram = [row[dim:] for row in span.rows]
+        for mat in [gram] + [_mat_mul(gram, gen, zero) for gen in self.action]:
+            if any(mat[r][c] != mat[c][r] for r in range(dim) for c in range(r)):
+                raise ProportionalityError(
+                    f"the form on {shape} is not symmetric and invariant"
+                )
+        factors = [_denominator_factor(b, one) for b in self.basis]
+        return tuple(
+            tuple(fr * fc * g for fc, g in zip(factors, row))
+            for fr, row in zip(factors, gram)
+        )
 
     def gram_determinant(self):
         field = self.sctx.field_context.field
@@ -461,17 +500,15 @@ def _mat_mul(a: tuple, b: tuple, zero) -> tuple:
     return tuple(out)
 
 
-def _clear_denominators(x: HeckeElement) -> HeckeElement:
-    """Scale by a unit so every coefficient is a Laurent polynomial; only
-    meaningful over a rational function field."""
+def _denominator_factor(x: HeckeElement, one):
+    """The unit that scales x to Laurent-polynomial coefficients: the product
+    of their denominators, or ``one`` when there are none (always, off a
+    rational function field)."""
     common = None
     for c in x.terms.values():
         if isinstance(c, RationalFunction) and not c.den.is_one():
             common = c.den if common is None else common * c.den
-    if common is None:
-        return x
-    factor = RationalFunction.from_poly(common)
-    return x.scalar_mul(factor)
+    return one if common is None else RationalFunction.from_poly(common)
 
 
 def specht_module(lam: Partition, sctx: SpechtContext) -> SpechtModule:
@@ -489,8 +526,10 @@ def specht_module(lam: Partition, sctx: SpechtContext) -> SpechtModule:
         return ideal.reduce_element(left_multiply_generator(x, i))
 
     quotient = SubspaceBasis(sctx)
-    _close(quotient, [ideal.reduce_element(m_lambda(lam, sctx))], step)
+    m_bar = ideal.reduce_element(m_lambda(lam, sctx))
+    _close(quotient, [m_bar], step)
     basis = tuple(quotient.rows_as_elements())
+    seed = tuple(quotient.echelon.coordinates(_to_vector(m_bar, sctx)))
     message = f"generator action left the cell module for {lam.render()}"
     action = tuple(
         _coordinate_matrix(
@@ -498,7 +537,7 @@ def specht_module(lam: Partition, sctx: SpechtContext) -> SpechtModule:
         )
         for i in range(1, sctx.n)
     )
-    module = SpechtModule(lam, sctx, basis, action)
+    module = SpechtModule(lam, sctx, basis, action, seed)
     _MODULE_CACHE[key] = module
     return module
 

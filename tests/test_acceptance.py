@@ -327,6 +327,30 @@ def test_criterion_11_cli_contract(capsys):
             "partition\tdim_S\tdim_D\tgram_det\n(2)\t1\t0\t0\n(1,1)\t1\t1\t1\n",
         ),
         (["specht", "--n", "0"], 0, "partition\tdim_S\tdim_D\tgram_det\n"),
+        (
+            ["specht", "--n", "5", "--field", "fp", "--p", "3", "--q", "2"],
+            0,
+            "partition\tdim_S\tdim_D\tgram_det\n"
+            "(5)\t1\t0\t0\n"
+            "(4,1)\t4\t0\t0\n"
+            "(3,2)\t5\t0\t0\n"
+            "(3,1,1)\t6\t0\t0\n"
+            "(2,2,1)\t5\t5\t1\n"
+            "(2,1,1,1)\t4\t4\t1\n"
+            "(1,1,1,1,1)\t1\t1\t1\n",
+        ),
+        (
+            ["specht", "--n", "5", "--field", "rationals", "--q", "-1"],
+            0,
+            "partition\tdim_S\tdim_D\tgram_det\n"
+            "(5)\t1\t0\t0\n"
+            "(4,1)\t4\t0\t0\n"
+            "(3,2)\t5\t0\t0\n"
+            "(3,1,1)\t6\t0\t0\n"
+            "(2,2,1)\t5\t5\t-2\n"
+            "(2,1,1,1)\t4\t4\t1\n"
+            "(1,1,1,1,1)\t1\t1\t1\n",
+        ),
     ]
     for argv, expected_code, expected_out in cases:
         for _ in range(2):  # byte-identical repeats

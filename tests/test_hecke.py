@@ -20,7 +20,7 @@ from heckelink.hecke import (
     HeckeElement,
     HeckeError,
     _multiply_generator,
-    _right_products,
+    _right_product,
     from_braid_word,
     left_multiply_generator,
     to_symmetric_group,
@@ -180,18 +180,18 @@ class TestRightProducts:
                     ctx.zero_element(), ctx.identity(), single, y, part, y + z, z, y
                 ]
                 for lhs in (left, ctx.zero_element(), ctx.identity()):
-                    products = _right_products(
-                        lhs.terms, [r.terms for r in rights], fc.q_sum, fc.q_prod
-                    )
-                    assert len(products) == len(rights)
-                    for r, product in zip(rights, products):
+                    for r in rights:
+                        product = _right_product(
+                            lhs.terms, r.terms, fc.q_sum, fc.q_prod
+                        )
                         assert HeckeElement(ctx, product) == _reference_product(lhs, r)
 
     def test_no_right_factors(self):
+        # a right factor without terms: the walk has no tree and yields zero
         ctx = generic_ctx(3)
         fc = ctx.field
         x = ctx.generator_image(1)
-        assert _right_products(x.terms, [], fc.q_sum, fc.q_prod) == []
+        assert _right_product(x.terms, {}, fc.q_sum, fc.q_prod) == {}
 
 
 class TestGeneratorInverse:

@@ -9,10 +9,12 @@ import pytest
 from heckelink import clear_caches, hecke, specht
 from heckelink.braid import BraidWord, Permutation
 from heckelink.coefficients import PrimeField, Rationals, quantum_e
+from heckelink.linalg import EchelonBasis
 from heckelink.specht import (
     ProportionalityError,
     SpechtContext,
     SpechtError,
+    SpechtModule,
     count_standard_tableaux,
     dim_D_lambda,
     gram_entry,
@@ -264,6 +266,50 @@ class TestGram:
         module.gram_rank()
         assert "gram" in vars(module)
 
+    def test_gram_forms_no_hecke_product(self, monkeypatch):
+        monkeypatch.setattr(specht, "_MODULE_CACHE", {})
+        sctx = SpechtContext.at_value(5, PrimeField(3), 2)
+        mod = specht_module(Partition((3, 1, 1)), sctx)
+        folds = []
+        lengths = []
+        multiply = hecke._multiply_generator
+        reduce = EchelonBasis.reduce
+
+        def counting_multiply(*args):
+            folds.append(args[1])
+            return multiply(*args)
+
+        def recording_reduce(basis, vector):
+            lengths.append(len(vector))
+            return reduce(basis, vector)
+
+        monkeypatch.setattr(hecke, "_multiply_generator", counting_multiply)
+        monkeypatch.setattr(EchelonBasis, "reduce", recording_reduce)
+        assert len(mod.gram) == mod.dimension == 6
+        assert folds == []
+        assert lengths and max(lengths) == 2 * mod.dimension
+
+    def test_corrupted_action_is_caught(self):
+        f3 = SpechtContext.at_value(4, PrimeField(3), 2)
+        cases = [
+            (SpechtContext.generic(3), (2, 1), 1, None, "not proportional"),
+            (SpechtContext.generic(3), (2, 1), 2, (0, 1), "determines no form"),
+            (f3, (2, 1, 1), 3, (0, 0), "not symmetric and invariant"),
+        ]
+        for sctx, parts, i, bump, message in cases:
+            lam = Partition(parts)
+            mod = specht_module(lam, sctx)
+            matrix = [list(row) for row in mod.action[i - 1]]
+            if bump is None:  # the whole generator matrix doubled
+                matrix = [[c + c for c in row] for row in matrix]
+            else:  # one entry moved by one
+                matrix[bump[0]][bump[1]] += 1
+            action = list(mod.action)
+            action[i - 1] = tuple(map(tuple, matrix))
+            corrupted = SpechtModule(lam, sctx, mod.basis, tuple(action), mod.seed)
+            with pytest.raises(ProportionalityError, match=message):
+                corrupted.gram
+
     def test_generic_gram_rank_full(self):
         for n in (2, 3, 4):
             sctx = SpechtContext.generic(n)
@@ -274,26 +320,54 @@ class TestGram:
 
 class TestGramAgainstReferenceProduct:
     @pytest.mark.parametrize(
-        "make",
+        "make, max_n",
         [
-            SpechtContext.generic,
-            lambda n: SpechtContext.at_value(n, PrimeField(3), 2),
-            lambda n: SpechtContext.at_value(n, Rationals(), 2),
+            (SpechtContext.generic, 4),
+            (lambda n: SpechtContext.at_value(n, PrimeField(3), 2), 5),
+            (lambda n: SpechtContext.at_value(n, Rationals(), 2), 4),
+            (lambda n: SpechtContext.at_value(n, PrimeField(5), 2), 5),
+            (lambda n: SpechtContext.at_value(n, Rationals(), -1), 5),
         ],
-        ids=["Q(q)", "F_3 at q=2", "Q at q=2"],
+        ids=["Q(q)", "F_3 at q=2", "Q at q=2", "F_5 at q=2", "Q at q=-1"],
     )
-    def test_gram_rows_match_entrywise_products(self, make):
-        for n in (1, 2, 3, 4):
+    def test_gram_rows_match_entrywise_products(self, make, max_n):
+        for n in range(1, max_n + 1):
             sctx = make(n)
+            one = sctx.field_context.field.one()
             for lam in partitions_of(n):
                 mod = specht_module(lam, sctx)
                 form = specht._form(lam, sctx)
-                cleared = [specht._clear_denominators(b) for b in mod.basis]
+                cleared = [
+                    b.scalar_mul(specht._denominator_factor(b, one)) for b in mod.basis
+                ]
                 expected = tuple(
                     tuple(form(_reference_product(x.star(), y)) for y in cleared)
                     for x in cleared
                 )
                 assert mod.gram == expected
+
+    def test_denominators_are_cleared_before_the_form(self):
+        # the same module over a basis divided by 1 + q: the action is
+        # unchanged, the seed is multiplied by 1 + q, and each basis element
+        # is scaled back by the product of its denominators
+        sctx = SpechtContext.generic(3)
+        lam = Partition((2, 1))
+        mod = specht_module(lam, sctx)
+        one = sctx.field_context.field.one()
+        unit = sctx.q + 1
+        basis = tuple(b.scalar_mul(one / unit) for b in mod.basis)
+        seed = tuple(unit * c for c in mod.seed)
+        scaled = SpechtModule(lam, sctx, basis, mod.action, seed)
+        factors = [specht._denominator_factor(b, one) for b in basis]
+        assert all(f != one for f in factors)
+        form = specht._form(lam, sctx)
+        cleared = [b.scalar_mul(f) for b, f in zip(basis, factors)]
+        expected = tuple(
+            tuple(form(_reference_product(x.star(), y)) for y in cleared)
+            for x in cleared
+        )
+        assert scaled.gram == expected
+        assert scaled.gram != mod.gram
 
 
 class TestClearCaches:
