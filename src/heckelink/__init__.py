@@ -84,11 +84,10 @@ from .trace import (
 
 
 def clear_caches() -> None:
-    """Empty the module-level caches: left ideals, ideals and cell modules per
-    (partition, context), coordinate orders and T_i^{-1} coefficients."""
+    """Empty the module-level caches, each a bounded lru cache: cell modules
+    per (partition, context), coordinate orders and T_i^{-1} coefficients."""
     from . import hecke, specht
-    for cache in (specht._M_CACHE, specht._I_CACHE, specht._MODULE_CACHE):
-        cache.clear()
+    specht.specht_module.cache_clear()
     specht._perm_order.cache_clear()
     hecke._inverse_coefficients.cache_clear()
 

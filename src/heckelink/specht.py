@@ -27,7 +27,10 @@ be the generic variable or any specialized field value.  For a partition
 
 A cell module is built with its basis and generator action only.  The form
 is evaluated on first use, since characters (and so closure decompositions)
-never read the Gram matrix.
+never read the Gram matrix.  ``specht_module`` keeps the last 64 modules in
+an lru cache and hands them out frozen; the ideal I^lam is dropped once the
+action is built.  ``ideal_I``, ``module_basis_M`` and the reference form
+``gram_entry`` rebuild their subspaces on every call.
 
 Dimensions are validated against an independent standard-tableaux count,
 never assumed.
@@ -219,18 +222,6 @@ class SubspaceBasis:
     def rows_as_elements(self) -> list[HeckeElement]:
         return [_from_vector(row, self.sctx) for row in self.echelon.rows]
 
-    def copy(self) -> SubspaceBasis:
-        """A basis over copied rows: inserting into it leaves this one alone."""
-        fresh = SubspaceBasis(self.sctx)
-        fresh.echelon.rows = [list(row) for row in self.echelon.rows]
-        fresh.echelon.pivots = list(self.echelon.pivots)
-        return fresh
-
-
-_M_CACHE: dict[tuple[Partition, SpechtContext], SubspaceBasis] = {}
-_I_CACHE: dict[tuple[Partition, SpechtContext], SubspaceBasis] = {}
-_MODULE_CACHE: dict[tuple[Partition, SpechtContext], SpechtModule] = {}
-
 
 def _coset_rows(lam: Partition, sctx: SpechtContext) -> list[HeckeElement]:
     """The products T_d m_lam over minimal coset representatives d.
@@ -248,15 +239,12 @@ def _coset_rows(lam: Partition, sctx: SpechtContext) -> list[HeckeElement]:
 
 
 def module_basis_M(lam: Partition, sctx: SpechtContext) -> SubspaceBasis:
-    """Echelon basis of the left ideal generated by m_lam (a fresh copy)."""
-    key = (lam, sctx)
-    cached = _M_CACHE.get(key)
-    if cached is None:
-        cached = SubspaceBasis(sctx)
-        for row in _coset_rows(lam, sctx):
-            cached.insert_element(row)
-        _M_CACHE[key] = cached
-    return cached.copy()
+    """Echelon basis of the left ideal generated by m_lam, built anew on each
+    call, so the caller owns it."""
+    basis = SubspaceBasis(sctx)
+    for row in _coset_rows(lam, sctx):
+        basis.insert_element(row)
+    return basis
 
 
 def ideal_I(lam: Partition, sctx: SpechtContext) -> SubspaceBasis:
@@ -264,20 +252,15 @@ def ideal_I(lam: Partition, sctx: SpechtContext) -> SubspaceBasis:
     strictly dominating lam.
 
     Each seed left ideal H m_mu is inserted whole, after which the span only
-    needs closing under right multiplication by the generators.  Returns a
-    fresh copy of the cached basis.
+    needs closing under right multiplication by the generators.  Built anew
+    on each call, so the caller owns it.
     """
-    key = (lam, sctx)
-    cached = _I_CACHE.get(key)
-    if cached is not None:
-        return cached.copy()
     basis = SubspaceBasis(sctx)
     ctx = sctx.hecke_context()
     dominating = [mu for mu in partitions_of(sctx.n) if strictly_dominates(mu, lam)]
     seeds = (row for mu in dominating for row in _coset_rows(mu, sctx))
     _close(basis, seeds, lambda x, i: HeckeElement(ctx, fold_letter(x.terms, i, ctx)))
-    _I_CACHE[key] = basis
-    return basis.copy()
+    return basis
 
 
 def _close(basis: SubspaceBasis, seeds, step) -> None:
@@ -298,18 +281,26 @@ def _close(basis: SubspaceBasis, seeds, step) -> None:
 # -- cell modules -----------------------------------------------------------------
 
 
-@dataclass
+def _memo():
+    return dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
 class SpechtModule:
-    """A cell module: quotient basis, generator action, and the Gram form."""
+    """A cell module: quotient basis, generator action, and the Gram form.
+
+    Frozen, since ``specht_module`` shares one instance among its callers.
+    The memos below and the cached properties fill in on use; they take no
+    part in equality or the repr."""
 
     lam: Partition
     sctx: SpechtContext
     basis: tuple[HeckeElement, ...]
     action: tuple  # action[i-1] is the matrix of T_i, column convention
     seed: tuple  # coordinates of m_lam modulo the ideal; it generates the module
-    _matrices: dict[Permutation, tuple] = dataclass_field(default_factory=dict)
-    _characters: dict[Permutation, object] = dataclass_field(default_factory=dict)
-    _rad_matrices: dict[Permutation, tuple] = dataclass_field(default_factory=dict)
+    _matrices: dict[Permutation, tuple] = _memo()
+    _characters: dict[Permutation, object] = _memo()
+    _rad_matrices: dict[Permutation, tuple] = _memo()
 
     @property
     def dimension(self) -> int:
@@ -511,13 +502,11 @@ def _denominator_factor(x: HeckeElement, one):
     return one if common is None else RationalFunction.from_poly(common)
 
 
+@lru_cache(maxsize=64)
 def specht_module(lam: Partition, sctx: SpechtContext) -> SpechtModule:
     """Build the cell module of shape lam over the given context: its basis
-    and generator action."""
-    key = (lam, sctx)
-    cached = _MODULE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    and generator action.  The module is cached and shared; the ideal it is
+    built from is not kept."""
     if lam.n != sctx.n:
         raise SpechtError(f"{lam.render()} is not a partition of {sctx.n}")
     ideal = ideal_I(lam, sctx)
@@ -537,9 +526,7 @@ def specht_module(lam: Partition, sctx: SpechtContext) -> SpechtModule:
         )
         for i in range(1, sctx.n)
     )
-    module = SpechtModule(lam, sctx, basis, action, seed)
-    _MODULE_CACHE[key] = module
-    return module
+    return SpechtModule(lam, sctx, basis, action, seed)
 
 
 def _form(lam: Partition, sctx: SpechtContext):
@@ -571,7 +558,9 @@ def _form(lam: Partition, sctx: SpechtContext):
 
 
 def gram_entry(x: HeckeElement, y: HeckeElement, lam: Partition, sctx: SpechtContext):
-    """Bilinear form value <x, y> for x, y in the left ideal of m_lam."""
+    """Bilinear form value <x, y> for x, y in the left ideal of m_lam.
+
+    The reference route: it builds M^lam and I^lam on every call."""
     module_m = module_basis_M(lam, sctx)
     if not module_m.contains(x) or not module_m.contains(y):
         raise SpechtError("form arguments must lie in the left ideal of m_lambda")

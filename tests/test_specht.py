@@ -1,11 +1,16 @@
 """Cell modules, the bilinear form, and irreducible head dimensions."""
 
+import dataclasses
+import gc
+import importlib
 import math
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
+import heckelink
 from heckelink import clear_caches, hecke, specht
 from heckelink.braid import BraidWord, Permutation
 from heckelink.coefficients import PrimeField, Rationals, quantum_e
@@ -257,17 +262,17 @@ class TestGram:
                 for j, y in enumerate(mod.basis):
                     assert mod.gram[i][j] == gram_entry(x, y, lam, sctx)
 
-    def test_closure_decomposition_builds_no_gram(self, monkeypatch):
-        monkeypatch.setattr(specht, "_MODULE_CACHE", {})
+    def test_closure_decomposition_builds_no_gram(self):
+        specht_module.cache_clear()
         decompose_closure(BraidWord(4, [1, -2, 3]))
-        assert specht._MODULE_CACHE == {}
+        assert specht_module.cache_info().currsize == 0
         module = specht_module(Partition((2, 2)), SpechtContext.generic(4))
         assert "gram" not in vars(module)
         module.gram_rank()
         assert "gram" in vars(module)
 
     def test_gram_forms_no_hecke_product(self, monkeypatch):
-        monkeypatch.setattr(specht, "_MODULE_CACHE", {})
+        specht_module.cache_clear()
         sctx = SpechtContext.at_value(5, PrimeField(3), 2)
         mod = specht_module(Partition((3, 1, 1)), sctx)
         folds = []
@@ -371,30 +376,87 @@ class TestGramAgainstReferenceProduct:
 
 
 class TestClearCaches:
-    def test_caches_empty_and_modules_rebuild_equal(self, monkeypatch):
-        for name in ("_M_CACHE", "_I_CACHE", "_MODULE_CACHE"):
-            monkeypatch.setattr(specht, name, {})
+    def test_caches_empty_and_modules_rebuild_equal(self):
+        caches = (specht_module, specht._perm_order, hecke._inverse_coefficients)
         sctx = SpechtContext.at_value(3, PrimeField(3), 2)
         lam = Partition((2, 1))
         before = specht_module(lam, sctx)
         gram = before.gram
-        module_basis_M(lam, sctx)
         sctx.hecke_context().generator_image(1, -1)
-        assert specht._M_CACHE and specht._I_CACHE and specht._MODULE_CACHE
-        assert specht._perm_order.cache_info().currsize
-        assert hecke._inverse_coefficients.cache_info().currsize
+        assert all(cache.cache_info().currsize for cache in caches)
         clear_caches()
-        assert not (specht._M_CACHE or specht._I_CACHE or specht._MODULE_CACHE)
-        assert specht._perm_order.cache_info().currsize == 0
-        assert hecke._inverse_coefficients.cache_info().currsize == 0
+        assert all(cache.cache_info().currsize == 0 for cache in caches)
         after = specht_module(lam, sctx)
         assert after is not before
+        assert after == before
         assert after.basis == before.basis
         assert after.action == before.action
         assert after.gram == gram
 
     def test_coordinate_order_cache_is_bounded(self):
         assert specht._perm_order.cache_info().maxsize is not None
+
+    def test_every_cache_is_bounded_and_cleared(self):
+        caches = {}
+        for info in pkgutil.iter_modules(heckelink.__path__, "heckelink."):
+            module = importlib.import_module(info.name)
+            classes = [v for v in vars(module).values() if isinstance(v, type)]
+            for owner in [module] + classes:
+                for name, value in vars(owner).items():
+                    if callable(getattr(value, "cache_info", None)):
+                        caches[f"{info.name}.{name}"] = value
+        assert {
+            "heckelink.specht.specht_module",
+            "heckelink.specht._perm_order",
+            "heckelink.hecke._inverse_coefficients",
+        } <= set(caches)
+        specht_module(Partition((2, 1)), SpechtContext.generic(3))
+        clear_caches()
+        for name, cache in caches.items():
+            info = cache.cache_info()
+            assert info.maxsize is not None, name
+            assert info.currsize == 0, name
+
+
+class TestSharedModules:
+    def test_rebinding_a_field_is_refused(self):
+        sctx = SpechtContext.generic(3)
+        lam = Partition((2, 1))
+        module = specht_module(lam, sctx)
+        det = module.gram_determinant()
+        swapped = (module.action[1], module.action[0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            module.action = swapped
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            module.extra = None
+        assert specht_module(lam, sctx).gram_determinant() == det
+
+    def test_memos_take_no_part_in_equality_or_repr(self):
+        sctx = SpechtContext.at_value(4, PrimeField(3), 2)
+        module = specht_module(Partition((2, 1, 1)), sctx)
+        rebuilt = SpechtModule(
+            module.lam, module.sctx, module.basis, module.action, module.seed
+        )
+        assert module == rebuilt
+        shown = repr(rebuilt)
+        w = Permutation((2, 3, 1, 4))
+        module.character(w)
+        module.head_character(w)
+        assert module == rebuilt
+        assert repr(module) == repr(rebuilt) == shown
+        assert "_characters" not in shown and "_matrices" not in shown
+
+    def test_building_a_module_keeps_no_subspace(self):
+        def live_subspaces():
+            gc.collect()
+            return sum(isinstance(o, specht.SubspaceBasis) for o in gc.get_objects())
+
+        # No other test reads F_11 at q = 5, so this call builds the module.
+        sctx = SpechtContext.at_value(4, PrimeField(11), 5)
+        before = live_subspaces()
+        module = specht_module(Partition((2, 1, 1)), sctx)
+        assert live_subspaces() <= before
+        assert module.dimension == 3
 
 
 class TestMurphyProportionality:
@@ -405,6 +467,7 @@ class TestMurphyProportionality:
             ctx = sctx.hecke_context()
             for lam in partitions_of(n):
                 m = m_lambda(lam, sctx)
+                ideal = ideal_I(lam, sctx)
                 for _ in range(5):
                     imgs = list(range(1, n + 1))
                     rng.shuffle(imgs)
@@ -412,7 +475,6 @@ class TestMurphyProportionality:
                     sandwich = m * ctx.basis_element(w) * m
                     # must not raise, and the value is consistent with the form
                     value = gram_entry(m, (ctx.basis_element(w) * m), lam, sctx)
-                    ideal = ideal_I(lam, sctx)
                     residue = ideal.reduce_element(sandwich)
                     expected = ideal.reduce_element(m.scalar_mul(value))
                     assert residue == expected
