@@ -81,15 +81,22 @@ from .trace import (
     strictly_dominates,
     trace_of_braid,
 )
+from . import hecke as _hecke, specht as _specht
+
+# The cached functions themselves, bound at import: a caller that rebinds the
+# module attributes (a tracer, a test double) still has its caches cleared.
+_CACHES = (
+    _specht.specht_module,
+    _specht._perm_order,
+    _hecke._inverse_coefficients,
+)
 
 
 def clear_caches() -> None:
     """Empty the module-level caches, each a bounded lru cache: cell modules
     per (partition, context), coordinate orders and T_i^{-1} coefficients."""
-    from . import hecke, specht
-    specht.specht_module.cache_clear()
-    specht._perm_order.cache_clear()
-    hecke._inverse_coefficients.cache_clear()
+    for cache in _CACHES:
+        cache.cache_clear()
 
 
 __all__ = [name for name in dir() if not name.startswith("_")]

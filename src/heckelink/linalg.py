@@ -1,14 +1,16 @@
 """Exact linear algebra over the supported coefficient fields.
 
-Vectors and matrices are plain Python lists of scalars.  Everything here
-divides exactly and never touches floating point.  There is one elimination
-routine, the reduced-row-echelon basis ``EchelonBasis``; ranks, kernels and
+Matrices are plain Python lists of scalars; vectors are lists too, or sparse
+``{column: value}`` dicts where they are long.  Everything here divides
+exactly and never touches floating point.  There is one elimination routine,
+the reduced-row-echelon basis ``EchelonBasis``; ranks, kernels and
 determinants insert the rows of their matrix into one and read the answer off
 the echelon rows, on every field alike.
 """
 
 from __future__ import annotations
 
+import bisect
 from typing import Sequence
 
 
@@ -19,72 +21,107 @@ class LinearAlgebraError(ValueError):
 class EchelonBasis:
     """A growing reduced-row-echelon basis of a fixed-dimension vector space.
 
-    Rows are kept fully reduced with pivot entries normalized to one and
-    pivot columns strictly increasing, so membership testing and coordinate
-    extraction are plain reduction sweeps.
+    Rows are stored sparsely, as ``{column: value}`` dicts of their nonzero
+    entries, with pivot entries normalized to one and pivot columns strictly
+    increasing.  Every row is zero in the pivot columns of the others, so a
+    vector v reduces in one pass, v - sum over pivots p of v[p] * row_p with
+    each v[p] read before any subtraction, and touches no column outside
+    the rows it meets.
+
+    Vectors go in dense, as sequences of length ``dimension``, or sparse, as
+    ``{column: value}`` dicts; ``reduce`` and ``insert`` answer in the form
+    they were given.  ``rows`` is a dense view for small matrices.
     """
 
     def __init__(self, dimension: int, zero, one):
         self.dimension = dimension
         self.zero = zero
         self.one = one
-        self.rows: list[list] = []
         self.pivots: list[int] = []
+        self._rows: dict[int, dict] = {}  # pivot column -> row
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
-    def reduce(self, vector: Sequence) -> list:
+    @property
+    def rows(self) -> list[list]:
+        """The rows as dense lists, in pivot order."""
+        return [self._dense(self._rows[p]) for p in self.pivots]
+
+    def sparse_rows(self) -> list[dict]:
+        """Copies of the rows as ``{column: value}`` dicts, in pivot order."""
+        return [dict(self._rows[p]) for p in self.pivots]
+
+    def _dense(self, v: dict) -> list:
+        out = [self.zero] * self.dimension
+        for j, c in v.items():
+            out[j] = c
+        return out
+
+    def reduce(self, vector: Sequence | dict) -> list | dict:
         """Fully reduce a copy of ``vector`` against the basis."""
-        v = list(vector)
-        for pivot, row in zip(self.pivots, self.rows):
-            c = v[pivot]
-            if c:
-                for j in range(pivot, self.dimension):
-                    rj = row[j]
-                    if rj:
-                        v[j] = v[j] - c * rj
-        return v
+        v = _sparse(vector)
+        rows = self._rows
+        for row, c in [(rows[p], -c) for p, c in v.items() if p in rows]:
+            _add_multiple(v, c, row)
+        return v if isinstance(vector, dict) else self._dense(v)
 
-    def coordinates(self, vector: Sequence) -> list | None:
+    def coordinates(self, vector: Sequence | dict) -> list | None:
         """Coordinates of ``vector`` in the basis rows, or None if it is not
         in the span.
 
         Each row is the only one nonzero in its pivot column, where it holds
         one, so a vector in the span has its own pivot entries as coordinates.
         """
-        if any(self.reduce(vector)):
+        v = _sparse(vector)
+        if self.reduce(v):
             return None
-        return [vector[pivot] or self.zero for pivot in self.pivots]
+        return [v.get(pivot, self.zero) for pivot in self.pivots]
 
-    def insert(self, vector: Sequence) -> list | None:
-        """Reduce and insert; returns the stored normalized row when the span
-        grew, None when the vector was already in the span."""
-        v = self.reduce(vector)
-        pivot = next((j for j, c in enumerate(v) if c), None)
-        if pivot is None:
+    def insert(self, vector: Sequence | dict) -> list | dict | None:
+        """Reduce and insert; returns a copy of the stored normalized row
+        when the span grew, None when the vector was already in the span."""
+        v = _sparse(self.reduce(vector))
+        if not v:
             return None
+        pivot = min(v)
         lead = v[pivot]
         if lead != self.one:
             inv = self.one / lead
-            v = [c * inv if c else c for c in v]
-        # Back-substitute into the existing rows to keep the basis reduced.
-        for row in self.rows:
-            c = row[pivot]
+            v = {j: c * inv for j, c in v.items()}
+        # Back-substitute into the existing rows to keep the basis reduced;
+        # only the new row's support changes.
+        for row in self._rows.values():
+            c = row.get(pivot)
             if c:
-                for j in range(pivot, self.dimension):
-                    vj = v[j]
-                    if vj:
-                        row[j] = row[j] - c * vj
-        at = next(
-            (k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots)
-        )
-        self.rows.insert(at, v)
-        self.pivots.insert(at, pivot)
-        return v
+                _add_multiple(row, -c, v)
+        self._rows[pivot] = v
+        bisect.insort(self.pivots, pivot)
+        return dict(v) if isinstance(vector, dict) else self._dense(v)
 
-    def contains(self, vector: Sequence) -> bool:
-        return not any(self.reduce(vector))
+    def contains(self, vector: Sequence | dict) -> bool:
+        return not self.reduce(_sparse(vector))
+
+
+def _add_multiple(v: dict, c, row: dict) -> None:
+    """v += c * row in place, for a nonzero c; entries that cancel are
+    dropped."""
+    for j, r in row.items():
+        x = v.get(j)
+        if x is None:
+            v[j] = c * r
+        else:
+            x = x + c * r
+            if x:
+                v[j] = x
+            else:
+                del v[j]
+
+
+def _sparse(vector: Sequence | dict) -> dict:
+    """The nonzero entries of a dense or sparse vector as a new dict."""
+    items = vector.items() if isinstance(vector, dict) else enumerate(vector)
+    return {j: c for j, c in items if c}
 
 
 def _echelon(rows: Sequence[Sequence], ncols: int, zero, one) -> EchelonBasis:

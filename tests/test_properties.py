@@ -1,6 +1,7 @@
 """Property tests for the Hecke product (the prefix-tree walk against the
-per-term reference fold, associativity, star as an antiautomorphism) and for
-the scalar layer (canonical forms, parse after render, exact coefficients)."""
+per-term reference fold, associativity, star as an antiautomorphism), for
+the scalar layer (canonical forms, parse after render, exact coefficients)
+and for the sparse echelon basis (sympy's RREF and a dense sweep)."""
 
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from heckelink.coefficients import (
     parse_scalar,
 )
 from heckelink.hecke import HeckeContext, HeckeElement
+from heckelink.linalg import EchelonBasis, determinant
 from test_hecke import FIELDS, _reference_product
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -134,3 +136,129 @@ def test_stored_coefficients_are_int_or_proper_fraction(a, b, den):
     x = canonicalize(a, den)
     for p in (a, b, a + b, a - b, a * b, x.num, x.den):
         assert _int_or_proper_fraction(p)
+
+
+# -- the sparse echelon basis ----------------------------------------------------
+
+ECHELON_FIELDS = {"Q": Rationals(), "F_3": PrimeField(3), "F_7": PrimeField(7)}
+ENTRIES = st.integers(-3, 3) | st.just(0)
+
+
+@st.composite
+def matrices(draw, square=False, probes=0):
+    """A small integer matrix read in one of the test fields, as rows, and
+    ``probes`` more integer vectors of its width."""
+    name = draw(st.sampled_from(sorted(ECHELON_FIELDS)))
+    field = ECHELON_FIELDS[name]
+    nrows = draw(st.integers(1, 5))
+    ncols = nrows if square else draw(st.integers(1, 6))
+    ints = draw(st.lists(
+        st.lists(ENTRIES, min_size=ncols, max_size=ncols),
+        min_size=nrows + probes, max_size=nrows + probes,
+    ))
+    rows = [[field.from_int(a) for a in row] for row in ints]
+    return (name, rows) if not probes else (name, rows[:nrows], rows[nrows:])
+
+
+def sympy_rref(name, m):
+    """The nonzero RREF rows and the pivots, computed by sympy: Matrix.rref
+    over Q, a DomainMatrix over GF(p) for F_p."""
+    sympy = pytest.importorskip("sympy")
+    field = ECHELON_FIELDS[name]
+    ints = [[int(x) if name == "Q" else x.value for x in row] for row in m]
+    if name == "Q":
+        rref, pivots = sympy.Matrix(ints).rref()
+        rows = rref.tolist()
+        read = lambda x: Fraction(int(x.p), int(x.q))  # noqa: E731
+    else:
+        from sympy.polys.matrices import DomainMatrix
+
+        gf = sympy.GF(field.p)
+        dm = DomainMatrix([[gf(a) for a in row] for row in ints], (len(m), len(m[0])), gf)
+        rref, pivots = dm.rref()
+        rows = rref.to_list()
+        read = lambda x: field.from_int(int(x))  # noqa: E731
+    return [[read(x) for x in row] for row in rows[: len(pivots)]], list(pivots)
+
+
+def sweep_reduce(rows, pivots, v):
+    """Dense sequential sweep: clear each pivot column in turn with the value
+    it holds at that moment; returns the remainder and the multipliers."""
+    v = list(v)
+    used = []
+    for pivot, row in zip(pivots, rows):
+        c = v[pivot]
+        used.append(c)
+        if c:
+            v = [a - c * b for a, b in zip(v, row)]
+    return v, used
+
+
+def sweep_determinant(m, zero, one):
+    """Dense Gaussian elimination with row swaps."""
+    m = [list(row) for row in m]
+    det = one
+    for col in range(len(m)):
+        r = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if r is None:
+            return zero
+        if r != col:
+            m[col], m[r] = m[r], m[col]
+            det = -det
+        det = det * m[col][col]
+        inv = one / m[col][col]
+        for k in range(col + 1, len(m)):
+            f = m[k][col] * inv
+            if f:
+                m[k] = [a - f * b for a, b in zip(m[k], m[col])]
+    return det
+
+
+def _insert_all(name, m, as_dict):
+    field = ECHELON_FIELDS[name]
+    basis = EchelonBasis(len(m[0]), field.zero(), field.one())
+    for row, sparse in zip(m, as_dict):
+        given_row = {j: c for j, c in enumerate(row) if c} if sparse else row
+        grown = basis.insert(given_row)
+        assert grown is None or isinstance(grown, dict) == sparse
+    return field, basis
+
+
+@PROPERTY
+@given(matrices(), st.lists(st.booleans(), min_size=5, max_size=5))
+def test_echelon_rows_are_sympy_rref(named, as_dict):
+    name, m = named
+    _, basis = _insert_all(name, m, as_dict)
+    rows, pivots = sympy_rref(name, m)
+    assert basis.pivots == pivots
+    assert basis.rows == rows
+    assert basis.sparse_rows() == [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
+@PROPERTY
+@given(matrices(probes=3), st.lists(ENTRIES, min_size=5, max_size=5))
+def test_echelon_reduce_and_coordinates_match_a_dense_sweep(named, mix):
+    name, m, probes = named
+    field, basis = _insert_all(name, m, [True, False] * 3)
+    inside = [field.zero()] * len(m[0])
+    for c, row in zip(mix, m):
+        inside = [a + field.from_int(c) * b for a, b in zip(inside, row)]
+    for v in probes + [inside]:
+        sparse = {j: c for j, c in enumerate(v) if c}
+        rest, used = sweep_reduce(basis.rows, basis.pivots, v)
+        assert basis.reduce(v) == rest
+        assert basis.reduce(sparse) == {j: c for j, c in enumerate(rest) if c}
+        expected = None if any(rest) else used
+        assert basis.coordinates(v) == expected
+        assert basis.coordinates(sparse) == expected
+        assert basis.contains(v) == basis.contains(sparse) == (expected is not None)
+    assert basis.coordinates(inside) is not None
+
+
+@PROPERTY
+@given(matrices(square=True))
+def test_determinant_matches_a_dense_sweep(named):
+    name, m = named
+    field = ECHELON_FIELDS[name]
+    expected = sweep_determinant(m, field.zero(), field.one())
+    assert determinant(m, field.zero(), field.one()) == expected

@@ -14,6 +14,7 @@ import heckelink
 from heckelink import clear_caches, hecke, specht
 from heckelink.braid import BraidWord, Permutation
 from heckelink.coefficients import PrimeField, Rationals, quantum_e
+from heckelink.hecke import HeckeElement, fold_letter, left_multiply_generator
 from heckelink.linalg import EchelonBasis
 from heckelink.specht import (
     ProportionalityError,
@@ -29,7 +30,13 @@ from heckelink.specht import (
     specht_module,
     young_subgroup,
 )
-from heckelink.trace import Partition, decompose_closure, e_restricted, partitions_of
+from heckelink.trace import (
+    Partition,
+    decompose_closure,
+    e_restricted,
+    partitions_of,
+    strictly_dominates,
+)
 from test_hecke import _reference_product
 
 
@@ -137,6 +144,87 @@ class TestSubspaces:
         pivots = basis.echelon.pivots
         assert pivots == sorted(pivots)
         assert len(set(pivots)) == len(pivots)
+
+
+def _close(basis, seeds, step):
+    """Grow ``basis`` to the span of ``seeds`` closed under x -> step(x, i)
+    for i = 1, ..., n-1, with a worklist of the rows that grew it."""
+    n = basis.sctx.n
+    queue = [x for x in seeds if basis.insert_element(x) is not None]
+    while queue:
+        x = queue.pop()
+        for i in range(1, n):
+            image = step(x, i)
+            if basis.insert_element(image) is not None:
+                queue.append(image)
+
+
+def _closure_ideal(lam, sctx):
+    """The reference I^lam: the left ideals H m_mu, mu strictly dominating
+    lam, closed under right multiplication by the generators."""
+    ctx = sctx.hecke_context()
+    basis = specht.SubspaceBasis(sctx)
+    seeds = [
+        row
+        for mu in partitions_of(sctx.n)
+        if strictly_dominates(mu, lam)
+        for row in specht._coset_rows(mu, sctx, specht._coset_representatives(mu))
+    ]
+    _close(basis, seeds, lambda x, i: HeckeElement(ctx, fold_letter(x.terms, i, ctx)))
+    return basis
+
+
+def _closure_quotient(lam, sctx, ideal):
+    """The reference cell module: m_lam modulo the ideal, closed under left
+    multiplication by the generators modulo the ideal."""
+    quotient = specht.SubspaceBasis(sctx)
+    m_bar = ideal.reduce_element(m_lambda(lam, sctx))
+    _close(
+        quotient, [m_bar],
+        lambda x, i: ideal.reduce_element(left_multiply_generator(x, i)),
+    )
+    return quotient
+
+
+class TestMurphyAgainstClosure:
+    @pytest.mark.parametrize(
+        "make, max_n",
+        [
+            (SpechtContext.generic, 4),
+            (lambda n: SpechtContext.at_value(n, PrimeField(3), 2), 5),
+            (lambda n: SpechtContext.at_value(n, PrimeField(5), 2), 5),
+            (lambda n: SpechtContext.at_value(n, Rationals(), -1), 5),
+        ],
+        ids=["Q(q)", "F_3 at q=2", "F_5 at q=2", "Q at q=-1"],
+    )
+    def test_ideal_and_module_equal_the_closure(self, make, max_n):
+        for n in range(1, max_n + 1):
+            sctx = make(n)
+            for lam in partitions_of(n):
+                murphy = ideal_I(lam, sctx).echelon
+                closure = _closure_ideal(lam, sctx)
+                assert murphy.pivots == closure.echelon.pivots
+                assert murphy.sparse_rows() == closure.echelon.sparse_rows()
+                quotient = _closure_quotient(lam, sctx, closure)
+                module = specht_module(lam, sctx)
+                assert module.basis == tuple(quotient.rows_as_elements())
+
+    def test_a_missing_standard_tableau_is_caught(self, monkeypatch):
+        standard = specht._standard_representatives
+        monkeypatch.setattr(
+            specht, "_standard_representatives", lambda lam: standard(lam)[:-1]
+        )
+        sctx = SpechtContext.at_value(4, PrimeField(3), 2)
+        for lam in partitions_of(4):
+            with pytest.raises(ProportionalityError, match="dimension"):
+                specht_module.__wrapped__(lam, sctx)
+
+    def test_standard_representatives_count_standard_tableaux(self):
+        for n in range(1, 7):
+            for lam in partitions_of(n):
+                reps = specht._standard_representatives(lam)
+                assert reps[0] == Permutation.identity(n)
+                assert len(reps) == count_standard_tableaux(lam)
 
 
 class TestSpechtModules:
@@ -392,6 +480,14 @@ class TestClearCaches:
         assert after.basis == before.basis
         assert after.action == before.action
         assert after.gram == gram
+
+    def test_clears_the_caches_behind_rebound_names(self, monkeypatch):
+        cached = specht.specht_module
+        cached(Partition((2, 1)), SpechtContext.generic(3))
+        assert cached.cache_info().currsize
+        monkeypatch.setattr(specht, "specht_module", lambda *args: cached(*args))
+        clear_caches()
+        assert cached.cache_info().currsize == 0
 
     def test_coordinate_order_cache_is_bounded(self):
         assert specht._perm_order.cache_info().maxsize is not None
