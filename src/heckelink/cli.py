@@ -55,6 +55,7 @@ from .oracles import OracleError, exhaustive_word_closure, faulty_braid_image, s
 from .specht import (
     ProportionalityError,
     SpechtContext,
+    SpechtError,
     count_standard_tableaux,
     dim_D_lambda,
     specht_module,
@@ -466,7 +467,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (BraidError, HeckeError, CoefficientError, OracleError) as exc:
+    except (
+        BraidError, HeckeError, CoefficientError, OracleError, SpechtError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except FieldSelectionError as exc:

@@ -6,12 +6,21 @@ exactly and never touches floating point.  There is one elimination routine,
 the reduced-row-echelon basis ``EchelonBasis``; ranks, kernels and
 determinants insert the rows of their matrix into one and read the answer off
 the echelon rows, on every field alike.
+
+Over Q and F_p the basis computes on plain integers, since every operation on
+a scalar object costs a type check and an allocation: field scalars become
+integers where a vector enters the basis and field scalars again where one
+leaves it.  Over Q(q) it computes on the scalars themselves.
 """
 
 from __future__ import annotations
 
 import bisect
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
+
+from .coefficients import ContextMismatchError, PrimeFieldElement
 
 
 class LinearAlgebraError(ValueError):
@@ -22,15 +31,29 @@ class EchelonBasis:
     """A growing reduced-row-echelon basis of a fixed-dimension vector space.
 
     Rows are stored sparsely, as ``{column: value}`` dicts of their nonzero
-    entries, with pivot entries normalized to one and pivot columns strictly
-    increasing.  Every row is zero in the pivot columns of the others, so a
-    vector v reduces in one pass, v - sum over pivots p of v[p] * row_p with
-    each v[p] read before any subtraction, and touches no column outside
-    the rows it meets.
+    entries, with pivot columns strictly increasing.  Every row is zero in
+    the pivot columns of the others, so a vector v reduces in one pass,
+    v - sum over pivots p of v[p] * row_p with each v[p] read before any
+    subtraction, and touches no column outside the rows it meets.  Inserting
+    a row back-substitutes it into the others by the same pass.
+
+    What a row holds depends on the field, read once from the type of
+    ``zero``:
+
+    * over F_p, ints in [0, p), with pivot entries one;
+    * over Q, a primitive integer vector (the gcd of its entries divided
+      out) whose pivot entry a_p is positive, the row scale: the echelon row
+      is row / a_p.  A vector enters as integers u over a common denominator
+      d, and the pass clears the row scales too: with A the lcm of the a_p it
+      meets, A*u - sum over p of (A / a_p) * u[p] * row_p is A*d times the
+      remainder;
+    * over any other field, the field scalars, with pivot entries one.
 
     Vectors go in dense, as sequences of length ``dimension``, or sparse, as
-    ``{column: value}`` dicts; ``reduce`` and ``insert`` answer in the form
-    they were given.  ``rows`` is a dense view for small matrices.
+    ``{column: value}`` dicts, of field scalars; ``reduce`` and ``insert``
+    answer in the form they were given.  Every value handed out by
+    ``reduce``, ``insert``, ``coordinates``, ``rows`` and ``sparse_rows`` is
+    a field scalar again.  ``rows`` is a dense view for small matrices.
     """
 
     def __init__(self, dimension: int, zero, one):
@@ -39,6 +62,9 @@ class EchelonBasis:
         self.one = one
         self.pivots: list[int] = []
         self._rows: dict[int, dict] = {}  # pivot column -> row
+        self._scales: dict[int, int] = {}  # pivot column -> a_p, one off Q
+        self._rational = isinstance(zero, Fraction)
+        self._p = zero.p if isinstance(zero, PrimeFieldElement) else None
 
     def __len__(self) -> int:
         return len(self.pivots)
@@ -46,82 +72,143 @@ class EchelonBasis:
     @property
     def rows(self) -> list[list]:
         """The rows as dense lists, in pivot order."""
-        return [self._dense(self._rows[p]) for p in self.pivots]
+        return [
+            self._export(self._rows[p], self._scales[p], self.dimension)
+            for p in self.pivots
+        ]
 
     def sparse_rows(self) -> list[dict]:
-        """Copies of the rows as ``{column: value}`` dicts, in pivot order."""
-        return [dict(self._rows[p]) for p in self.pivots]
-
-    def _dense(self, v: dict) -> list:
-        out = [self.zero] * self.dimension
-        for j, c in v.items():
-            out[j] = c
-        return out
+        """The rows as ``{column: value}`` dicts, in pivot order."""
+        return [self._export(self._rows[p], self._scales[p]) for p in self.pivots]
 
     def reduce(self, vector: Sequence | dict) -> list | dict:
         """Fully reduce a copy of ``vector`` against the basis."""
-        v = _sparse(vector)
-        rows = self._rows
-        for row, c in [(rows[p], -c) for p, c in v.items() if p in rows]:
-            _add_multiple(v, c, row)
-        return v if isinstance(vector, dict) else self._dense(v)
+        v, d = self._import(vector)
+        scale = self._eliminate(v)
+        size = None if isinstance(vector, dict) else self.dimension
+        return self._export(v, scale * d, size)
 
     def coordinates(self, vector: Sequence | dict) -> list | None:
         """Coordinates of ``vector`` in the basis rows, or None if it is not
         in the span.
 
-        Each row is the only one nonzero in its pivot column, where it holds
-        one, so a vector in the span has its own pivot entries as coordinates.
+        Each row is the only one nonzero in its pivot column, where the echelon
+        row holds one, so a vector in the span has its own pivot entries as
+        coordinates.
         """
-        v = _sparse(vector)
-        if self.reduce(v):
-            return None
-        return [v.get(pivot, self.zero) for pivot in self.pivots]
+        v, d = self._import(vector)
+        coords = {k: v[p] for k, p in enumerate(self.pivots) if p in v}
+        self._eliminate(v)
+        return None if v else self._export(coords, d, len(self.pivots))
 
     def insert(self, vector: Sequence | dict) -> list | dict | None:
-        """Reduce and insert; returns a copy of the stored normalized row
+        """Reduce and insert; returns a copy of the stored echelon row
         when the span grew, None when the vector was already in the span."""
-        v = _sparse(self.reduce(vector))
+        v, _ = self._import(self.reduce(vector))
         if not v:
             return None
         pivot = min(v)
-        lead = v[pivot]
-        if lead != self.one:
-            inv = self.one / lead
-            v = {j: c * inv for j, c in v.items()}
-        # Back-substitute into the existing rows to keep the basis reduced;
-        # only the new row's support changes.
-        for row in self._rows.values():
-            c = row.get(pivot)
-            if c:
-                _add_multiple(row, -c, v)
-        self._rows[pivot] = v
+        row, scale = self._normalize(v, pivot)
+        rows, scales = self._rows, self._scales
+        rows[pivot], scales[pivot] = row, scale
+        # Back-substitute into the existing rows to keep the basis reduced.
+        for q, other in rows.items():
+            if q != pivot and pivot in other:
+                self._eliminate(other, [pivot])
+                rows[q], scales[q] = self._normalize(other, q)
         bisect.insort(self.pivots, pivot)
-        return dict(v) if isinstance(vector, dict) else self._dense(v)
+        size = None if isinstance(vector, dict) else self.dimension
+        return self._export(row, scale, size)
 
     def contains(self, vector: Sequence | dict) -> bool:
-        return not self.reduce(_sparse(vector))
+        v, _ = self._import(vector)
+        self._eliminate(v)
+        return not v
 
-
-def _add_multiple(v: dict, c, row: dict) -> None:
-    """v += c * row in place, for a nonzero c; entries that cancel are
-    dropped."""
-    for j, r in row.items():
-        x = v.get(j)
-        if x is None:
-            v[j] = c * r
-        else:
-            x = x + c * r
+    def _eliminate(self, w: dict, pivots: list[int] | None = None) -> int:
+        """The one elimination pass, in place: w becomes
+        A*w - sum over the pivots p of (A / a_p) * w[p] * row_p, with A the
+        lcm of their row scales a_p (one off Q), without zero entries and
+        reduced mod p over F_p.  The pivots default to those of the basis in
+        the support of w.  Returns A."""
+        rows, scales = self._rows, self._scales
+        if pivots is None:
+            pivots = [p for p in w if p in rows]
+        a = lcm(*(scales[p] for p in pivots)) if self._rational else 1
+        terms = [
+            (rows[p], -w[p] if a == scales[p] else -(a // scales[p]) * w[p])
+            for p in pivots
+        ]
+        if a != 1:
+            for j in w:
+                w[j] *= a
+        get = w.get
+        for row, m in terms:
+            for j, r in row.items():
+                x = get(j)
+                w[j] = m * r if x is None else x + m * r
+        # Only the columns of the rows met can change; past one row, one
+        # sweep over w is cheaper than the union of their columns.
+        p = self._p
+        for j in terms[0][0] if len(terms) == 1 else list(w):
+            x = w[j] if p is None else w[j] % p
             if x:
-                v[j] = x
+                w[j] = x
             else:
-                del v[j]
+                del w[j]
+        return a
 
+    def _normalize(self, w: dict, pivot: int) -> tuple[dict, int]:
+        """The stored row for the nonzero vector w with the given pivot, and
+        its row scale."""
+        lead = w[pivot]
+        if self._rational:
+            g = gcd(*w.values())
+            g = -g if lead < 0 else g
+            return (w if g == 1 else {j: x // g for j, x in w.items()}), lead // g
+        p = self._p
+        if p is not None:
+            if lead != 1:
+                inv = pow(lead, -1, p)
+                w = {j: x * inv % p for j, x in w.items()}
+        elif lead != self.one:
+            inv = self.one / lead
+            w = {j: c * inv for j, c in w.items()}
+        return w, 1
 
-def _sparse(vector: Sequence | dict) -> dict:
-    """The nonzero entries of a dense or sparse vector as a new dict."""
-    items = vector.items() if isinstance(vector, dict) else enumerate(vector)
-    return {j: c for j, c in items if c}
+    def _import(self, vector: Sequence | dict) -> tuple[dict, int]:
+        """The nonzero entries of a dense or sparse vector of field scalars as
+        a new dict of stored values, and their common denominator over Q (one
+        elsewhere)."""
+        items = vector.items() if isinstance(vector, dict) else enumerate(vector)
+        v = {j: c for j, c in items if c}
+        if self._rational:
+            d = lcm(*(c.denominator for c in v.values()))
+            return {j: c.numerator * (d // c.denominator) for j, c in v.items()}, d
+        p = self._p
+        if p is None:
+            return v, 1
+        for c in v.values():
+            if c.p != p:
+                raise ContextMismatchError(f"mixed characteristics {p} and {c.p}")
+        return {j: c.value for j, c in v.items()}, 1
+
+    def _export(self, w: dict, d: int, size: int | None = None) -> list | dict:
+        """w / d as field scalars: a dict, or a dense list of length
+        ``size``."""
+        if self._rational:
+            out = {j: Fraction(x, d) for j, x in w.items()}
+        elif self._p is not None:
+            p = self._p
+            out = {j: PrimeFieldElement(x, p) for j, x in w.items()}
+        else:
+            out = dict(w)
+        if size is None:
+            return out
+        dense = [self.zero] * size
+        for j, c in out.items():
+            dense[j] = c
+        return dense
 
 
 def _echelon(rows: Sequence[Sequence], ncols: int, zero, one) -> EchelonBasis:

@@ -33,7 +33,8 @@ is evaluated on first use, since characters (and so closure decompositions)
 never read the Gram matrix.  ``specht_module`` keeps the last 64 modules in
 an lru cache and hands them out frozen; the ideal I^lam is dropped once the
 action is built.  ``ideal_I``, ``module_basis_M`` and the reference form
-``gram_entry`` rebuild their subspaces on every call.
+``gram_entry`` rebuild their subspaces on every call.  Above n = ``MAX_N``
+``specht_module`` raises ``SpechtSizeError`` before any n!-length work.
 
 Both spans are built with no closure, so each insert grows them; their
 dimensions, sum (f^mu)^2 over mu strictly dominating lam and f^lam, are
@@ -43,6 +44,7 @@ validated against an independent standard-tableaux count, never assumed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -67,6 +69,16 @@ from .trace import Partition, partitions_of, strictly_dominates
 
 class SpechtError(ValueError):
     """Wrong parameter convention or malformed input."""
+
+
+class SpechtSizeError(SpechtError):
+    """A cell module above the size budget, refused before any work: vectors
+    in H_n have n! coordinates."""
+
+
+MAX_N = 7
+"""The largest n whose cell modules ``specht_module`` builds (7! = 5040
+coordinates per vector)."""
 
 
 class ProportionalityError(ArithmeticError):
@@ -538,6 +550,11 @@ def specht_module(lam: Partition, sctx: SpechtContext) -> SpechtModule:
     module is cached and shared; the ideal it is built from is not kept."""
     if lam.n != sctx.n:
         raise SpechtError(f"{lam.render()} is not a partition of {sctx.n}")
+    if sctx.n > MAX_N:
+        raise SpechtSizeError(
+            f"cell modules are limited to n <= {MAX_N}: n = {sctx.n} needs "
+            f"{math.factorial(sctx.n)} coordinates per vector"
+        )
     ideal = ideal_I(lam, sctx)
     quotient = SubspaceBasis(sctx)
     for row in _coset_rows(lam, sctx, _standard_representatives(lam)):

@@ -351,6 +351,20 @@ def test_criterion_11_cli_contract(capsys):
             "(2,1,1,1)\t4\t4\t1\n"
             "(1,1,1,1,1)\t1\t1\t1\n",
         ),
+        (
+            # non-integral Gram determinants: echelon rows over Q with row
+            # scales other than one
+            ["specht", "--n", "5", "--field", "rationals", "--q", "1/2"],
+            0,
+            "partition\tdim_S\tdim_D\tgram_det\n"
+            "(5)\t1\t1\t9765/1024\n"
+            "(4,1)\t4\t4\t5793783471/1073741824\n"
+            "(3,2)\t5\t5\t258339375/4294967296\n"
+            "(3,1,1)\t6\t6\t21717639/1073741824\n"
+            "(2,2,1)\t5\t5\t12005/8388608\n"
+            "(2,1,1,1)\t4\t4\t31/1024\n"
+            "(1,1,1,1,1)\t1\t1\t1\n",
+        ),
     ]
     for argv, expected_code, expected_out in cases:
         for _ in range(2):  # byte-identical repeats

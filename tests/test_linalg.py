@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from heckelink.coefficients import (
+    ContextMismatchError,
     PrimeField,
     RationalFunctionField,
     Rationals,
@@ -64,6 +65,12 @@ class TestEchelonBasis:
         eb.insert(fr([[1, 1]])[0])
         assert eb.contains(fr([[3, 3]])[0])
         assert not eb.contains(fr([[1, 0]])[0])
+
+    def test_mixed_characteristics_refused(self):
+        f3, f5 = PrimeField(3), PrimeField(5)
+        eb = EchelonBasis(2, f3.zero(), f3.one())
+        with pytest.raises(ContextMismatchError):
+            eb.insert([f5.one(), f5.zero()])
 
 
 class TestSolveAndDeterminant:

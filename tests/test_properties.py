@@ -15,13 +15,14 @@ from heckelink.braid import Permutation
 from heckelink.coefficients import (
     LaurentPoly,
     PrimeField,
+    PrimeFieldElement,
     RationalFunctionField,
     Rationals,
     canonicalize,
     parse_scalar,
 )
 from heckelink.hecke import HeckeContext, HeckeElement
-from heckelink.linalg import EchelonBasis, determinant
+from heckelink.linalg import EchelonBasis, determinant, kernel_basis
 from test_hecke import FIELDS, _reference_product
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -140,24 +141,44 @@ def test_stored_coefficients_are_int_or_proper_fraction(a, b, den):
 
 # -- the sparse echelon basis ----------------------------------------------------
 
-ECHELON_FIELDS = {"Q": Rationals(), "F_3": PrimeField(3), "F_7": PrimeField(7)}
+ECHELON_FIELDS = {
+    "Q": Rationals(),
+    "F_3": PrimeField(3),
+    "F_7": PrimeField(7),
+    "F_10007": PrimeField(10007),
+}
 ENTRIES = st.integers(-3, 3) | st.just(0)
+# Entries with denominators, so that the echelon rows over Q have row scales
+# other than one.
+FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=7) | st.just(0)
 
 
 @st.composite
 def matrices(draw, square=False, probes=0):
-    """A small integer matrix read in one of the test fields, as rows, and
-    ``probes`` more integer vectors of its width."""
+    """A small matrix over one of the test fields, as rows, and ``probes``
+    more vectors of its width: entries are small fractions over Q and small
+    integers read in F_p."""
     name = draw(st.sampled_from(sorted(ECHELON_FIELDS)))
     field = ECHELON_FIELDS[name]
     nrows = draw(st.integers(1, 5))
     ncols = nrows if square else draw(st.integers(1, 6))
-    ints = draw(st.lists(
-        st.lists(ENTRIES, min_size=ncols, max_size=ncols),
+    values = draw(st.lists(
+        st.lists(FRACTIONS if name == "Q" else ENTRIES, min_size=ncols, max_size=ncols),
         min_size=nrows + probes, max_size=nrows + probes,
     ))
-    rows = [[field.from_int(a) for a in row] for row in ints]
+    rows = [[field.from_fraction(a) for a in row] for row in values]
     return (name, rows) if not probes else (name, rows[:nrows], rows[nrows:])
+
+
+def assert_field_scalars(name, values):
+    """Every value is a scalar of the named field: a Fraction over Q, an
+    element of F_p with the right p, never a bare int."""
+    field = ECHELON_FIELDS[name]
+    for x in values:
+        if name == "Q":
+            assert type(x) is Fraction, repr(x)
+        else:
+            assert type(x) is PrimeFieldElement and x.p == field.p, repr(x)
 
 
 def sympy_rref(name, m):
@@ -165,16 +186,17 @@ def sympy_rref(name, m):
     over Q, a DomainMatrix over GF(p) for F_p."""
     sympy = pytest.importorskip("sympy")
     field = ECHELON_FIELDS[name]
-    ints = [[int(x) if name == "Q" else x.value for x in row] for row in m]
     if name == "Q":
-        rref, pivots = sympy.Matrix(ints).rref()
+        rows = [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m]
+        rref, pivots = sympy.Matrix(rows).rref()
         rows = rref.tolist()
         read = lambda x: Fraction(int(x.p), int(x.q))  # noqa: E731
     else:
         from sympy.polys.matrices import DomainMatrix
 
         gf = sympy.GF(field.p)
-        dm = DomainMatrix([[gf(a) for a in row] for row in ints], (len(m), len(m[0])), gf)
+        ints = [[gf(x.value) for x in row] for row in m]
+        dm = DomainMatrix(ints, (len(m), len(m[0])), gf)
         rref, pivots = dm.rref()
         rows = rref.to_list()
         read = lambda x: field.from_int(int(x))  # noqa: E731
@@ -221,6 +243,8 @@ def _insert_all(name, m, as_dict):
         given_row = {j: c for j, c in enumerate(row) if c} if sparse else row
         grown = basis.insert(given_row)
         assert grown is None or isinstance(grown, dict) == sparse
+        if grown is not None:
+            assert_field_scalars(name, grown.values() if sparse else grown)
     return field, basis
 
 
@@ -233,6 +257,8 @@ def test_echelon_rows_are_sympy_rref(named, as_dict):
     assert basis.pivots == pivots
     assert basis.rows == rows
     assert basis.sparse_rows() == [{j: x for j, x in enumerate(r) if x} for r in rows]
+    for dense, sparse in zip(basis.rows, basis.sparse_rows()):
+        assert_field_scalars(name, dense + list(sparse.values()))
 
 
 @PROPERTY
@@ -248,9 +274,12 @@ def test_echelon_reduce_and_coordinates_match_a_dense_sweep(named, mix):
         rest, used = sweep_reduce(basis.rows, basis.pivots, v)
         assert basis.reduce(v) == rest
         assert basis.reduce(sparse) == {j: c for j, c in enumerate(rest) if c}
+        assert_field_scalars(name, basis.reduce(v) + list(basis.reduce(sparse).values()))
         expected = None if any(rest) else used
         assert basis.coordinates(v) == expected
         assert basis.coordinates(sparse) == expected
+        if expected is not None:
+            assert_field_scalars(name, basis.coordinates(v) + basis.coordinates(sparse))
         assert basis.contains(v) == basis.contains(sparse) == (expected is not None)
     assert basis.coordinates(inside) is not None
 
@@ -261,4 +290,26 @@ def test_determinant_matches_a_dense_sweep(named):
     name, m = named
     field = ECHELON_FIELDS[name]
     expected = sweep_determinant(m, field.zero(), field.one())
-    assert determinant(m, field.zero(), field.one()) == expected
+    det = determinant(m, field.zero(), field.one())
+    assert det == expected
+    assert_field_scalars(name, [det])
+
+
+@PROPERTY
+@given(matrices())
+def test_kernel_basis_spans_the_null_space(named):
+    name, m = named
+    field = ECHELON_FIELDS[name]
+    kernel = kernel_basis(m, field.zero(), field.one())
+    _, pivots = sympy_rref(name, m)
+    free = [j for j in range(len(m[0])) if j not in pivots]
+    assert len(kernel) == len(free)
+    for k, v in enumerate(kernel):
+        assert_field_scalars(name, v)
+        assert [v[j] for j in free] == [field.one() if i == k else field.zero()
+                                        for i in range(len(free))]
+        for row in m:
+            total = field.zero()
+            for a, b in zip(row, v):
+                total = total + a * b
+            assert not total

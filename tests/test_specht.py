@@ -40,6 +40,40 @@ from heckelink.trace import (
 from test_hecke import _reference_product
 
 
+class TestSizeBudget:
+    """Cell modules above the size budget are refused before any n!-length
+    work: ``ideal_I``, the first such step, must never run."""
+
+    @pytest.fixture
+    def no_ideal(self, monkeypatch):
+        class IdealBuilt(Exception):
+            pass
+
+        def refuse(*args):
+            raise IdealBuilt
+
+        monkeypatch.setattr(specht, "ideal_I", refuse)
+        return IdealBuilt
+
+    def test_n_8_is_refused_and_names_the_limit(self, no_ideal):
+        sctx = SpechtContext.at_value(8, PrimeField(3), 2)
+        with pytest.raises(specht.SpechtSizeError, match=r"n <= 7: n = 8 needs 40320"):
+            specht_module(Partition((8,)), sctx)
+        assert issubclass(specht.SpechtSizeError, SpechtError)
+
+    def test_n_7_is_allowed(self, no_ideal):
+        with pytest.raises(no_ideal):
+            specht_module(Partition((7,)), SpechtContext.at_value(7, PrimeField(3), 2))
+
+    def test_cli_exits_2_with_one_line(self, no_ideal, capsys):
+        from heckelink.cli import main
+
+        assert main(["specht", "--n", "9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "n <= 7" in captured.err
+
+
 class TestYoungSubgroup:
     def test_trivial(self):
         assert young_subgroup(Partition((1, 1, 1))) == [Permutation.identity(3)]
