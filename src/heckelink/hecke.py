@@ -7,13 +7,13 @@ group.  Right multiplication by a generator is the folding rule
     T_w * T_i = T_{w s_i}                              if length goes up,
     T_w * T_i = (q1+q2) T_w - q1 q2 T_{w s_i}          otherwise,
 
-which is the quadratic relation (T_i - q1)(T_i - q2) = 0 in action.  A
-product x * y walks a prefix tree: every T_v in the support of y hangs off
-its parent T_{v s_i}, down to the identity, and a depth-first walk folds x
-by one generator per edge, so the products x * T_v share the folds along
-their common prefixes.  The tree's paths are reduced words chosen per
-support, so associativity of the product doubles as a confluence check and
-is exercised heavily by the test suite.
+which is the quadratic relation (T_i - q1)(T_i - q2) = 0 in action.  Right
+products walk a prefix tree: each T_v of a support hangs off T_{v s_i}, and
+x is folded once per edge, so the x * T_v share their common prefixes.  The
+product x * y sums them over y; the cell modules read Murphy's vectors off
+the same walk.  The tree's paths are reduced words chosen per support, so
+associativity of the product doubles as a confluence check and is exercised
+heavily by the test suite.
 
 The generators are units:
 
@@ -264,22 +264,16 @@ def _multiply_generator(
     return out
 
 
-def _right_product(left: Mapping, right: Mapping, q_sum, q_prod) -> dict:
-    """The product left * right of two coordinate dicts.
-
-    Every v in the support of ``right`` hangs off its parent v s_i, with i
-    the last letter of its reduced word, so v and its ancestors form a tree
-    rooted at the identity.  A depth-first walk folds ``left`` by one
-    generator per edge and adds d (left T_v) wherever ``right`` holds v with
-    coefficient d.
-    """
-    product: dict[Permutation, object] = {}
-    if not right:
-        return product
-    root = Permutation.identity(next(iter(right)).degree)
+def _prefix_products(left: Mapping, support, q_sum, q_prod):
+    """Yield (v, left * T_v), a dict not to be mutated, for each v in
+    ``support``.  Each v hangs off v s_i, i the last letter of its reduced
+    word, down to the identity; a depth-first walk folds once per edge."""
+    if not support:
+        return
+    root = Permutation.identity(next(iter(support)).degree)
     children: dict[Permutation, list] = {}
     linked = {root}
-    for v in right:
+    for v in support:
         while v not in linked:
             linked.add(v)
             i = v.reduced_word()[-1]
@@ -291,16 +285,23 @@ def _right_product(left: Mapping, right: Mapping, q_sum, q_prod) -> dict:
         v, i, cur = stack.pop()
         if i:
             cur = _multiply_generator(cur, i, False, False, q_sum, q_prod)
-        d = right.get(v)
-        if d:
-            for u, c in cur.items():
-                s = product.get(u)
-                s = c * d if s is None else s + c * d
-                if s:
-                    product[u] = s
-                else:
-                    product.pop(u, None)
+        if v in support:
+            yield v, cur
         stack.extend((child, j, cur) for j, child in children.get(v, ()))
+
+
+def _right_product(left: Mapping, right: Mapping, q_sum, q_prod) -> dict:
+    """left * right: the sum of d (left * T_v) over the terms d T_v of right."""
+    product: dict[Permutation, object] = {}
+    for v, cur in _prefix_products(left, right, q_sum, q_prod):
+        d = right[v]
+        for u, c in cur.items():
+            s = product.get(u)
+            s = c * d if s is None else s + c * d
+            if s:
+                product[u] = s
+            else:
+                product.pop(u, None)
     return product
 
 

@@ -102,9 +102,10 @@ class EchelonBasis:
         return None if v else self._export(coords, d, len(self.pivots))
 
     def insert(self, vector: Sequence | dict) -> list | dict | None:
-        """Reduce and insert; returns a copy of the stored echelon row
-        when the span grew, None when the vector was already in the span."""
-        v, _ = self._import(self.reduce(vector))
+        """Reduce in one pass and insert; returns a copy of the stored echelon
+        row when the span grew, None when the vector was already in the span."""
+        v, _ = self._import(vector)
+        self._eliminate(v)
         if not v:
             return None
         pivot = min(v)

@@ -14,11 +14,12 @@ be the generic variable or any specialized field value.  For a partition
 * I^lam is the two-sided ideal generated by the m_mu over all mu strictly
   dominating lam.  Murphy's basis (J. Algebra 173, 1995; Mathas, AMS ULS
   15, ch. 3) spans it directly: m_st = T_{d(s)} m_mu T_{d(t)^{-1}} over
-  those mu and the pairs of standard tableaux s, t of shape mu, where d(t)
-  is the coset representative that lists t row by row;
+  those mu and the pairs of standard tableaux s, t of shape mu, where the
+  coset representative d(t) lists t row by row; one prefix-tree walk over
+  the d(t)^{-1} yields the m_st of one s;
 * the cell module is M^lam modulo M^lam intersect I^lam, spanned by the
-  images of T_{d(s)} m_lam over the standard tableaux s of shape lam and
-  realized concretely by reducing them modulo an echelon basis of I^lam;
+  images of T_{d(s)} m_lam over the standard tableaux s of shape lam (m_lam
+  itself for d(s) = 1) and realized by reducing them modulo I^lam;
 * the bilinear form evaluates star(x) * y modulo I^lam, which by Murphy's
   proportionality is always a scalar multiple of m_lam; the scalar is the
   form value.  The Gram matrix is solved in the module's own coordinates:
@@ -29,12 +30,12 @@ be the generic variable or any specialized field value.  For a partition
   is nonzero exactly for e-restricted shapes.
 
 A cell module is built with its basis and generator action only.  The form
-is evaluated on first use, since characters (and so closure decompositions)
-never read the Gram matrix.  ``specht_module`` keeps the last 64 modules in
-an lru cache and hands them out frozen; the ideal I^lam is dropped once the
-action is built.  ``ideal_I``, ``module_basis_M`` and the reference form
-``gram_entry`` rebuild their subspaces on every call.  Above n = ``MAX_N``
-``specht_module`` raises ``SpechtSizeError`` before any n!-length work.
+is evaluated on first use, since characters never read the Gram matrix.
+``specht_module`` keeps the last 64 modules in an lru cache and hands them
+out frozen; the ideal I^lam is dropped once the action is built.
+``ideal_I``, ``module_basis_M`` and the reference form ``gram_entry``
+rebuild their subspaces on every call.  Above n = ``MAX_N`` all four raise
+``SpechtSizeError`` before any n!-length work.
 
 Both spans are built with no closure, so each insert grows them; their
 dimensions, sum (f^mu)^2 over mu strictly dominating lam and f^lam, are
@@ -60,7 +61,7 @@ from .coefficients import (
 from .hecke import (
     HeckeContext,
     HeckeElement,
-    fold_letter,
+    _prefix_products,
     left_multiply_generator,
 )
 from .linalg import EchelonBasis, determinant, kernel_basis, matrix_rank
@@ -77,8 +78,17 @@ class SpechtSizeError(SpechtError):
 
 
 MAX_N = 7
-"""The largest n whose cell modules ``specht_module`` builds (7! = 5040
-coordinates per vector)."""
+"""The largest n whose cell modules ``specht_module``, ``ideal_I`` and
+``module_basis_M`` build (7! = 5040 coordinates per vector)."""
+
+
+def _check_size(sctx: SpechtContext) -> None:
+    """Refuse n > MAX_N before any n!-length work."""
+    if sctx.n > MAX_N:
+        raise SpechtSizeError(
+            f"cell modules are limited to n <= {MAX_N}: n = {sctx.n} needs "
+            f"{math.factorial(sctx.n)} coordinates per vector"
+        )
 
 
 class ProportionalityError(ArithmeticError):
@@ -276,6 +286,7 @@ def _check_dimension(what: str, found: int, expected: int) -> None:
 def module_basis_M(lam: Partition, sctx: SpechtContext) -> SubspaceBasis:
     """Echelon basis of the left ideal generated by m_lam, built anew on each
     call, so the caller owns it."""
+    _check_size(sctx)
     basis = SubspaceBasis(sctx)
     for row in _coset_rows(lam, sctx, _coset_representatives(lam)):
         basis.insert_element(row)
@@ -289,12 +300,14 @@ def ideal_I(lam: Partition, sctx: SpechtContext) -> SubspaceBasis:
     The ideal has Murphy's basis m_st = T_{d(s)} m_mu T_{d(t)^{-1}} over
     those mu and the pairs s, t of standard tableaux of shape mu, so each
     m_st is inserted once and no closure runs.  T_{d(s)} m_mu is a coset
-    row; the right factor is folded along a reduced word of d(t)^{-1}.  The
-    dimension is checked against sum (f^mu)^2 from the tableaux count.
-    Built anew on each call, so the caller owns it.
+    row, and one prefix-tree walk over the d(t)^{-1} gives all its right
+    products.  The dimension is checked against sum (f^mu)^2 from the
+    tableaux count.  Built anew on each call, so the caller owns it.
     """
+    _check_size(sctx)
     basis = SubspaceBasis(sctx)
-    ctx = sctx.hecke_context()
+    _, index = _perm_order(sctx.n)
+    fc = sctx.field_context
     expected = 0
     # partitions_of lists the most dominant shapes first, which keeps the
     # echelon rows sparse: at n = 6 over F_3, reversed or sorted insertion
@@ -303,13 +316,11 @@ def ideal_I(lam: Partition, sctx: SpechtContext) -> SubspaceBasis:
         if not strictly_dominates(mu, lam):
             continue
         standard = _standard_representatives(mu)
-        words = [d.inverse().reduced_word() for d in standard]
+        inverses = dict.fromkeys(d.inverse() for d in standard)
         for row in _coset_rows(mu, sctx, standard):
-            for word in words:
-                terms = row.terms
-                for i in word:
-                    terms = fold_letter(terms, i, ctx)
-                basis.insert_element(HeckeElement(ctx, terms))
+            products = dict(_prefix_products(row.terms, inverses, fc.q_sum, fc.q_prod))
+            for v in inverses:
+                basis.echelon.insert({index[w]: c for w, c in products[v].items()})
         expected += count_standard_tableaux(mu) ** 2
     _check_dimension(f"I^{lam.render()}", basis.dimension, expected)
     return basis
@@ -336,7 +347,6 @@ class SpechtModule:
     action: tuple  # action[i-1] is the matrix of T_i, column convention
     seed: tuple  # coordinates of m_lam modulo the ideal; it generates the module
     _matrices: dict[Permutation, tuple] = _memo()
-    _characters: dict[Permutation, object] = _memo()
     _rad_matrices: dict[Permutation, tuple] = _memo()
 
     @property
@@ -355,11 +365,7 @@ class SpechtModule:
 
     def character(self, w: Permutation):
         """Trace of the action of T_w."""
-        cached = self._characters.get(w)
-        if cached is None:
-            cached = _trace(self.matrix(w), self.sctx.field_context.field.zero())
-            self._characters[w] = cached
-        return cached
+        return _trace(self.matrix(w), self.sctx.field_context.field.zero())
 
     @cached_property
     def gram(self) -> tuple:
@@ -550,22 +556,19 @@ def specht_module(lam: Partition, sctx: SpechtContext) -> SpechtModule:
     module is cached and shared; the ideal it is built from is not kept."""
     if lam.n != sctx.n:
         raise SpechtError(f"{lam.render()} is not a partition of {sctx.n}")
-    if sctx.n > MAX_N:
-        raise SpechtSizeError(
-            f"cell modules are limited to n <= {MAX_N}: n = {sctx.n} needs "
-            f"{math.factorial(sctx.n)} coordinates per vector"
-        )
+    _check_size(sctx)
     ideal = ideal_I(lam, sctx)
     quotient = SubspaceBasis(sctx)
-    for row in _coset_rows(lam, sctx, _standard_representatives(lam)):
-        quotient.insert_element(ideal.reduce_element(row))
+    rows = _coset_rows(lam, sctx, _standard_representatives(lam))
+    reduced = [ideal.echelon.reduce(_to_sparse(row, sctx)) for row in rows]
+    for vec in reduced:
+        quotient.echelon.insert(vec)
     _check_dimension(
         f"the cell module {lam.render()}", quotient.dimension,
         count_standard_tableaux(lam),
     )
     basis = tuple(quotient.rows_as_elements())
-    m_bar = ideal.reduce_element(m_lambda(lam, sctx))
-    seed = tuple(quotient.echelon.coordinates(_to_sparse(m_bar, sctx)))
+    seed = tuple(quotient.echelon.coordinates(reduced[0]))  # m_lam: d = 1 is first
     message = f"generator action left the cell module for {lam.render()}"
     action = tuple(
         _coordinate_matrix(

@@ -20,6 +20,7 @@ from heckelink.hecke import (
     HeckeElement,
     HeckeError,
     _multiply_generator,
+    _prefix_products,
     _right_product,
     from_braid_word,
     left_multiply_generator,
@@ -164,12 +165,13 @@ class TestRightProducts:
                 y = random_element(rng, ctx, rng.randrange(0, 7))
                 assert x * y == _reference_product(x, y)
 
-    @pytest.mark.parametrize("name", FIELDS)
-    def test_shared_walk_matches_reference(self, name):
+    @staticmethod
+    def _walk_cases(name):
+        """(left, right) pairs over n <= 5, with empty, identity, single-term
+        and overlapping right supports."""
         rng = random.Random(14)
         for n in (1, 2, 3, 4, 5):
             ctx = HeckeContext(n, FIELDS[name])
-            fc = ctx.field
             for _ in range(4):
                 left = random_element(rng, ctx, rng.randrange(1, 8))
                 y = random_element(rng, ctx, 8)
@@ -181,10 +183,27 @@ class TestRightProducts:
                 ]
                 for lhs in (left, ctx.zero_element(), ctx.identity()):
                     for r in rights:
-                        product = _right_product(
-                            lhs.terms, r.terms, fc.q_sum, fc.q_prod
-                        )
-                        assert HeckeElement(ctx, product) == _reference_product(lhs, r)
+                        yield lhs, r
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_shared_walk_matches_reference(self, name):
+        for lhs, r in self._walk_cases(name):
+            fc = lhs.context.field
+            product = _right_product(lhs.terms, r.terms, fc.q_sum, fc.q_prod)
+            assert HeckeElement(lhs.context, product) == _reference_product(lhs, r)
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_prefix_products_match_reference(self, name):
+        # the walk yields left * T_v once for every v of the support
+        for lhs, r in self._walk_cases(name):
+            ctx = lhs.context
+            fc = ctx.field
+            support = set(r.terms)
+            walked = dict(_prefix_products(lhs.terms, support, fc.q_sum, fc.q_prod))
+            assert walked.keys() == support
+            for v, terms in walked.items():
+                basis = HeckeElement(ctx, {v: fc.one()})
+                assert HeckeElement(ctx, terms) == _reference_product(lhs, basis)
 
     def test_no_right_factors(self):
         # a right factor without terms: the walk has no tree and yields zero

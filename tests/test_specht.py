@@ -65,6 +65,23 @@ class TestSizeBudget:
         with pytest.raises(no_ideal):
             specht_module(Partition((7,)), SpechtContext.at_value(7, PrimeField(3), 2))
 
+    def test_public_builders_refuse_n_8(self, monkeypatch):
+        # ideal_I, module_basis_M and gram_entry refuse before the coordinate
+        # order of the n! permutations is built
+        class CoordinatesBuilt(Exception):
+            pass
+
+        def refuse(*args):
+            raise CoordinatesBuilt
+
+        monkeypatch.setattr(specht, "_perm_order", refuse)
+        sctx = SpechtContext.at_value(8, PrimeField(3), 2)
+        one = sctx.hecke_context().identity()
+        builders = (ideal_I, module_basis_M, lambda *a: gram_entry(one, one, *a))
+        for build in builders:
+            with pytest.raises(specht.SpechtSizeError, match=r"n <= 7: n = 8 needs"):
+                build(Partition((8,)), sctx)
+
     def test_cli_exits_2_with_one_line(self, no_ideal, capsys):
         from heckelink.cli import main
 
@@ -171,6 +188,22 @@ class TestSubspaces:
         assert module_basis_M(lam, sctx).insert_element(identity) is not None
         assert ideal_I(lam, sctx).dimension == ideal_dim
         assert module_basis_M(lam, sctx).dimension == module_dim
+
+    def test_murphy_vectors_share_prefix_folds(self, monkeypatch):
+        # one prefix-tree walk per coset row: 282 generator folds over the
+        # partitions of 5, where folding each d(t)^{-1} on its own takes 590
+        folds = []
+        multiply = hecke._multiply_generator
+
+        def counting_multiply(*args):
+            folds.append(args[1])
+            return multiply(*args)
+
+        monkeypatch.setattr(hecke, "_multiply_generator", counting_multiply)
+        sctx = SpechtContext.at_value(5, PrimeField(3), 2)
+        for lam in partitions_of(5):
+            ideal_I(lam, sctx)
+        assert len(folds) == 282
 
     def test_echelon_pivots_increase(self):
         sctx = SpechtContext.generic(4)
@@ -400,18 +433,18 @@ class TestGram:
         folds = []
         lengths = []
         multiply = hecke._multiply_generator
-        reduce = EchelonBasis.reduce
+        insert = EchelonBasis.insert
 
         def counting_multiply(*args):
             folds.append(args[1])
             return multiply(*args)
 
-        def recording_reduce(basis, vector):
+        def recording_insert(basis, vector):
             lengths.append(len(vector))
-            return reduce(basis, vector)
+            return insert(basis, vector)
 
         monkeypatch.setattr(hecke, "_multiply_generator", counting_multiply)
-        monkeypatch.setattr(EchelonBasis, "reduce", recording_reduce)
+        monkeypatch.setattr(EchelonBasis, "insert", recording_insert)
         assert len(mod.gram) == mod.dimension == 6
         assert folds == []
         assert lengths and max(lengths) == 2 * mod.dimension
