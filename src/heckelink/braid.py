@@ -23,6 +23,12 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
+# Braid words on more strands are refused: the T_w basis has n! elements and
+# the permutation kernels are quadratic in n, so larger counts only run out of
+# time or memory.
+MAX_STRANDS = 64
+
+
 class BraidError(ValueError):
     """Invalid braid word or illegal move."""
 
@@ -171,6 +177,10 @@ class BraidWord:
     def __init__(self, strands: int, letters: Iterable[int] = ()):
         if strands < 1:
             raise BraidError(f"strand count must be >= 1, got {strands}")
+        if strands > MAX_STRANDS:
+            raise BraidError(
+                f"strand count {strands} exceeds the limit of {MAX_STRANDS}"
+            )
         letters = tuple(letters)
         for pos, j in enumerate(letters):
             if j == 0 or not 1 <= abs(j) <= strands - 1:

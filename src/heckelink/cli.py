@@ -353,12 +353,7 @@ def _quick_suites(image_fn):
 
 
 def cmd_verify(args) -> int:
-    if args.inject_fault:
-        image_fn = faulty_braid_image
-    else:
-        field = generic_field_context()
-        image_fn = lambda b: from_braid_word(b, HeckeContext(b.strands, field))
-
+    image_fn = faulty_braid_image if args.inject_fault else None
     if args.exhaustive:
         report = exhaustive_word_closure(args.n, args.max_len, image_fn=image_fn)
         if args.format == "json":
@@ -372,6 +367,10 @@ def cmd_verify(args) -> int:
                 )
             print("violations:", len(report["violations"]))
         return EXIT_OK if not report["violations"] else EXIT_INTERNAL
+
+    if image_fn is None:
+        field = generic_field_context()
+        image_fn = lambda b: from_braid_word(b, HeckeContext(b.strands, field))
 
     suites = []
     total_failures = 0

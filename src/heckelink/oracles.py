@@ -9,9 +9,13 @@ values.
 
 ``exhaustive_word_closure`` enumerates every braid word up to a length bound
 and checks that each single rewrite (free cancellation, far commutation, or
-a braid-relation triple) leaves the algebra image unchanged.  The image map
-is injectable so a corrupted pipeline can be shown to fail;
-``faulty_braid_image`` provides one with the quadratic sign flipped.
+a braid-relation triple) leaves the algebra image unchanged.  Images are
+folded along the depth-first walk: a word's image is its parent's with one
+more letter folded, and a rewrite's is folded onto the image of the longest
+prefix it shares with a word or rewrite already folded.  The image map is
+injectable so a corrupted pipeline can be shown to fail; an injected map is
+called once per word, and ``faulty_braid_image`` provides one with the
+quadratic sign flipped.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Callable, Mapping
 
 from .braid import BraidWord, Permutation
 from .coefficients import generic_field_context
-from .hecke import HeckeContext, HeckeElement, _multiply_generator, from_braid_word
+from .hecke import HeckeContext, HeckeElement, _multiply_generator, fold_letter
 
 
 class OracleError(ValueError):
@@ -59,15 +63,21 @@ def sga_delta(w: Permutation, one) -> dict[Permutation, object]:
 # -- exhaustive word checking -----------------------------------------------------
 
 
-def _single_rewrites(letters: tuple[int, ...]) -> list[tuple[str, tuple[int, ...]]]:
-    """All words one move away: cancellation, far commutation, braid triple."""
+def _single_rewrites(
+    letters: tuple[int, ...],
+) -> list[tuple[str, int, tuple[int, ...]]]:
+    """All words one move away: cancellation, far commutation, braid triple.
+
+    Each comes as (move, k, rewritten), where the rewritten word keeps the
+    first k letters of ``letters`` and differs at position k.
+    """
     out = []
     for k in range(len(letters) - 1):
         x, y = letters[k], letters[k + 1]
         if x == -y:
-            out.append(("cancel", letters[:k] + letters[k + 2 :]))
+            out.append(("cancel", k, letters[:k] + letters[k + 2 :]))
         if abs(abs(x) - abs(y)) >= 2:
-            out.append(("commute", letters[:k] + (y, x) + letters[k + 2 :]))
+            out.append(("commute", k, letters[:k] + (y, x) + letters[k + 2 :]))
     for k in range(len(letters) - 2):
         x, y, z = letters[k], letters[k + 1], letters[k + 2]
         if (
@@ -75,7 +85,7 @@ def _single_rewrites(letters: tuple[int, ...]) -> list[tuple[str, tuple[int, ...
             and abs(abs(x) - abs(y)) == 1
             and (x > 0) == (y > 0)
         ):
-            out.append(("braid", letters[:k] + (y, x, y) + letters[k + 3 :]))
+            out.append(("braid", k, letters[:k] + (y, x, y) + letters[k + 3 :]))
     return out
 
 
@@ -86,6 +96,17 @@ def exhaustive_word_closure(
 ) -> dict:
     """Check every single-move rewrite on every word up to the length bound.
 
+    By default images are folded along the depth-first walk.  A visited
+    word's image is its parent's with its last letter folded.  When a move
+    lies inside the parent word, the rewritten word is the parent's rewrite
+    with that letter appended, so its image is the parent's rewrite image
+    with one fold.  Any other rewrite keeps the word's first k letters, and
+    its remaining letters are folded onto the image of those k letters,
+    kept on a prefix stack.  ``from_braid_word`` folds the same letters from
+    the identity in the same order and passes through each of these
+    starting images, so every image equals the one it builds.  An injected
+    ``image_fn`` is called once per word, visited or rewritten.
+
     Exponential by nature and guarded accordingly; the report carries the
     number of checks and any violating pairs.
     """
@@ -95,19 +116,38 @@ def exhaustive_word_closure(
             f"(asked for n={n}, max_len={max_len})"
         )
     ctx = HeckeContext(n, generic_field_context())
-    if image_fn is None:
-        image_fn = lambda b: from_braid_word(b, ctx)
-
     alphabet = [j for i in range(1, n) for j in (i, -i)]
     checked = 0
     violations: list[dict] = []
+    # prefixes[k] is the image of the visited word's first k letters.
+    prefixes = [ctx.identity().terms]
 
-    def visit(letters: tuple[int, ...]) -> None:
+    def image(word: tuple[int, ...], k: int, start):
+        """Image of ``word``, given the image ``start`` of its first k letters."""
+        if image_fn is not None:
+            return image_fn(BraidWord(n, word))
+        for letter in word[k:]:
+            start = fold_letter(start, letter, ctx)
+        return start
+
+    def visit(letters: tuple[int, ...], parent_images: dict) -> None:
+        """``parent_images`` maps the (move, k) of each rewrite of the parent
+        word to its image; the same move rewrites ``letters`` to that rewrite
+        with the last letter appended."""
         nonlocal checked
-        word_image = image_fn(BraidWord(n, letters))
-        for move, rewritten in _single_rewrites(letters):
+        depth = len(letters)
+        last = max(depth - 1, 0)
+        word_image = image(letters, last, prefixes[last])
+        prefixes[depth:] = [word_image]
+        images = {}
+        for move, k, rewritten in _single_rewrites(letters):
             checked += 1
-            if image_fn(BraidWord(n, rewritten)) != word_image:
+            shared = parent_images.get((move, k))
+            if shared is None:
+                images[move, k] = image(rewritten, k, prefixes[k])
+            else:
+                images[move, k] = image(rewritten, len(rewritten) - 1, shared)
+            if images[move, k] != word_image:
                 violations.append(
                     {
                         "word": list(letters),
@@ -115,11 +155,11 @@ def exhaustive_word_closure(
                         "rewritten": list(rewritten),
                     }
                 )
-        if len(letters) < max_len:
+        if depth < max_len:
             for j in alphabet:
-                visit(letters + (j,))
+                visit(letters + (j,), images)
 
-    visit(())
+    visit((), {})
     return {
         "n": n,
         "max_len": max_len,

@@ -239,6 +239,7 @@ class TestMalformedFieldSpec:
             (None, ["reduce", "--strands", "2", "--q", "3", "1"]),
             (None, ["homfly", "--strands", "2", "--q", "3", "1"]),
             (None, ["specht", "--n", "2", "--field", "rationals", "--p", "5", "--q", "2"]),
+            (None, ["reduce", "--strands", "99999999999", "1"]),
         ],
     )
     def test_exits_2_with_one_line(self, capsys, monkeypatch, env, argv):

@@ -5,9 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+import heckelink.hecke as hecke
 from heckelink.braid import BraidWord, Permutation, random_word
-from heckelink.coefficients import FieldContext, Rationals
-from heckelink.hecke import HeckeContext, from_braid_word, to_symmetric_group
+from heckelink.coefficients import FieldContext, Rationals, generic_field_context
+from heckelink.hecke import (
+    HeckeContext,
+    _multiply_generator,
+    from_braid_word,
+    to_symmetric_group,
+)
 from heckelink.oracles import (
     OracleError,
     exhaustive_word_closure,
@@ -67,6 +73,48 @@ class TestExhaustiveClosure:
         assert report["violations"] == []
         # every braid-relation, commutation, and cancellation site was visited
         assert report["checked"] > 1000
+        assert report["checked"] == 1480
+
+    @pytest.mark.parametrize("n, max_len", [(3, 5), (4, 4)])
+    def test_walk_equals_per_word_images(self, n, max_len):
+        ctx = HeckeContext(n, generic_field_context())
+        reference = exhaustive_word_closure(
+            n, max_len, image_fn=lambda b: from_braid_word(b, ctx)
+        )
+        assert exhaustive_word_closure(n, max_len) == reference
+
+    @pytest.mark.parametrize("n, max_len", [(2, 4), (3, 3)])
+    def test_walk_finds_a_faulty_fold_like_the_per_word_path(
+        self, monkeypatch, n, max_len
+    ):
+        def faulty_fold(terms, letter, ctx):
+            field = ctx.field
+            return _multiply_generator(
+                terms, abs(letter), False, False, field.q_sum, -field.q_prod
+            )
+
+        reference = exhaustive_word_closure(n, max_len, image_fn=faulty_braid_image)
+        monkeypatch.setattr("heckelink.oracles.fold_letter", faulty_fold)
+        report = exhaustive_word_closure(n, max_len)
+        assert report == reference
+        if (n, max_len) == (3, 3):
+            assert report["checked"] == 40
+            assert len(report["violations"]) == 36
+
+    def test_walk_folds_each_shared_prefix_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return _multiply_generator(*args)
+
+        monkeypatch.setattr(hecke, "_multiply_generator", counted)
+        exhaustive_word_closure(3, 4)
+        # 340 folds for the nonempty words and 220 for the 264 rewrites: one
+        # for each of the 160 inherited from the parent word, none for the 84
+        # cancellations at the end, three for each of the 20 braid triples at
+        # the end.  Folding every word from the identity takes 1,808.
+        assert len(calls) == 560
 
     def test_guard(self):
         with pytest.raises(OracleError):
