@@ -16,6 +16,10 @@ convention.  The environment variable HECKELINK_FIELD supplies a default
 ("generic", "rationals:VALUE", or "fp:P:VALUE").  A --p or --q that the
 selected field does not read is an input error.
 
+Output: every handler prints through ``_emit``, one JSON line under
+``--format json`` and the text lines otherwise.  The ``verify --quick``
+suites yield one pass/fail verdict per check; ``cmd_verify`` counts them.
+
 Exit codes: 0 success, 2 input or parse error (a malformed field spec
 included), 3 unsupported field for the requested operation, 4 internal
 invariant violation.
@@ -31,13 +35,7 @@ import sys
 from fractions import Fraction
 from typing import Callable
 
-from .braid import (
-    BraidError,
-    BraidWord,
-    parse_braid_word,
-    random_word,
-    stabilize,
-)
+from .braid import BraidError, BraidWord, parse_braid_word, random_word, stabilize
 from .coefficients import (
     CoefficientError,
     FieldContext,
@@ -63,6 +61,7 @@ from .specht import (
 from .trace import (
     b_lambda,
     decompose_closure,
+    e_restricted,
     markov_trace,
     partitions_of,
     trace_of_braid,
@@ -130,17 +129,26 @@ def _resolve_field(args, generic: Callable[[], FieldContext]) -> FieldContext:
     return one_parameter_context(field, q_value)
 
 
-def _require_generic(args, operation: str) -> None:
-    kind, _, _ = _field_spec(args)
-    if kind != "generic":
-        raise FieldSelectionError(
-            f"{operation} is only defined over the generic field; "
-            f"rerun without --field {kind}"
-        )
-
-
-def _parse_word(args) -> BraidWord:
+def _parse_word(args, operation: str | None = None) -> BraidWord:
+    """The braid word of a word command.  With an operation name, any field
+    but the generic one is refused first with FieldSelectionError."""
+    if operation is not None:
+        kind, _, _ = _field_spec(args)
+        if kind != "generic":
+            raise FieldSelectionError(
+                f"{operation} is only defined over the generic field; "
+                f"rerun without --field {kind}"
+            )
     return parse_braid_word(args.word, args.strands)
+
+
+def _emit(args, data, *lines: str) -> None:
+    """Print ``data`` as one JSON line under --format json, else ``lines``."""
+    if args.format == "json":
+        print(json.dumps(data))
+    else:
+        for line in lines:
+            print(line)
 
 
 # -- command handlers ---------------------------------------------------------
@@ -150,48 +158,27 @@ def cmd_reduce(args) -> int:
     word = _parse_word(args)
     field = _resolve_field(args, generic_field_context)
     element = from_braid_word(word, HeckeContext(word.strands, field))
-    if args.format == "json":
-        print(json.dumps(element.to_json()))
-    else:
-        print(element.render())
+    _emit(args, element.to_json(), element.render())
     return EXIT_OK
 
 
 def cmd_homfly(args) -> int:
-    _require_generic(args, "the two-variable invariant")
-    word = _parse_word(args)
-    value = homflypt(word)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {"num": value.num.render(), "den": value.den.render()}
-            )
-        )
-    else:
-        print(render_scalar(value))
+    value = homflypt(_parse_word(args, "the two-variable invariant"))
+    data = {"num": value.num.render(), "den": value.den.render()}
+    _emit(args, data, render_scalar(value))
     return EXIT_OK
 
 
 def cmd_jones(args) -> int:
-    _require_generic(args, "the one-variable invariant")
-    word = _parse_word(args)
-    value = jones(word)
-    if args.format == "json":
-        print(json.dumps(value.to_json()))
-    else:
-        print(value.render())
+    value = jones(_parse_word(args, "the one-variable invariant"))
+    _emit(args, value.to_json(), value.render())
     return EXIT_OK
 
 
 def cmd_decompose(args) -> int:
-    _require_generic(args, "closure decomposition")
-    word = _parse_word(args)
-    dec = decompose_closure(word)
-    if args.format == "json":
-        print(json.dumps(dec.to_json()))
-    else:
-        for lam, coeff in dec.items():
-            print(f"{lam.render()}: {render_scalar(coeff)}")
+    dec = decompose_closure(_parse_word(args, "closure decomposition"))
+    lines = (f"{lam.render()}: {render_scalar(coeff)}" for lam, coeff in dec.items())
+    _emit(args, dec.to_json(), *lines)
     return EXIT_OK
 
 
@@ -212,14 +199,8 @@ def cmd_specht(args) -> int:
                     "gram_det": render_scalar(module.gram_determinant()),
                 }
             )
-    if args.format == "json":
-        print(json.dumps(rows))
-    else:
-        print("partition\tdim_S\tdim_D\tgram_det")
-        for row in rows:
-            print(
-                f"{row['partition']}\t{row['dim_S']}\t{row['dim_D']}\t{row['gram_det']}"
-            )
+    lines = ("\t".join(str(value) for value in row.values()) for row in rows)
+    _emit(args, rows, "partition\tdim_S\tdim_D\tgram_det", *lines)
     return EXIT_OK
 
 
@@ -227,119 +208,91 @@ def cmd_specht(args) -> int:
 
 
 def _quick_suites(image_fn):
-    """Bounded deterministic property suites; each yields (name, checks, failures)."""
+    """Bounded deterministic property suites, as (name, suite) pairs.  Each
+    suite yields one verdict per check, True when the check passes.  All of
+    them draw from one seeded generator, in this order.  ``image_fn`` maps a
+    braid word to its Hecke image; None folds it over Q(q1, q2)."""
     rng = random.Random(_VERIFY_SEED)
     field = generic_field_context()
+    if image_fn is None:
+        image_fn = lambda b: from_braid_word(b, HeckeContext(b.strands, field))
 
     def braid_relations():
-        checks = failures = 0
         for n in (2, 3, 4):
             ctx = HeckeContext(n, field)
             for i in range(1, n - 1):
-                checks += 1
                 lhs = image_fn(BraidWord(n, [i, i + 1, i]))
                 rhs = image_fn(BraidWord(n, [i + 1, i, i + 1]))
-                failures += lhs != rhs
+                yield lhs == rhs
             for i in range(1, n):
                 for j in range(i + 2, n):
-                    checks += 1
-                    failures += image_fn(BraidWord(n, [i, j])) != image_fn(
-                        BraidWord(n, [j, i])
-                    )
+                    yield image_fn(BraidWord(n, [i, j])) == image_fn(BraidWord(n, [j, i]))
             for i in range(1, n):
-                checks += 1
                 t = ctx.generator_image(i)
                 quad = t * t - t.scalar_mul(field.q_sum) + ctx.identity().scalar_mul(
                     field.q_prod
                 )
-                failures += not quad.is_zero()
-            checks += 1
-            failures += image_fn(BraidWord(n, [1, -1])) != ctx.identity()
-        return checks, failures
+                yield quad.is_zero()
+            yield image_fn(BraidWord(n, [1, -1])) == ctx.identity()
 
     def multiplicativity():
-        checks = failures = 0
         for _ in range(60):
             n = rng.randrange(2, 5)
-            ctx = HeckeContext(n, field)
             u = random_word(rng, n, rng.randrange(0, 5))
             v = random_word(rng, n, rng.randrange(0, 5))
-            checks += 1
-            failures += image_fn(u.concat(v)) != image_fn(u) * image_fn(v)
-        return checks, failures
+            yield image_fn(u.concat(v)) == image_fn(u) * image_fn(v)
 
     def symmetric_group_oracle():
-        checks = failures = 0
         sym = FieldContext(Rationals(), Fraction(1), Fraction(-1))
         for _ in range(60):
             n = rng.randrange(2, 5)
             ctx = HeckeContext(n, sym)
             xu = from_braid_word(random_word(rng, n, 4), ctx)
             xv = from_braid_word(random_word(rng, n, 4), ctx)
-            checks += 1
-            failures += to_symmetric_group(xu * xv) != sga_mul(
+            yield to_symmetric_group(xu * xv) == sga_mul(
                 to_symmetric_group(xu), to_symmetric_group(xv)
             )
-        return checks, failures
 
     def trace_axioms():
-        checks = failures = 0
         one_plus = field.field.one() + field.q_prod
         for _ in range(20):
             n = rng.randrange(2, 4)
             ctx = HeckeContext(n, field)
             a = from_braid_word(random_word(rng, n, 3), ctx)
             b = from_braid_word(random_word(rng, n, 3), ctx)
-            checks += 1
-            failures += markov_trace(a * b) != markov_trace(b * a)
+            yield markov_trace(a * b) == markov_trace(b * a)
         for _ in range(15):
             n = rng.randrange(1, 4)
             b = random_word(rng, n, rng.randrange(0, 5))
-            checks += 2
-            failures += one_plus * trace_of_braid(b) != field.q_sum * trace_of_braid(
+            yield one_plus * trace_of_braid(b) == field.q_sum * trace_of_braid(
                 BraidWord(n + 1, b.letters)
             )
-            failures += trace_of_braid(stabilize(b, -1)) != trace_of_braid(b)
-        return checks, failures
+            yield trace_of_braid(stabilize(b, -1)) == trace_of_braid(b)
 
     def partition_traces():
-        checks = failures = 0
         delta = field.delta()
         for n in range(1, 6):
             for lam in partitions_of(n):
-                checks += 1
-                failures += trace_of_braid(b_lambda(lam)) != delta ** (lam.k - 1)
-        return checks, failures
+                yield trace_of_braid(b_lambda(lam)) == delta ** (lam.k - 1)
 
     def jones_against_bracket():
-        checks = failures = 0
-        trefoil = jones(BraidWord(2, [1, 1, 1]))
-        checks += 1
-        failures += trefoil.render() != "-t^4+t^3+t"
+        yield jones(BraidWord(2, [1, 1, 1])).render() == "-t^4+t^3+t"
         for _ in range(20):
             b = random_word(rng, rng.randrange(2, 4), rng.randrange(0, 8))
-            checks += 1
-            failures += jones(b) != jones_via_bracket(b)
-        return checks, failures
+            yield jones(b) == jones_via_bracket(b)
 
     def cell_modules():
-        checks = failures = 0
         for n in (2, 3):
             sctx = SpechtContext.generic(n)
             for lam in partitions_of(n):
                 module = specht_module(lam, sctx)
-                checks += 2
-                failures += module.dimension != count_standard_tableaux(lam)
-                failures += module.gram_rank() != module.dimension
+                yield module.dimension == count_standard_tableaux(lam)
+                yield module.gram_rank() == module.dimension
         f3 = PrimeField(3)
         e = quantum_e(f3.from_int(2))
-        from .trace import e_restricted
-
         for lam in partitions_of(3):
             sctx = SpechtContext.at_value(3, f3, 2)
-            checks += 1
-            failures += (dim_D_lambda(lam, sctx) > 0) != e_restricted(lam, e)
-        return checks, failures
+            yield (dim_D_lambda(lam, sctx) > 0) == e_restricted(lam, e)
 
     return [
         ("braid-relations", braid_relations),
@@ -356,44 +309,40 @@ def cmd_verify(args) -> int:
     image_fn = faulty_braid_image if args.inject_fault else None
     if args.exhaustive:
         report = exhaustive_word_closure(args.n, args.max_len, image_fn=image_fn)
-        if args.format == "json":
-            print(json.dumps(report))
-        else:
-            print(f"checked {report['checked']} rewrites on {report['n']} strands")
-            for violation in report["violations"]:
-                print(
-                    f"violation: {violation['move']} on {violation['word']} "
-                    f"-> {violation['rewritten']}"
-                )
-            print("violations:", len(report["violations"]))
-        return EXIT_OK if not report["violations"] else EXIT_INTERNAL
-
-    if image_fn is None:
-        field = generic_field_context()
-        image_fn = lambda b: from_braid_word(b, HeckeContext(b.strands, field))
+        violations = report["violations"]
+        _emit(
+            args,
+            report,
+            f"checked {report['checked']} rewrites on {report['n']} strands",
+            *(
+                f"violation: {v['move']} on {v['word']} -> {v['rewritten']}"
+                for v in violations
+            ),
+            f"violations: {len(violations)}",
+        )
+        return EXIT_INTERNAL if violations else EXIT_OK
 
     suites = []
-    total_failures = 0
     for name, suite in _quick_suites(image_fn):
-        checks, failures = suite()
-        total_failures += failures
-        suites.append({"name": name, "checks": checks, "failures": failures})
-    if args.format == "json":
-        print(json.dumps({"suites": suites, "ok": total_failures == 0}))
-    else:
-        for entry in suites:
-            status = "ok" if not entry["failures"] else "FAIL"
-            print(f"{status} {entry['name']} ({entry['checks']} checks)")
-        print("all checks passed" if not total_failures else "FAILURES DETECTED")
-    return EXIT_OK if total_failures == 0 else EXIT_INTERNAL
+        verdicts = list(suite())
+        suites.append(
+            {"name": name, "checks": len(verdicts), "failures": verdicts.count(False)}
+        )
+    ok = not any(entry["failures"] for entry in suites)
+    _emit(
+        args,
+        {"suites": suites, "ok": ok},
+        *(
+            f"{'FAIL' if entry['failures'] else 'ok'} {entry['name']} "
+            f"({entry['checks']} checks)"
+            for entry in suites
+        ),
+        "all checks passed" if ok else "FAILURES DETECTED",
+    )
+    return EXIT_OK if ok else EXIT_INTERNAL
 
 
 # -- argument plumbing --------------------------------------------------------------
-
-
-def _add_word_arguments(sub) -> None:
-    sub.add_argument("word", help="braid word, e.g. '1 -2 1' or 'B3: 1 -2 1'")
-    sub.add_argument("--strands", type=int, default=None, help="strand count")
 
 
 def _add_field_arguments(sub) -> None:
@@ -417,25 +366,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_reduce = sub.add_parser("reduce", help="expand a braid word in the T_w basis")
-    _add_word_arguments(p_reduce)
-    _add_field_arguments(p_reduce)
-    p_reduce.set_defaults(handler=cmd_reduce)
-
-    p_homfly = sub.add_parser("homfly", help="two-variable closure invariant")
-    _add_word_arguments(p_homfly)
-    _add_field_arguments(p_homfly)
-    p_homfly.set_defaults(handler=cmd_homfly)
-
-    p_jones = sub.add_parser("jones", help="Jones polynomial of the closure")
-    _add_word_arguments(p_jones)
-    _add_field_arguments(p_jones)
-    p_jones.set_defaults(handler=cmd_jones)
-
-    p_dec = sub.add_parser("decompose", help="closure coordinates by partition")
-    _add_word_arguments(p_dec)
-    _add_field_arguments(p_dec)
-    p_dec.set_defaults(handler=cmd_decompose)
+    for name, help_text, handler in (
+        ("reduce", "expand a braid word in the T_w basis", cmd_reduce),
+        ("homfly", "two-variable closure invariant", cmd_homfly),
+        ("jones", "Jones polynomial of the closure", cmd_jones),
+        ("decompose", "closure coordinates by partition", cmd_decompose),
+    ):
+        p_word = sub.add_parser(name, help=help_text)
+        p_word.add_argument("word", help="braid word, e.g. '1 -2 1' or 'B3: 1 -2 1'")
+        p_word.add_argument("--strands", type=int, default=None, help="strand count")
+        _add_field_arguments(p_word)
+        p_word.set_defaults(handler=handler)
 
     p_specht = sub.add_parser("specht", help="cell module table for all partitions")
     p_specht.add_argument("--n", type=int, required=True)
@@ -462,13 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (
-        BraidError, HeckeError, CoefficientError, OracleError, SpechtError
-    ) as exc:
+    except (BraidError, HeckeError, CoefficientError, OracleError, SpechtError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except FieldSelectionError as exc:

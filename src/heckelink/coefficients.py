@@ -677,16 +677,31 @@ def divide_by_power(x, base, k: int):
 # -- prime fields -------------------------------------------------------------
 
 
+_PRIME_BOUND = 2**64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
+    """Miller-Rabin over the first twelve prime bases, which no composite
+    below ``_PRIME_BOUND`` passes; callers refuse larger p."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -876,6 +891,8 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
+        if self.p >= _PRIME_BOUND:
+            raise CoefficientError(f"p = {self.p} is not below the bound 2^64")
         if not _is_prime(self.p):
             raise CoefficientError(f"{self.p} is not prime")
 

@@ -168,15 +168,14 @@ def exhaustive_word_closure(
     }
 
 
-def faulty_braid_image(b: BraidWord, field=None) -> HeckeElement:
+def faulty_braid_image(b: BraidWord) -> HeckeElement:
     """A deliberately corrupted braid image: every letter, inverse or not,
     is folded as T_i with the sign of the q1*q2 term in the quadratic rewrite
     flipped.  Exists so the exhaustive checker can demonstrate that it
     detects a broken pipeline.  (Flipping the sign for T_i^{-1} as well would
     give the image in another Hecke algebra, which no rewrite can tell
     apart.)"""
-    if field is None:
-        field = generic_field_context()
+    field = generic_field_context()
     q_sum, flipped = field.q_sum, -field.q_prod
     cur = {Permutation.identity(b.strands): field.one()}
     for letter in b.letters:

@@ -169,12 +169,49 @@ class TestSpecht:
         ]
 
 
+QUICK_SUITES = [
+    ("braid-relations", 13),
+    ("word-multiplicativity", 60),
+    ("symmetric-group-oracle", 60),
+    ("trace-axioms", 50),
+    ("partition-traces", 18),
+    ("jones-vs-bracket", 21),
+    ("cell-modules", 13),
+]
+
+
 class TestVerify:
     def test_quick(self, capsys):
         code, out, _ = run(capsys, "verify", "--quick")
         assert code == 0
-        assert out.endswith("all checks passed\n")
-        assert "FAIL" not in out
+        assert out == "".join(
+            f"ok {name} ({checks} checks)\n" for name, checks in QUICK_SUITES
+        ) + "all checks passed\n"
+
+    def test_quick_fault_injection_json(self, capsys):
+        # the corrupted image breaks only the suites that go through it
+        code, out, _ = run(capsys, "--format", "json", "verify", "--quick", "--inject-fault")
+        assert code == 4
+        failures = {"braid-relations": 3, "word-multiplicativity": 36}
+        assert json.loads(out) == {
+            "suites": [
+                {"name": name, "checks": checks, "failures": failures.get(name, 0)}
+                for name, checks in QUICK_SUITES
+            ],
+            "ok": False,
+        }
+
+    def test_exhaustive_fault_injection_text(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--exhaustive", "--n", "2", "--max-len", "3", "--inject-fault"
+        )
+        assert code == 4
+        lines = out.splitlines()
+        assert lines[0] == "checked 10 rewrites on 2 strands"
+        assert lines[-1] == "violations: 10"
+        assert len(lines) == 12
+        assert all(line.startswith("violation: cancel on ") for line in lines[1:-1])
+        assert "violation: cancel on [1, -1] -> []" in lines
 
     def test_exhaustive(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "verify", "--exhaustive", "--n", "3", "--max-len", "4")
@@ -240,6 +277,7 @@ class TestMalformedFieldSpec:
             (None, ["homfly", "--strands", "2", "--q", "3", "1"]),
             (None, ["specht", "--n", "2", "--field", "rationals", "--p", "5", "--q", "2"]),
             (None, ["reduce", "--strands", "99999999999", "1"]),
+            (None, ["specht", "--n", "2", "--field", "fp", "--p", str(2**64 + 13), "--q", "2"]),
         ],
     )
     def test_exits_2_with_one_line(self, capsys, monkeypatch, env, argv):

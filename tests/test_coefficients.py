@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from heckelink.coefficients import (
     RationalFunctionField,
     Rationals,
     SpecializationError,
+    _is_prime,
     canonicalize,
     divide_by_power,
     generic_field_context,
@@ -308,6 +310,33 @@ class TestPrimeField:
     def test_not_prime(self):
         with pytest.raises(CoefficientError):
             PrimeField(6)
+
+    @pytest.mark.parametrize("n", [561, 41041, 3215031751])
+    def test_pseudoprimes_rejected(self, n):
+        # Carmichael numbers, and the smallest strong pseudoprime to the
+        # bases 2, 3, 5 and 7
+        assert not _is_prime(n)
+        with pytest.raises(CoefficientError, match="not prime"):
+            PrimeField(n)
+
+    @pytest.mark.parametrize("p", [2**61 - 1, 10**16 + 61, 2**64 - 59])
+    def test_large_primes_accepted_quickly(self, p):
+        start = time.perf_counter()
+        assert PrimeField(p).p == p
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("p", [2**64, 2**64 + 13, 2**89 - 1])
+    def test_bound_refused(self, p):
+        with pytest.raises(CoefficientError, match=r"2\^64"):
+            PrimeField(p)
+
+    def test_trial_division_reference(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        assert [n for n in range(-3, 10**4) if _is_prime(n)] == [
+            n for n in range(-3, 10**4) if trial(n)
+        ]
 
     def test_fraction_image(self):
         f5 = PrimeField(5)

@@ -1,9 +1,14 @@
 """Property tests for the Hecke product (the prefix-tree walk against the
 per-term reference fold, associativity, star as an antiautomorphism), for
-the scalar layer (canonical forms, parse after render, exact coefficients)
-and for the sparse echelon basis (sympy's RREF and a dense sweep)."""
+the scalar layer (canonical forms, parse after render, exact coefficients),
+for the sparse echelon basis (sympy's RREF and a dense sweep) and for the
+command line (malformed input exits 2 or 3, never 1)."""
 
+import io
+import os
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -12,6 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from heckelink.braid import Permutation
+from heckelink.cli import main
 from heckelink.coefficients import (
     LaurentPoly,
     PrimeField,
@@ -313,3 +319,64 @@ def test_kernel_basis_spans_the_null_space(named):
             for a, b in zip(row, v):
                 total = total + a * b
             assert not total
+
+
+# -- command line -------------------------------------------------------------
+
+# Every input is kept small: at most 5 strands and 6 letters, specht tables up
+# to n = 4, and the exhaustive checker only up to 3 strands and length 3.
+FIELD_FLAGS = st.sampled_from(
+    [("--field", v) for v in ("generic", "rationals", "fp", "Fp", "FP", "q")]
+    + [("--p", v) for v in ("2", "3", "5", "4", "1", "-3", "x", str(2**64 + 13))]
+    + [("--q", v) for v in ("2", "1/2", "-1", "0", "1/0", "abc", "3")]
+)
+HECKELINK_FIELD = st.sampled_from(
+    [None] * 6 + ["", "generic", "generic:2", "rationals:2", "rationals:1/0",
+                  "fp:3:2", "FP:5:3", "fp:4:2", "fp:x:2", "fp:3", "bogus"]
+)
+LETTERS = st.lists(
+    st.sampled_from([str(i) for i in range(-6, 7) if i] + ["0", "x", "1/0"]),
+    max_size=6,
+).map(" ".join)
+
+
+@st.composite
+def cli_argv(draw):
+    argv = draw(st.sampled_from([[], [], ["--format", "json"], ["--format", "xml"]]))
+    command = draw(
+        st.sampled_from(["reduce", "homfly", "jones", "decompose", "specht", "verify", "x"])
+    )
+    argv.append(command)
+    if command == "verify":
+        argv += ["--exhaustive", "--n", str(draw(st.integers(-1, 3)))]
+        argv += ["--max-len", str(draw(st.integers(-1, 3)))]
+        return argv + draw(st.sampled_from([[], ["--inject-fault"]]))
+    if command == "specht":
+        argv += draw(st.sampled_from([[], ["--n"]] + [["--n", str(n)] for n in range(-1, 5)]))
+    for flag, value in draw(st.lists(FIELD_FLAGS, max_size=3)):
+        argv += [flag, value]
+    if command == "specht":
+        return argv
+    strands = draw(st.sampled_from(["1", "2", "3", "5", "0", "-1", "x", "B3:", "B5:", "B:"]))
+    if strands.startswith("B"):
+        return argv + [f"{strands} {draw(LETTERS)}"]
+    return argv + ["--strands", strands, draw(LETTERS)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cli_argv(), HECKELINK_FIELD)
+def test_malformed_cli_input_never_exits_1(argv, env):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+        os.environ.pop("HECKELINK_FIELD", None)
+        if env is not None:
+            os.environ["HECKELINK_FIELD"] = env
+        try:
+            code, from_main = main(argv), True
+        except SystemExit as exc:
+            code, from_main = exc.code, False
+    # a fault injected on purpose is the one way to exit 4
+    assert code in ({0, 2, 3, 4} if "--inject-fault" in argv else {0, 2, 3})
+    assert "Traceback" not in err.getvalue()
+    if code == 2 and from_main:
+        assert len(err.getvalue().splitlines()) == 1
