@@ -94,9 +94,11 @@ _CACHES = (
 
 def clear_caches() -> None:
     """Empty the module-level caches, each a bounded lru cache: cell modules
-    per (partition, context), coordinate orders and T_i^{-1} coefficients."""
+    per (partition, context), coordinate orders and T_i^{-1} coefficients;
+    and drop the one ideal ``specht_module`` holds for its next build."""
     for cache in _CACHES:
         cache.cache_clear()
+    _specht._held_ideal.clear()
 
 
 __all__ = [name for name in dir() if not name.startswith("_")]

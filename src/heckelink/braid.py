@@ -167,6 +167,14 @@ class Permutation:
         return f"Permutation({list(self.images)})"
 
 
+def _check_strands(strands: int) -> None:
+    """Refuse a strand count below 1 or above MAX_STRANDS."""
+    if strands < 1:
+        raise BraidError(f"strand count must be >= 1, got {strands}")
+    if strands > MAX_STRANDS:
+        raise BraidError(f"strand count {strands} exceeds the limit of {MAX_STRANDS}")
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """A word in the braid generators with a declared strand count."""
@@ -175,12 +183,7 @@ class BraidWord:
     letters: tuple[int, ...]
 
     def __init__(self, strands: int, letters: Iterable[int] = ()):
-        if strands < 1:
-            raise BraidError(f"strand count must be >= 1, got {strands}")
-        if strands > MAX_STRANDS:
-            raise BraidError(
-                f"strand count {strands} exceeds the limit of {MAX_STRANDS}"
-            )
+        _check_strands(strands)
         letters = tuple(letters)
         for pos, j in enumerate(letters):
             if j == 0 or not 1 <= abs(j) <= strands - 1:
@@ -233,6 +236,7 @@ def parse_braid_word(text: str, strands: int | None = None) -> BraidWord:
             body = rest
     if strands is None:
         raise BraidSyntaxError("no strand count given", position=0)
+    _check_strands(strands)
     letters = []
     pos = 0
     for chunk in body.replace(",", " ").split():

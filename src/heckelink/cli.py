@@ -186,9 +186,10 @@ def cmd_specht(args) -> int:
     n = args.n
     if n < 0:
         raise BraidError(f"n must be >= 0, got {n}")
+    field = _resolve_field(args, generic_one_parameter_context)
     rows = []
     if n > 0:
-        sctx = SpechtContext(n, _resolve_field(args, generic_one_parameter_context))
+        sctx = SpechtContext(n, field)
         for lam in partitions_of(n):
             module = specht_module(lam, sctx)
             rows.append(

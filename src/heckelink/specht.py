@@ -32,10 +32,13 @@ be the generic variable or any specialized field value.  For a partition
 A cell module is built with its basis and generator action only.  The form
 is evaluated on first use, since characters never read the Gram matrix.
 ``specht_module`` keeps the last 64 modules in an lru cache and hands them
-out frozen; the ideal I^lam is dropped once the action is built.
-``ideal_I``, ``module_basis_M`` and the reference form ``gram_entry``
-rebuild their subspaces on every call.  Above n = ``MAX_N`` all four raise
-``SpechtSizeError`` before any n!-length work.
+out frozen.  It also holds the ideal of the last module it built, never
+handed out, and grows it for the next shape when that shape's dominating
+set contains the held one, as it does along ``partitions_of`` order; so a
+table inserts each Murphy vector once.  ``ideal_I``, ``module_basis_M`` and
+the reference form ``gram_entry`` rebuild their subspaces on every call.
+Above n = ``MAX_N`` all four raise ``SpechtSizeError`` before any n!-length
+work.
 
 Both spans are built with no closure, so each insert grows them; their
 dimensions, sum (f^mu)^2 over mu strictly dominating lam and f^lam, are
@@ -293,37 +296,72 @@ def module_basis_M(lam: Partition, sctx: SpechtContext) -> SubspaceBasis:
     return basis
 
 
-def ideal_I(lam: Partition, sctx: SpechtContext) -> SubspaceBasis:
-    """Echelon basis of the two-sided ideal generated by the m_mu with mu
-    strictly dominating lam.
+def _insert_murphy(basis: SubspaceBasis, shapes: Sequence[Partition]) -> None:
+    """Insert Murphy's vectors m_st = T_{d(s)} m_mu T_{d(t)^{-1}} of each mu in
+    ``shapes``, over the pairs s, t of standard tableaux of shape mu.
 
-    The ideal has Murphy's basis m_st = T_{d(s)} m_mu T_{d(t)^{-1}} over
-    those mu and the pairs s, t of standard tableaux of shape mu, so each
-    m_st is inserted once and no closure runs.  T_{d(s)} m_mu is a coset
-    row, and one prefix-tree walk over the d(t)^{-1} gives all its right
-    products.  The dimension is checked against sum (f^mu)^2 from the
-    tableaux count.  Built anew on each call, so the caller owns it.
-    """
-    _check_size(sctx)
-    basis = SubspaceBasis(sctx)
+    T_{d(s)} m_mu is a coset row, and one prefix-tree walk over the
+    d(t)^{-1} gives all its right products.  ``partitions_of`` order lists the
+    most dominant shapes first, which keeps the echelon rows sparse: at n = 6
+    over F_3, reversed or sorted insertion orders took 2 to 11 times as long
+    for the same RREF."""
+    sctx = basis.sctx
     _, index = _perm_order(sctx.n)
     fc = sctx.field_context
-    expected = 0
-    # partitions_of lists the most dominant shapes first, which keeps the
-    # echelon rows sparse: at n = 6 over F_3, reversed or sorted insertion
-    # orders took 2 to 11 times as long for the same RREF.
-    for mu in partitions_of(sctx.n):
-        if not strictly_dominates(mu, lam):
-            continue
+    for mu in shapes:
         standard = _standard_representatives(mu)
         inverses = dict.fromkeys(d.inverse() for d in standard)
         for row in _coset_rows(mu, sctx, standard):
             products = dict(_prefix_products(row.terms, inverses, fc.q_sum, fc.q_prod))
             for v in inverses:
                 basis.echelon.insert({index[w]: c for w, c in products[v].items()})
-        expected += count_standard_tableaux(mu) ** 2
+
+
+def _grow_ideal(
+    lam: Partition, basis: SubspaceBasis, held: frozenset
+) -> tuple[frozenset, SubspaceBasis]:
+    """Grow ``basis``, which spans the Murphy vectors of the shapes in
+    ``held``, to I^lam; return the shapes strictly dominating lam with it.
+    The dimension is checked against sum (f^mu)^2 from the tableaux count."""
+    shapes = [mu for mu in partitions_of(lam.n) if strictly_dominates(mu, lam)]
+    _insert_murphy(basis, [mu for mu in shapes if mu not in held])
+    expected = sum(count_standard_tableaux(mu) ** 2 for mu in shapes)
     _check_dimension(f"I^{lam.render()}", basis.dimension, expected)
-    return basis
+    return frozenset(shapes), basis
+
+
+def ideal_I(lam: Partition, sctx: SpechtContext) -> SubspaceBasis:
+    """Echelon basis of the two-sided ideal generated by the m_mu with mu
+    strictly dominating lam.
+
+    The ideal has Murphy's basis m_st over those mu and the pairs s, t of
+    standard tableaux of shape mu, so each m_st is inserted once and no
+    closure runs.  The dimension is checked against sum (f^mu)^2 from the
+    tableaux count.  Built anew on each call, so the caller owns it.
+    """
+    _check_size(sctx)
+    return _grow_ideal(lam, SubspaceBasis(sctx), frozenset())[1]
+
+
+# The ideal of the last cell module built, as (sctx, its shapes, its basis),
+# grown in place for the next shape; one slot, never handed out.
+_held_ideal: list[tuple[SpechtContext, frozenset, SubspaceBasis]] = []
+
+
+def _take_ideal(
+    lam: Partition, sctx: SpechtContext
+) -> tuple[frozenset, SubspaceBasis]:
+    """``_grow_ideal`` from the held ideal when each of its shapes strictly
+    dominates lam, else from an empty one.  The entry leaves its slot while
+    in use, so concurrent builds never share it; the echelon form is unique,
+    so the rows equal those of ``ideal_I``."""
+    try:
+        held_sctx, held, basis = _held_ideal.pop()
+    except IndexError:
+        held_sctx = None
+    if held_sctx != sctx or not all(strictly_dominates(mu, lam) for mu in held):
+        held, basis = frozenset(), SubspaceBasis(sctx)
+    return _grow_ideal(lam, basis, held)
 
 
 # -- cell modules -----------------------------------------------------------------
@@ -553,11 +591,13 @@ def specht_module(lam: Partition, sctx: SpechtContext) -> SpechtModule:
     The basis is the echelon form of the images modulo I^lam of the coset
     rows T_{d(s)} m_lam over the standard tableaux s, Murphy's basis of the
     cell module; its dimension is checked against the tableaux count.  The
-    module is cached and shared; the ideal it is built from is not kept."""
+    module is cached and shared.  I^lam grows the held ideal of the previous
+    build when it can (``_take_ideal``) and is held in turn, never handed
+    out; ``clear_caches`` drops it."""
     if lam.n != sctx.n:
         raise SpechtError(f"{lam.render()} is not a partition of {sctx.n}")
     _check_size(sctx)
-    ideal = ideal_I(lam, sctx)
+    shapes, ideal = _take_ideal(lam, sctx)
     quotient = SubspaceBasis(sctx)
     rows = _coset_rows(lam, sctx, _standard_representatives(lam))
     reduced = [ideal.echelon.reduce(_to_sparse(row, sctx)) for row in rows]
@@ -581,6 +621,7 @@ def specht_module(lam: Partition, sctx: SpechtContext) -> SpechtModule:
         )
         for i in range(1, sctx.n)
     )
+    _held_ideal[:] = [(sctx, shapes, ideal)]
     return SpechtModule(lam, sctx, basis, action, seed)
 
 

@@ -37,6 +37,13 @@ class TestParsing:
         w = parse_braid_word("B3: 1, -2, 1")
         assert w.strands == 3 and w.letters == (1, -2, 1)
 
+    def test_strand_count_is_checked_before_letters(self):
+        for strands, message in ((-1, "must be >= 1, got -1"), (65, "limit of 64")):
+            with pytest.raises(BraidError, match=message):
+                parse_braid_word("1 70", strands)
+        with pytest.raises(BraidError, match="must be >= 1, got 0"):
+            parse_braid_word("B0: 1")
+
     def test_inline_conflict(self):
         with pytest.raises(BraidSyntaxError):
             parse_braid_word("B3: 1", 2)

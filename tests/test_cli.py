@@ -28,6 +28,15 @@ class TestReduce:
         assert code == 0
         assert out == "T[1,2]\n"
 
+    @pytest.mark.parametrize(
+        "strands, message",
+        [("-1", "strand count must be >= 1, got -1"), ("65", "exceeds the limit of 64")],
+    )
+    def test_bad_strand_count_is_named(self, capsys, strands, message):
+        code, out, err = run(capsys, "reduce", "--strands", strands, "1 70")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and message in err
+
     def test_parse_error(self, capsys):
         code, out, err = run(capsys, "reduce", "--strands", "2", "3")
         assert code == 2
@@ -278,6 +287,9 @@ class TestMalformedFieldSpec:
             (None, ["specht", "--n", "2", "--field", "rationals", "--p", "5", "--q", "2"]),
             (None, ["reduce", "--strands", "99999999999", "1"]),
             (None, ["specht", "--n", "2", "--field", "fp", "--p", str(2**64 + 13), "--q", "2"]),
+            # the field is resolved even when the table has no rows
+            (None, ["specht", "--n", "0", "--field", "fp", "--p", "4", "--q", "2"]),
+            ("bogus", ["specht", "--n", "0"]),
         ],
     )
     def test_exits_2_with_one_line(self, capsys, monkeypatch, env, argv):

@@ -6,6 +6,8 @@ import importlib
 import math
 import pkgutil
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -42,7 +44,7 @@ from test_hecke import _reference_product
 
 class TestSizeBudget:
     """Cell modules above the size budget are refused before any n!-length
-    work: ``ideal_I``, the first such step, must never run."""
+    work: the Murphy inserts into the ideal must never run."""
 
     @pytest.fixture
     def no_ideal(self, monkeypatch):
@@ -52,7 +54,7 @@ class TestSizeBudget:
         def refuse(*args):
             raise IdealBuilt
 
-        monkeypatch.setattr(specht, "ideal_I", refuse)
+        monkeypatch.setattr(specht, "_insert_murphy", refuse)
         return IdealBuilt
 
     def test_n_8_is_refused_and_names_the_limit(self, no_ideal):
@@ -292,6 +294,112 @@ class TestMurphyAgainstClosure:
                 reps = specht._standard_representatives(lam)
                 assert reps[0] == Permutation.identity(n)
                 assert len(reps) == count_standard_tableaux(lam)
+
+
+_HELD_IDEAL_FIELDS = {
+    "F_3 at q=2": (lambda n: SpechtContext.at_value(n, PrimeField(3), 2), 5),
+    "F_5 at q=2": (lambda n: SpechtContext.at_value(n, PrimeField(5), 2), 5),
+    "Q at q=-1": (lambda n: SpechtContext.at_value(n, Rationals(), -1), 5),
+    "Q at q=1/2": (lambda n: SpechtContext.at_value(n, Rationals(), Fraction(1, 2)), 5),
+    "Q(q)": (SpechtContext.generic, 4),
+}
+
+
+class TestHeldIdeal:
+    """``specht_module`` grows one held ideal from shape to shape; every
+    module must equal the one built from an empty ideal."""
+
+    @staticmethod
+    def _jobs(name):
+        make, max_n = _HELD_IDEAL_FIELDS[name]
+        return [
+            (lam, sctx)
+            for sctx in (make(n) for n in range(1, max_n + 1))
+            for lam in partitions_of(sctx.n)
+        ]
+
+    @pytest.mark.parametrize("order", ["forward", "reversed", "shuffled"])
+    @pytest.mark.parametrize(
+        "pair",
+        [("F_3 at q=2", "F_5 at q=2"), ("Q at q=-1", "Q at q=1/2"), ("Q(q)", "F_3 at q=2")],
+        ids=" & ".join,
+    )
+    def test_any_shape_order_builds_the_fresh_modules(self, pair, order):
+        rng = random.Random(17)
+        runs = []
+        for name in pair:
+            jobs = self._jobs(name)
+            if order == "reversed":
+                jobs.reverse()
+            elif order == "shuffled":
+                rng.shuffle(jobs)
+            runs.append(jobs)
+        fresh = {}
+        for lam, sctx in runs[0] + runs[1]:
+            clear_caches()
+            module = specht_module(lam, sctx)
+            fresh[lam, sctx] = (module.basis, module.action, module.seed, module.gram)
+        # riffle the two contexts' runs, each in its own order
+        clear_caches()
+        while any(runs):
+            lam, sctx = rng.choice([run for run in runs if run]).pop(0)
+            module = specht_module.__wrapped__(lam, sctx)
+            built = (module.basis, module.action, module.seed, module.gram)
+            assert built == fresh[lam, sctx], (lam.render(), sctx)
+            [(held_sctx, shapes, ideal)] = specht._held_ideal
+            assert held_sctx == sctx
+            assert shapes == {mu for mu in partitions_of(sctx.n) if strictly_dominates(mu, lam)}
+            assert ideal.echelon.sparse_rows() == ideal_I(lam, sctx).echelon.sparse_rows()
+
+    def test_concurrent_builds_never_share_the_ideal(self):
+        # staggered forward runs over one field, so that every thread could
+        # grow an ideal that another is still reading
+        jobs = self._jobs("F_3 at q=2")
+        fresh = {job: specht_module.__wrapped__(*job) for job in jobs}
+        results, errors = [], []
+
+        def build(order):
+            try:
+                for job in order:
+                    results.append((job, specht_module.__wrapped__(*job)))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        orders = [(jobs[k:] + jobs[:k]) * 2 for k in range(8)]
+        threads = [threading.Thread(target=build, args=(o,)) for o in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == sum(map(len, orders))
+        assert all(module == fresh[job] for job, module in results)
+        assert len(specht._held_ideal) <= 1
+
+    def test_a_table_inserts_each_shape_once(self, monkeypatch):
+        inserted = []
+        insert = specht._insert_murphy
+
+        def recording_insert(basis, shapes):
+            inserted.extend(shapes)
+            insert(basis, shapes)
+
+        monkeypatch.setattr(specht, "_insert_murphy", recording_insert)
+        sctx = SpechtContext.at_value(6, PrimeField(3), 2)
+        clear_caches()
+        shapes = partitions_of(6)
+        for lam in shapes:
+            specht_module(lam, sctx)
+        assert inserted == list(shapes[:-1])
+        # a shape whose dominating set misses a held shape starts anew
+        specht_module.__wrapped__(Partition((5, 1)), sctx)
+        assert inserted[-1:] == [Partition((6,))]
 
 
 class TestSpechtModules:
@@ -541,12 +649,16 @@ class TestClearCaches:
         assert all(cache.cache_info().currsize for cache in caches)
         clear_caches()
         assert all(cache.cache_info().currsize == 0 for cache in caches)
+        assert not specht._held_ideal
         after = specht_module(lam, sctx)
         assert after is not before
         assert after == before
         assert after.basis == before.basis
         assert after.action == before.action
         assert after.gram == gram
+        assert len(specht._held_ideal) == 1
+        clear_caches()
+        assert not specht._held_ideal
 
     def test_clears_the_caches_behind_rebound_names(self, monkeypatch):
         cached = specht.specht_module
@@ -609,17 +721,22 @@ class TestSharedModules:
         assert repr(module) == repr(rebuilt) == shown
         assert "_characters" not in shown and "_matrices" not in shown
 
-    def test_building_a_module_keeps_no_subspace(self):
+    def test_builds_hold_at_most_one_ideal(self):
         def live_subspaces():
             gc.collect()
             return sum(isinstance(o, specht.SubspaceBasis) for o in gc.get_objects())
 
-        # No other test reads F_11 at q = 5, so this call builds the module.
-        sctx = SpechtContext.at_value(4, PrimeField(11), 5)
+        clear_caches()
         before = live_subspaces()
-        module = specht_module(Partition((2, 1, 1)), sctx)
-        assert live_subspaces() <= before
-        assert module.dimension == 3
+        # two contexts, so the held ideal is both grown and replaced
+        for n in (3, 4):
+            sctx = SpechtContext.at_value(n, PrimeField(11), 5)
+            for lam in partitions_of(n):
+                module = specht_module(lam, sctx)
+                assert module.dimension == count_standard_tableaux(lam)
+                assert live_subspaces() == before + 1
+        clear_caches()
+        assert live_subspaces() == before
 
 
 class TestMurphyProportionality:
