@@ -618,31 +618,35 @@ def canonicalize(num: LaurentPoly, den: LaurentPoly) -> RationalFunction:
         raise ContextMismatchError("numerator and denominator variables differ")
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
-    variables = num.variables
-    one = LaurentPoly.constant(variables, 1)
     if num.is_zero():
-        return RationalFunction(num, one)
+        return RationalFunction(num, LaurentPoly.constant(num.variables, 1))
     unit_n, pn = num.split_unit()
     unit_d, pd = den.split_unit()
     g = poly_gcd(pn, pd)
     if not g.is_one():
         pn = poly_divexact(pn, g)
         pd = poly_divexact(pd, g)
+    return _canonical_coprime(tuple(a - b for a, b in zip(unit_n, unit_d)), pn, pd)
+
+
+def _canonical_coprime(shift: Exponents, pn: LaurentPoly, pd: LaurentPoly) -> RationalFunction:
+    """The canonical form of x^shift * pn / pd for coprime ordinary parts:
+    both are scaled so that pd has coprime integer coefficients and a
+    positive leading coefficient."""
     c = pd.content()
     if pd.leading()[1] < 0:
         c = -c
     if c != 1:
         pd = pd.scale(_div(1, c))
-    shift = tuple(a - b for a, b in zip(unit_n, unit_d))
     new_num = LaurentPoly(
-        variables,
+        pn.variables,
         {
             tuple(e + s for e, s in zip(exps, shift)): _div(coeff, c)
             for exps, coeff in pn.terms.items()
         },
     )
     if pd.is_one():
-        return RationalFunction(new_num, one)
+        return RationalFunction(new_num, LaurentPoly.constant(pn.variables, 1))
     return RationalFunction(new_num, pd)
 
 
@@ -653,9 +657,12 @@ def divide_by_power(x, base, k: int):
     part of the base is divided out of the numerator's ordinary part as often
     as it goes in, up to k times; ``canonicalize`` removes whatever common
     factor is left, so the result is canonical whatever the base factors into.
+    An ordinary part of total degree one, such as q1 + q2 or q - 1, is
+    irreducible: once it stops going in, the numerator is prime to it and,
+    as a factor of x's numerator, to x's denominator, so the gcd is skipped.
     """
     exact = isinstance(x, RationalFunction) and isinstance(base, RationalFunction)
-    if not (exact and x and base.den.is_one() and k >= 0):
+    if not (exact and x and base and base.den.is_one() and k >= 0):
         return x / base ** k
     unit_n, pn = x.num.split_unit()
     unit_b, pb = base.num.split_unit()
@@ -667,11 +674,14 @@ def divide_by_power(x, base, k: int):
             break
         m += 1
     shift = tuple(a - k * b for a, b in zip(unit_n, unit_b))
+    den = x.den * pb ** (k - m)
+    if sum(pb.leading()[0]) == 1:
+        return _canonical_coprime(shift, pn, den)
     num = LaurentPoly(
         x.variables,
         {tuple(e + s for e, s in zip(exps, shift)): c for exps, c in pn.terms.items()},
     )
-    return canonicalize(num, x.den * pb ** (k - m))
+    return canonicalize(num, den)
 
 
 # -- prime fields -------------------------------------------------------------

@@ -25,10 +25,27 @@ left-multiplies each bucket by T_p, ..., T_{n-2} in turn.  It scales the
 p = n bucket by 1 + q1 q2 and the others by q1 + q2, which carries the scaled
 trace tau_n = (q1 + q2)^(n-1) * tr_n to tau_{n-1} without dividing, and it
 stores nothing between calls.  The trace is the coefficient left on one
-strand divided once by (q1 + q2)^(n-1).  That factor is known in advance,
-so over a rational function field it is divided out of the numerator by
-exact polynomial division, and the gcd that canonicalizes the result is
-trivial when it divides out completely.
+strand divided once by (q1 + q2)^(n-1).
+
+On a braid the trace is an invariant of the closure (Jones, Ann. Math. 126,
+1987), so ``trace_of_braid`` factors the closure before any Hecke
+arithmetic.  It cancels adjacent letters i, -i, also across the end of the
+word.  An unused index j splits the closure into the letters below j on j
+strands and those above j on n - j strands, and tr = delta * tr * tr.  An
+index j used once is a connected sum (a destabilization when j = 1 or
+n - 1): rotate that letter to the end, drop it and split the rest the same
+way, and tr = tr * tr.  Each side is factored again until every index of a
+piece is used at least twice.  With k split unions and final pieces b_j on
+n_j strands,
+
+    tr_n(b) = (1 + q1 q2)^k prod_j tau_{n_j}(b_j) / (q1 + q2)^(k + sum_j (n_j - 1)).
+
+Either way the power of q1 + q2 is known in advance and divided out once,
+so over a rational function field it leaves the numerator by exact
+polynomial division.  What does not divide needs a gcd only when the
+ordinary part of q1 + q2 is not linear: a linear one, as over Q(q1, q2) or
+over Q(q) at (-1, q), is irreducible, so the remaining numerator is prime
+to it; over Q(s) at (-s, s^3) it is s^2 - 1 and the gcd runs.
 
 Closed braids decompose over the basis T_{w_lambda} of H_n / [H_n, H_n],
 the images of the braids b_lambda at (q1, q2) = (-1, q).  The coordinates
@@ -180,26 +197,77 @@ def _expectation(h: HeckeElement) -> HeckeElement:
     return total
 
 
-def markov_trace(h: HeckeElement) -> object:
-    """The normalized Markov trace, extended linearly over the support."""
-    field = h.context.field
-    q_sum = field.q_sum
-    if not q_sum:
+def _q_sum(field: FieldContext) -> object:
+    """q1 + q2, which the trace divides by; it must be a unit."""
+    if not field.q_sum:
         raise CoefficientError(
             "the Markov trace needs q1 + q2 to be a unit; context "
             + field.describe()
         )
-    n = h.context.n
-    for _ in range(n - 1):
+    return field.q_sum
+
+
+def _scaled_trace(h: HeckeElement) -> object:
+    """tau_n(h) = (q1 + q2)^(n-1) tr_n(h), by n - 1 expectation steps."""
+    for _ in range(h.context.n - 1):
         h = _expectation(h)
-    return divide_by_power(h.coefficient(Permutation.identity(1)), q_sum, n - 1)
+    return h.coefficient(Permutation.identity(1))
+
+
+def markov_trace(h: HeckeElement) -> object:
+    """The normalized Markov trace, extended linearly over the support."""
+    q_sum = _q_sum(h.context.field)
+    return divide_by_power(_scaled_trace(h), q_sum, h.context.n - 1)
+
+
+def _cyclically_reduced(letters: Sequence[int]) -> list[int]:
+    """The word with adjacent pairs i, -i cancelled, also across the wrap."""
+    word: list[int] = []
+    for letter in letters:
+        if word and word[-1] == -letter:
+            word.pop()
+        else:
+            word.append(letter)
+    start, stop = 0, len(word)
+    while stop - start > 1 and word[start] == -word[stop - 1]:
+        start, stop = start + 1, stop - 1
+    return word[start:stop]
+
+
+def _closure_factors(strands: int, letters: Sequence[int]) -> tuple[int, list]:
+    """(k, pieces): the closure is k split unions and connected sums of the
+    closures of the pieces (m, word), in each of which every index 1..m-1
+    is used at least twice."""
+    word = _cyclically_reduced(letters)
+    uses = [0] * strands
+    for letter in word:
+        uses[abs(letter)] += 1
+    j = min(range(1, strands), key=uses.__getitem__, default=None)
+    if j is None or uses[j] > 1:
+        return 0, [(strands, word)]
+    if uses[j]:  # a connected sum: rotate the one letter j to the end, drop it
+        i = next(i for i, letter in enumerate(word) if abs(letter) == j)
+        word = word[i + 1 :] + word[:i]
+    below = [a for a in word if abs(a) < j]
+    above = [a - j if a > 0 else a + j for a in word if abs(a) > j]
+    kx, x = _closure_factors(j, below)
+    ky, y = _closure_factors(strands - j, above)
+    return (not uses[j]) + kx + ky, x + y
 
 
 def trace_of_braid(b: BraidWord, field: FieldContext | None = None) -> object:
-    """Trace of the Hecke image of a braid word, generic field by default."""
+    """Trace of the Hecke image of a braid word, generic field by default,
+    from the scaled traces of the pieces its closure factors into."""
     if field is None:
         field = generic_field_context()
-    return markov_trace(from_braid_word(b, HeckeContext(b.strands, field)))
+    q_sum = _q_sum(field)
+    k, pieces = _closure_factors(b.strands, b.letters)
+    value, power = (field.one() + field.q_prod) ** k, k
+    for m, word in pieces:
+        if m > 1:
+            image = from_braid_word(BraidWord(m, word), HeckeContext(m, field))
+            value, power = value * _scaled_trace(image), power + m - 1
+    return divide_by_power(value, q_sum, power)
 
 
 # -- closure decomposition -------------------------------------------------------

@@ -300,6 +300,73 @@ class TestDivideByPower:
         self._check(Fraction(3, 4), Fraction(-2, 3), 3)
 
 
+class TestLinearBaseSkipsGcd:
+    # A base whose ordinary part is linear is irreducible: its remainder
+    # needs no gcd.  Bases with a monomial unit and a non-unit content too.
+    LINEAR = [
+        (Q12, "q1+q2"),
+        (Q12, "2*q1-3*q2"),
+        (Q12, "q1*q2+q1"),
+        (Q12, "q1^-1*q2+1"),
+        (("q",), "q-1"),
+        (("s",), "3*s+2"),
+    ]
+    NONLINEAR = [(Q12, "q1^2-q2^2"), (("s",), "s^3-s")]
+
+    @staticmethod
+    def _run(monkeypatch, x, base, k):
+        """divide_by_power(x, base, k), the full canonicalize of x / base^k,
+        and the number of gcds divide_by_power ran."""
+        from heckelink import coefficients
+
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return poly_gcd(a, b)
+
+        monkeypatch.setattr(coefficients, "poly_gcd", counted)
+        got = divide_by_power(x, base, k)
+        monkeypatch.undo()
+        return got, canonicalize(x.num, x.den * base.num ** k), len(calls)
+
+    def _cases(self, rng, variables, base):
+        for _ in range(6):
+            k = rng.randrange(0, 4)
+            p = _random_poly(rng, variables)
+            for j in range(k + 2):
+                yield RationalFunction.from_poly(p) * base ** j, k
+            x = _random_rf(rng, variables)
+            while x.is_polynomial():
+                x = _random_rf(rng, variables)
+            yield x * base ** rng.randrange(0, k + 2), k
+
+    def test_linear_base_matches_full_canonicalize(self, monkeypatch):
+        rng = random.Random(46)
+        denominators = 0
+        for variables, text in self.LINEAR:
+            base = rf(text, variables)
+            for x, k in self._cases(rng, variables, base):
+                if not x:
+                    continue
+                got, full, gcds = self._run(monkeypatch, x, base, k)
+                assert (got.num, got.den) == (full.num, full.den)
+                assert gcds == 0
+                denominators += not got.den.is_one()
+        assert denominators >= 10
+
+    def test_nonlinear_base_still_runs_the_gcd(self, monkeypatch):
+        rng = random.Random(47)
+        for variables, text in self.NONLINEAR:
+            base = rf(text, variables)
+            for x, k in self._cases(rng, variables, base):
+                if not x:
+                    continue
+                got, full, gcds = self._run(monkeypatch, x, base, k)
+                assert (got.num, got.den) == (full.num, full.den)
+                assert gcds > 0
+
+
 class TestPrimeField:
     def test_invert(self):
         f5 = PrimeField(5)

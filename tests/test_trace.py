@@ -14,6 +14,8 @@ from heckelink.coefficients import (
     RationalFunctionField,
     Rationals,
     generic_field_context,
+    generic_one_parameter_context,
+    render_scalar,
     specialize,
 )
 from heckelink.hecke import HeckeContext, HeckeElement, from_braid_word
@@ -22,6 +24,8 @@ from heckelink.trace import (
     Partition,
     PartitionError,
     _class_polynomial,
+    _closure_factors,
+    _cyclically_reduced,
     b_lambda,
     decompose_closure,
     dominates,
@@ -268,6 +272,161 @@ class TestAgainstReferenceTrace:
             sizes.add(len(h.terms))
             assert markov_trace(h) == reference_trace(h)
         assert 0 in sizes and max(sizes) >= 6
+
+
+def whole_trace(b, field=FIELD):
+    """The trace of the braid's whole Hecke image, without factoring."""
+    return markov_trace(from_braid_word(b, HeckeContext(b.strands, field)))
+
+
+def _shifted(word, j):
+    return [l + j if l > 0 else l - j for l in word]
+
+
+def _letters(rng, strands, length):
+    return list(random_word(rng, strands, length).letters)
+
+
+def _factoring_words(seed, count=70):
+    """Words on 1-7 strands whose closures split or cut: an unused index, a
+    letter used once, stabilizations of both signs, pairs i, -i cancelling
+    across the wrap-around, and connected sums with interleaved factors."""
+    rng = random.Random(seed)
+    words = []
+    for t in range(count):
+        n = 1 + t % 7
+        kind = t // 7 % 5
+        if n == 1:
+            words.append(BraidWord(1))
+            continue
+        if kind == 0:  # an unused index
+            j = rng.randrange(1, n)
+            words.append(BraidWord(n, [l for l in _letters(rng, n, 7) if abs(l) != j]))
+        elif kind == 1:  # one letter used once
+            j = rng.randrange(1, n)
+            rest = [l for l in _letters(rng, n, 6) if abs(l) != j]
+            rest.insert(rng.randrange(len(rest) + 1), rng.choice((j, -j)))
+            words.append(BraidWord(n, rest))
+        elif kind == 2:  # a stabilization
+            b = random_word(rng, n - 1, rng.randrange(0, 6))
+            words.append(stabilize(b, rng.choice((1, -1))))
+        elif kind == 3:  # i ... -i, and i, -i inside
+            i = rng.randrange(1, n)
+            middle = _letters(rng, n, 4)
+            k = rng.randrange(len(middle) + 1)
+            middle[k:k] = [i, -i]
+            words.append(BraidWord(n, [-i] + middle + [i]))
+        else:  # a connected sum x # y, its factors interleaved
+            j = rng.randrange(1, n)
+            x = _letters(rng, j, 3)
+            y = _shifted(_letters(rng, n - j, 3), j)
+            merged = []
+            while x or y:
+                merged.append((x if x and (not y or rng.random() < 0.5) else y).pop(0))
+            merged.insert(rng.randrange(len(merged) + 1), rng.choice((j, -j)))
+            words.append(BraidWord(n, merged))
+    return words
+
+
+FACTOR_CONTEXTS = REFERENCE_CONTEXTS[:2] + [
+    pytest.param(generic_one_parameter_context(), id="Q(q)"),
+] + REFERENCE_CONTEXTS[2:]
+
+
+class TestFactoredTrace:
+    @pytest.mark.parametrize("field", FACTOR_CONTEXTS)
+    def test_matches_whole_braid_trace(self, field):
+        for b in _factoring_words(30):
+            got, whole = trace_of_braid(b, field), whole_trace(b, field)
+            assert got == whole
+            assert render_scalar(got) == render_scalar(whole)
+
+    def test_random_words_match_whole_braid_trace(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            b = random_word(rng, rng.randrange(1, 8), rng.randrange(0, 9))
+            assert trace_of_braid(b) == whole_trace(b)
+
+    def test_words_exercise_every_rule(self):
+        unused = once = wrapped = split = 0
+        for b in _factoring_words(30):
+            word = _cyclically_reduced(b.letters)
+            uses = [sum(abs(l) == j for l in word) for j in range(1, b.strands)]
+            unused += 0 in uses
+            once += 1 in uses
+            wrapped += bool(b.letters) and b.letters[0] == -b.letters[-1]
+            split += _closure_factors(b.strands, b.letters)[0] > 0
+        assert min(unused, once, wrapped, split) >= 5
+
+    def test_cyclic_reduction(self):
+        assert _cyclically_reduced([2, 1, -1, 3, 2, -3, -2]) == [2]
+        assert _cyclically_reduced([1, -2, 2, -1]) == []
+        assert _cyclically_reduced([1, 2, -1]) == [2]
+        assert _cyclically_reduced([1, 2, -1, 2]) == [1, 2, -1, 2]
+        assert _cyclically_reduced([-1, 2, 1, 2, 1]) == [2, 1, 2]
+
+    def test_short_word_on_many_strands_traces_two_strands(self):
+        # 28 split unions, cuts at -2 and at 3, and sigma_1^2 on 2 strands
+        k, pieces = _closure_factors(32, [1, -2, 3, 1])
+        assert k == 28
+        assert [piece for piece in pieces if piece[0] > 1] == [(2, [1, 1])]
+        assert sum(m for m, _ in pieces) == 32
+
+    def test_unit_check_comes_before_factoring(self):
+        symmetric = FieldContext(Rationals(), 1, -1)
+        with pytest.raises(CoefficientError) as expected:
+            markov_trace(HeckeContext(1, symmetric).identity())
+        for b in (BraidWord(1), BraidWord(4, [1, -2, 3])):
+            assert all(m == 1 for m, _ in _closure_factors(b.strands, b.letters)[1])
+            with pytest.raises(CoefficientError) as err:
+                trace_of_braid(b, symmetric)
+            assert str(err.value) == str(expected.value)
+
+
+class TestWholeBraidMarkovAxioms:
+    """The Markov axioms and the split and cut rules on unfactored images."""
+
+    def test_strand_addition(self):
+        rng = random.Random(32)
+        one_plus = FIELD.field.one() + FIELD.q_prod
+        for _ in range(20):
+            n = rng.randrange(1, 5)
+            b = random_word(rng, n, rng.randrange(0, 7))
+            lhs = one_plus * whole_trace(b)
+            assert lhs == FIELD.q_sum * whole_trace(BraidWord(n + 1, b.letters))
+
+    def test_stabilization_both_signs(self):
+        rng = random.Random(33)
+        for _ in range(20):
+            b = random_word(rng, rng.randrange(1, 5), rng.randrange(0, 7))
+            tr = whole_trace(b)
+            assert whole_trace(stabilize(b, +1)) == tr
+            assert whole_trace(stabilize(b, -1)) == tr
+
+    def test_conjugation_invariance(self):
+        rng = random.Random(34)
+        for _ in range(20):
+            n = rng.randrange(2, 5)
+            b = random_word(rng, n, rng.randrange(0, 6))
+            assert whole_trace(conjugate(b, random_word(rng, n, 3))) == whole_trace(b)
+
+    def test_b_lambda_traces(self):
+        for n in range(1, 7):
+            for lam in partitions_of(n):
+                assert whole_trace(b_lambda(lam)) == DELTA ** (lam.k - 1)
+
+    def test_split_union_and_connected_sum(self):
+        # tr(x split y) = delta tr(x) tr(y) and tr(x # y) = tr(x) tr(y)
+        rng = random.Random(35)
+        for _ in range(20):
+            j, m = rng.randrange(1, 4), rng.randrange(1, 4)
+            x, y = random_word(rng, j, 4), random_word(rng, m, 4)
+            letters = list(x.letters) + _shifted(y.letters, j)
+            product = whole_trace(x) * whole_trace(y)
+            assert whole_trace(BraidWord(j + m, letters)) == DELTA * product
+            for sign in (1, -1):
+                cut = BraidWord(j + m, letters + [sign * j])
+                assert whole_trace(cut) == product
 
 
 class TestDecomposeClosure:
