@@ -5,7 +5,8 @@ Matrices are plain Python lists of scalars; vectors are lists too, or sparse
 exactly and never touches floating point.  There is one elimination routine,
 the reduced-row-echelon basis ``EchelonBasis``; ranks, kernels and
 determinants insert the rows of their matrix into one and read the answer off
-the echelon rows, on every field alike.
+the echelon rows, on every field alike.  ``triangulate`` yields a square
+matrix's determinant and echelon basis from one pass.
 
 Over Q and F_p the basis computes on plain integers, since every operation on
 a scalar object costs a type check and an allocation: field scalars become
@@ -219,13 +220,17 @@ def _echelon(rows: Sequence[Sequence], ncols: int, zero, one) -> EchelonBasis:
     return basis
 
 
-def determinant(matrix: Sequence[Sequence], zero, one):
-    """Exact determinant: the product of the pivot leads, signed by the order
-    in which the pivots arrive.
+def triangulate(matrix: Sequence[Sequence], zero, one) -> tuple[object, EchelonBasis]:
+    """One elimination of a square matrix: its exact determinant and the
+    echelon basis of its rows.
 
     Each row is reduced against the rows before it, which leaves the
     determinant alone; its lead is its first nonzero entry, and the reduced
-    rows form a triangular matrix once the columns are put in arrival order.
+    rows form a triangular matrix once the columns are put in arrival order,
+    so the determinant is the product of the leads, signed by the order in
+    which the pivots arrive.  A row that reduces to zero makes it zero, and
+    the rows after it are still inserted, so the basis always spans the
+    row space.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -236,12 +241,18 @@ def determinant(matrix: Sequence[Sequence], zero, one):
         v = basis.reduce(row)
         pivot = next((j for j, c in enumerate(v) if c), None)
         if pivot is None:
-            return zero
+            det = zero
+            continue
         det = det * v[pivot]
         if sum(p > pivot for p in basis.pivots) % 2:
             det = -det
         basis.insert(v)
-    return det
+    return det, basis
+
+
+def determinant(matrix: Sequence[Sequence], zero, one):
+    """Exact determinant, read off ``triangulate``."""
+    return triangulate(matrix, zero, one)[0]
 
 
 def kernel_basis(matrix: Sequence[Sequence], zero, one) -> list[list]:

@@ -25,9 +25,14 @@ be the generic variable or any specialized field value.  For a partition
   form value.  The Gram matrix is solved in the module's own coordinates:
   the form is symmetric and invariant, <T_i x, y> = <x, T_i y>, and
   m_lam y = <m_lam, y> m_lam modulo I^lam, so the action matrices and the
-  coordinates of m_lam determine it with no product in the algebra.  The
-  rank of the Gram matrix is the dimension of the irreducible head, which
-  is nonzero exactly for e-restricted shapes.
+  coordinates of m_lam determine it with no product in the algebra;
+* the Gram matrix is eliminated once, by ``triangulate``, and its
+  determinant, rank and head character are all read off that one echelon
+  basis.  The head is the module modulo the radical, the kernel of the Gram
+  matrix; its dimension is the rank, nonzero exactly for e-restricted
+  shapes.  The echelon rows P of the Gram matrix vanish exactly on the
+  radical and P E = 1 for E the inclusion of their pivot columns, so T_w
+  acts on the head by P A(w) E, with no basis of the radical.
 
 A cell module is built with its basis and generator action only.  The form
 is evaluated on first use, since characters never read the Gram matrix.
@@ -67,7 +72,7 @@ from .hecke import (
     _prefix_products,
     left_multiply_generator,
 )
-from .linalg import EchelonBasis, determinant, kernel_basis, matrix_rank
+from .linalg import EchelonBasis, triangulate
 from .trace import Partition, partitions_of, strictly_dominates
 
 
@@ -385,7 +390,6 @@ class SpechtModule:
     action: tuple  # action[i-1] is the matrix of T_i, column convention
     seed: tuple  # coordinates of m_lam modulo the ideal; it generates the module
     _matrices: dict[Permutation, tuple] = _memo()
-    _rad_matrices: dict[Permutation, tuple] = _memo()
 
     @property
     def dimension(self) -> int:
@@ -395,11 +399,27 @@ class SpechtModule:
         return self.action[i - 1]
 
     def matrix(self, w: Permutation) -> tuple:
-        """Action matrix of T_w, built along a reduced word."""
-        return _word_matrix(
-            w, self._matrices, self.action, self.dimension,
-            self.sctx.field_context.field,
-        )
+        """Action matrix of T_w, the product of the generator matrices along
+        the reduced word of w, memoized by prefix."""
+        if w.degree != self.sctx.n:
+            raise SpechtError(
+                f"T_w acts on the cell module {self.lam.render()} for w of "
+                f"degree {self.sctx.n}, got degree {w.degree}"
+            )
+        cached = self._matrices.get(w)
+        if cached is not None:
+            return cached
+        word = w.reduced_word()
+        field = self.sctx.field_context.field
+        if not word:
+            one, zero = field.one(), field.zero()
+            rows = range(self.dimension)
+            mat = tuple(tuple(one if r == c else zero for c in rows) for r in rows)
+        else:
+            prefix = self.matrix(w.times_transposition(word[-1]))
+            mat = _mat_mul(prefix, self.action[word[-1] - 1], field.zero())
+        self._matrices[w] = mat
+        return mat
 
     def character(self, w: Permutation):
         """Trace of the action of T_w."""
@@ -423,9 +443,7 @@ class SpechtModule:
         field = self.sctx.field_context.field
         zero, one = field.zero(), field.one()
         shape = self.lam.render()
-        memo: dict = {}
-        young = young_subgroup(self.lam)
-        mats = [_word_matrix(w, memo, self.action, dim, field) for w in young]
+        mats = [self.matrix(w) for w in young_subgroup(self.lam)]
         m_action = [[sum(col, zero) for col in zip(*rows)] for rows in zip(*mats)]
         pivot = next(k for k, c in enumerate(self.seed) if c)
         phi = [c / self.seed[pivot] for c in m_action[pivot]]
@@ -458,72 +476,32 @@ class SpechtModule:
             for fr, row in zip(factors, gram)
         )
 
-    def gram_determinant(self):
+    @cached_property
+    def _elimination(self) -> tuple:
+        """The one elimination of the Gram matrix: its determinant and the
+        echelon basis of its rows, which every reader below shares."""
         field = self.sctx.field_context.field
-        return determinant(self.gram, field.zero(), field.one())
+        return triangulate(self.gram, field.zero(), field.one())
+
+    def gram_determinant(self):
+        return self._elimination[0]
 
     def gram_rank(self) -> int:
-        return matrix_rank(self.gram, self.sctx.field_context.field)
-
-    # -- the irreducible head ------------------------------------------------
-
-    @cached_property
-    def _radical(self) -> EchelonBasis:
-        """The Gram kernel as an echelon basis inside the module coordinates.
-
-        The radical is an invariant subspace, so each generator restricts to
-        it; the head character is the module character minus the restricted
-        trace."""
-        field = self.sctx.field_context.field
-        zero, one = field.zero(), field.one()
-        rad = EchelonBasis(self.dimension, zero, one)
-        for vec in kernel_basis(self.gram, zero, one):
-            rad.insert(vec)
-        return rad
-
-    @cached_property
-    def _rad_action(self) -> tuple:
-        """The generators restricted to the radical, in its row coordinates."""
-        rad = self._radical
-        zero = self.sctx.field_context.field.zero()
-        message = f"Gram radical of {self.lam.render()} is not invariant"
-        return tuple(
-            _coordinate_matrix(
-                rad, ([_dot_row(row, vec, zero) for row in gen] for vec in rad.rows),
-                message,
-            )
-            for gen in self.action
-        )
+        return len(self._elimination[1])
 
     def head_character(self, w: Permutation):
-        """Trace of T_w on the head: the module trace minus the radical trace."""
-        rad = self._radical
-        chi = self.character(w)
-        if not len(rad):
-            return chi
-        field = self.sctx.field_context.field
-        mat = _word_matrix(w, self._rad_matrices, self._rad_action, len(rad), field)
-        return chi - _trace(mat, field.zero())
-
-
-def _word_matrix(w: Permutation, cache: dict, generators, dimension: int, field):
-    """The matrix of T_w as the product of ``generators[i-1]`` along the
-    reduced word of w, memoized in ``cache`` by prefix."""
-    cached = cache.get(w)
-    if cached is not None:
-        return cached
-    word = w.reduced_word()
-    if not word:
-        one, zero = field.one(), field.zero()
-        rows = range(dimension)
-        mat = tuple(tuple(one if r == c else zero for c in rows) for r in rows)
-    else:
-        prefix = _word_matrix(
-            w.times_transposition(word[-1]), cache, generators, dimension, field
-        )
-        mat = _mat_mul(prefix, generators[word[-1] - 1], field.zero())
-    cache[w] = mat
-    return mat
+        """Trace of T_w on the head, the module modulo the Gram radical: the
+        trace of P A(w) E, the sum over echelon rows a and columns c of
+        P[a][c] A(w)[c][p_a].  The radical is invariant, since ``gram``
+        checks that each G A_i is symmetric: G v = 0 gives
+        G A_i v = A_i^T G v = 0."""
+        mat = self.matrix(w)
+        echelon = self._elimination[1]
+        total = self.sctx.field_context.field.zero()
+        for pivot, row in zip(echelon.pivots, echelon.sparse_rows()):
+            for c, x in row.items():
+                total = total + x * mat[c][pivot]
+        return total
 
 
 def _trace(mat: tuple, zero):
@@ -531,18 +509,6 @@ def _trace(mat: tuple, zero):
     for i in range(len(mat)):
         total = total + mat[i][i]
     return total
-
-
-def _coordinate_matrix(span: EchelonBasis, images, message: str) -> tuple:
-    """The matrix whose columns are the coordinates of ``images`` in the rows
-    of ``span``; raises ProportionalityError(message) if one leaves the span."""
-    columns = []
-    for image in images:
-        coords = span.coordinates(image)
-        if coords is None:
-            raise ProportionalityError(message)
-        columns.append(coords)
-    return tuple(zip(*columns))
 
 
 def _dot_row(row: Sequence, vec: Sequence, zero):
@@ -609,20 +575,21 @@ def specht_module(lam: Partition, sctx: SpechtContext) -> SpechtModule:
     )
     basis = tuple(quotient.rows_as_elements())
     seed = tuple(quotient.echelon.coordinates(reduced[0]))  # m_lam: d = 1 is first
-    message = f"generator action left the cell module for {lam.render()}"
-    action = tuple(
-        _coordinate_matrix(
-            quotient.echelon,
-            (
+    action = []
+    for i in range(1, sctx.n):
+        columns = [
+            quotient.echelon.coordinates(
                 ideal.echelon.reduce(_to_sparse(left_multiply_generator(b, i), sctx))
-                for b in basis
-            ),
-            message,
-        )
-        for i in range(1, sctx.n)
-    )
+            )
+            for b in basis
+        ]
+        if None in columns:
+            raise ProportionalityError(
+                f"generator action left the cell module for {lam.render()}"
+            )
+        action.append(tuple(zip(*columns)))
     _held_ideal[:] = [(sctx, shapes, ideal)]
-    return SpechtModule(lam, sctx, basis, action, seed)
+    return SpechtModule(lam, sctx, basis, tuple(action), seed)
 
 
 def _form(lam: Partition, sctx: SpechtContext):

@@ -28,7 +28,7 @@ from heckelink.coefficients import (
     parse_scalar,
 )
 from heckelink.hecke import HeckeContext, HeckeElement
-from heckelink.linalg import EchelonBasis, determinant, kernel_basis
+from heckelink.linalg import EchelonBasis, determinant, kernel_basis, triangulate
 from test_hecke import FIELDS, _reference_product
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -299,6 +299,12 @@ def test_determinant_matches_a_dense_sweep(named):
     det = determinant(m, field.zero(), field.one())
     assert det == expected
     assert_field_scalars(name, [det])
+    # one pass gives the determinant and the whole RREF, singular or not
+    det, basis = triangulate(m, field.zero(), field.one())
+    assert det == expected
+    rows, pivots = sympy_rref(name, m)
+    assert basis.pivots == pivots
+    assert basis.rows == rows
 
 
 @PROPERTY

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import importlib
+import itertools
 import math
 import pkgutil
 import random
@@ -17,7 +18,7 @@ from heckelink import clear_caches, hecke, specht
 from heckelink.braid import BraidWord, Permutation
 from heckelink.coefficients import PrimeField, Rationals, quantum_e
 from heckelink.hecke import HeckeElement, fold_letter, left_multiply_generator
-from heckelink.linalg import EchelonBasis
+from heckelink.linalg import EchelonBasis, kernel_basis, matrix_rank
 from heckelink.specht import (
     ProportionalityError,
     SpechtContext,
@@ -40,6 +41,7 @@ from heckelink.trace import (
     strictly_dominates,
 )
 from test_hecke import _reference_product
+from test_linalg import cofactor
 
 
 class TestSizeBudget:
@@ -467,6 +469,15 @@ class TestSpechtModules:
         assert specht_module(Partition((2,)), sctx).character(s1) == sctx.q
         assert specht_module(Partition((1, 1)), sctx).character(s1) == -1
 
+    def test_permutations_of_another_degree_are_refused(self):
+        sctx = SpechtContext.at_value(4, PrimeField(3), 2)
+        module = specht_module(Partition((2, 1, 1)), sctx)
+        for w in (Permutation((2, 1)), Permutation((2, 1, 3, 4, 5))):
+            for read in (module.matrix, module.character, module.head_character):
+                with pytest.raises(SpechtError, match=f"degree 4.*degree {w.degree}"):
+                    read(w)
+            assert w not in module._matrices
+
 
 class TestGram:
     def test_row_partition_form_value(self):
@@ -804,6 +815,84 @@ class TestDimD:
             for lam in partitions_of(n):
                 mod = specht_module(lam, sctx)
                 assert mod.head_character(Permutation.identity(n)) == mod.gram_rank()
+
+
+def _reference_head_characters(module, perms):
+    """Head characters by way of the radical: a kernel basis of the Gram
+    matrix, inserted into an echelon basis; the action of T_w restricted to
+    it; the module trace minus the radical trace."""
+    field = module.sctx.field_context.field
+    zero, one = field.zero(), field.one()
+    rad = EchelonBasis(module.dimension, zero, one)
+    for vec in kernel_basis(module.gram, zero, one):
+        rad.insert(vec)
+    heads = []
+    for w in perms:
+        mat = module.matrix(w)
+        rad_trace = zero
+        for k, vec in enumerate(rad.rows):
+            image = [sum((x * y for x, y in zip(row, vec)), zero) for row in mat]
+            coords = rad.coordinates(image)
+            assert coords is not None, "the Gram radical is not invariant"
+            rad_trace = rad_trace + coords[k]
+        heads.append(module.character(w) - rad_trace)
+    return heads
+
+
+class TestHeadCharacter:
+    @pytest.mark.parametrize(
+        "field, q, max_n",
+        [
+            (PrimeField(3), 2, 5),
+            (PrimeField(5), 2, 5),
+            (PrimeField(5), 4, 5),
+            (PrimeField(7), 2, 5),
+            (PrimeField(2), 1, 5),
+            (Rationals(), -1, 5),
+            (Rationals(), 2, 5),
+            (None, None, 4),
+        ],
+        ids=["F_3 at q=2", "F_5 at q=2", "F_5 at q=4", "F_7 at q=2", "F_2 at q=1",
+             "Q at q=-1", "Q at q=2", "Q(q)"],
+    )
+    def test_matches_the_radical_route(self, field, q, max_n):
+        for n in range(1, max_n + 1):
+            if field is None:
+                sctx = SpechtContext.generic(n)
+            else:
+                sctx = SpechtContext.at_value(n, field, q)
+            perms = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+            for lam in partitions_of(n):
+                module = specht_module(lam, sctx)
+                heads = [module.head_character(w) for w in perms]
+                assert heads == _reference_head_characters(module, perms)
+                scalars = sctx.field_context.field
+                gram = [list(row) for row in module.gram]
+                assert module.gram_rank() == matrix_rank(gram, scalars)
+                assert module.gram_determinant() == cofactor(gram, scalars.zero())
+
+    def test_gram_is_eliminated_once(self, monkeypatch):
+        calls = []
+        triangulate = specht.triangulate
+
+        def counting_triangulate(*args):
+            calls.append(args)
+            return triangulate(*args)
+
+        monkeypatch.setattr(specht, "triangulate", counting_triangulate)
+        # a fresh copy of (3,2) over F_5 at q = 2: rank 1 of dimension 5
+        sctx = SpechtContext.at_value(5, PrimeField(5), 2)
+        shared = specht_module(Partition((3, 2)), sctx)
+        module = SpechtModule(
+            shared.lam, shared.sctx, shared.basis, shared.action, shared.seed
+        )
+        rank, det = module.gram_rank(), module.gram_determinant()
+        assert (module.gram_rank(), module.gram_determinant()) == (rank, det)
+        assert (rank, det) == (1, 0)
+        assert module.head_character(Permutation.identity(5)) == rank
+        for w in (Permutation((2, 1, 3, 5, 4)), Permutation((5, 4, 3, 2, 1))):
+            module.head_character(w)
+        assert len(calls) == 1
 
 
 class TestStandardTableaux:
