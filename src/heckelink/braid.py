@@ -56,6 +56,15 @@ class Permutation:
         self._word: tuple[int, ...] | None = None
 
     @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> Permutation:
+        """Wrap a tuple already known to be a permutation, unchecked."""
+        w = object.__new__(cls)
+        w.images = images
+        w._hash = hash(images)
+        w._word = None
+        return w
+
+    @classmethod
     def identity(cls, n: int) -> Permutation:
         return cls(range(1, n + 1))
 
@@ -126,7 +135,7 @@ class Permutation:
         """Right multiplication by (i, i+1): swaps positions i, i+1."""
         imgs = list(self.images)
         imgs[i - 1], imgs[i] = imgs[i], imgs[i - 1]
-        return Permutation(imgs)
+        return Permutation._trusted(tuple(imgs))
 
     def left_ascent(self, i: int) -> bool:
         """True when multiplying by (i, i+1) on the left increases length."""
@@ -134,8 +143,8 @@ class Permutation:
 
     def transposition_times(self, i: int) -> Permutation:
         """Left multiplication by (i, i+1): swaps the values i, i+1."""
-        return Permutation(
-            i + 1 if v == i else i if v == i + 1 else v for v in self.images
+        return Permutation._trusted(
+            tuple(i + 1 if v == i else i if v == i + 1 else v for v in self.images)
         )
 
     def cycles(self) -> list[tuple[int, ...]]:

@@ -97,6 +97,23 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _trusted(
+        cls, variables: tuple[str, ...], terms: dict[Exponents, int | Fraction]
+    ) -> LaurentPoly:
+        """Adopt ``terms``, whose keys are valid exponent tuples and whose
+        values are nonzero ints or Fractions, as arithmetic on valid
+        polynomials leaves them; only an integral Fraction is still made an
+        int."""
+        for e, c in terms.items():
+            if type(c) is not int and c.denominator == 1:
+                terms[e] = c.numerator
+        p = object.__new__(cls)
+        p.variables = variables
+        p.terms = terms
+        p._hash = None
+        return p
+
+    @classmethod
     def zero(cls, variables: Iterable[str]) -> LaurentPoly:
         return cls(variables, {})
 
@@ -205,12 +222,13 @@ class LaurentPoly:
                 terms[exps] = s
             else:
                 terms.pop(exps, None)
-        return LaurentPoly(self.variables, terms)
+        return LaurentPoly._trusted(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        negated = {e: -c for e, c in self.terms.items()}
+        return LaurentPoly._trusted(self.variables, negated)
 
     def __sub__(self, other) -> LaurentPoly:
         return self + (-other)
@@ -233,7 +251,7 @@ class LaurentPoly:
                     terms[e] = s
                 else:
                     terms.pop(e, None)
-        return LaurentPoly(self.variables, terms)
+        return LaurentPoly._trusted(self.variables, terms)
 
     __rmul__ = __mul__
 

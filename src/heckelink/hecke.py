@@ -25,7 +25,11 @@ homomorphism from the braid group.
 
 One loop, ``_multiply_generator``, applies both rules on either side: braid
 letters, the product walk, generator images and left multiplication all go
-through it, so the quadratic relation is written down once.
+through it, so the quadratic relation is written down once.  It runs over
+either kind of key, given as ``Keys``: permutations, as in ``HeckeElement``,
+or the ranks of a fixed coordinate order, which the cell modules use so that
+a step is a table lookup (``specht._perm_order``).  A fold is refused once
+its support exceeds ``MAX_SUPPORT``.
 
 At (q1, q2) = (1, -1) the quadratic relation collapses to T_i^2 = 1 and the
 algebra becomes the group algebra of the symmetric group; ``to_symmetric_group``
@@ -36,7 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from operator import methodcaller
+from typing import Callable, Mapping, NamedTuple
 
 from .braid import BraidWord, Permutation
 from .coefficients import FieldContext, Rationals, render_scalar
@@ -44,6 +49,46 @@ from .coefficients import FieldContext, Rationals, render_scalar
 
 class HeckeError(ValueError):
     """Context mismatches and malformed elements."""
+
+
+class HeckeSizeError(HeckeError):
+    """A fold whose support outgrew ``MAX_SUPPORT``."""
+
+
+MAX_SUPPORT = 40_320
+"""The most terms a braid word's image may have while it is folded: 8!, so
+no word on 8 strands or fewer reaches it.  Folds on more strands can reach
+n! terms (the full twist does), and are refused once they pass it."""
+
+
+class Keys(NamedTuple):
+    """A coordinate system for the basis elements T_w.
+
+    ``generator(i, left)`` gives the pair (step, ascent) of one-argument
+    lookups for the generator i on the right (w -> w s_i) or on the left
+    (w -> s_i w), the ascent being whether that step raises the length;
+    ``last_letter(w)`` is the last letter of the canonical reduced word of w,
+    0 for the identity alone."""
+
+    generator: Callable
+    last_letter: Callable
+
+
+@lru_cache(maxsize=128)
+def _permutation_generator(i: int, left: bool) -> tuple:
+    """The Permutation methods for generator i, bound once per (i, side)."""
+    if left:
+        return methodcaller("transposition_times", i), methodcaller("left_ascent", i)
+    return methodcaller("times_transposition", i), methodcaller("right_ascent", i)
+
+
+def _permutation_last_letter(w: Permutation) -> int:
+    word = w.reduced_word()
+    return word[-1] if word else 0
+
+
+PERMUTATION_KEYS = Keys(_permutation_generator, _permutation_last_letter)
+"""Keys that are the permutations themselves, as in ``HeckeElement``."""
 
 
 @dataclass(frozen=True)
@@ -210,15 +255,17 @@ def _render_order(terms: Mapping[Permutation, object]) -> list[Permutation]:
 
 
 def _multiply_generator(
-    terms: Mapping[Permutation, object],
+    terms: Mapping,
     i: int,
     inverse: bool,
     left: bool,
     q_sum,
     q_prod,
-) -> dict[Permutation, object]:
+    keys: Keys = PERMUTATION_KEYS,
+) -> dict:
     """Multiply a coordinate dict by T_i, or T_i^{-1} when ``inverse``, on the
-    right, or on the left when ``left``; terms that cancel are pruned.
+    right, or on the left when ``left``; terms that cancel are pruned.  The
+    dict's keys are those of ``keys``.
 
     T_w moves to T_{w s_i} (T_{s_i w} on the left) when the length goes the
     generator's way: up for T_i, down for T_i^{-1}.  Otherwise the quadratic
@@ -231,14 +278,11 @@ def _multiply_generator(
         diagonal, swapped = _inverse_coefficients(q_sum, q_prod)
     else:
         diagonal, swapped = q_sum, -q_prod
-    if left:
-        step, ascent = Permutation.transposition_times, Permutation.left_ascent
-    else:
-        step, ascent = Permutation.times_transposition, Permutation.right_ascent
-    out: dict[Permutation, object] = {}
+    step, ascent = keys.generator(i, left)
+    out: dict = {}
     for w, c in terms.items():
-        ws = step(w, i)
-        if ascent(w, i) != inverse:
+        ws = step(w)
+        if ascent(w) != inverse:
             s = out.get(ws)
             s = c if s is None else s + c
             if s:
@@ -264,27 +308,34 @@ def _multiply_generator(
     return out
 
 
-def _prefix_products(left: Mapping, support, q_sum, q_prod):
+def _prefix_products(
+    left: Mapping, support, q_sum, q_prod, keys: Keys = PERMUTATION_KEYS
+):
     """Yield (v, left * T_v), a dict not to be mutated, for each v in
-    ``support``.  Each v hangs off v s_i, i the last letter of its reduced
-    word, down to the identity; a depth-first walk folds once per edge."""
+    ``support``, a collection of ``keys``.  Each v hangs off v s_i, i the
+    last letter of its reduced word, down to the identity, the one key
+    without a last letter; a depth-first walk folds once per edge."""
     if not support:
         return
-    root = Permutation.identity(next(iter(support)).degree)
-    children: dict[Permutation, list] = {}
-    linked = {root}
+    last_letter, generator = keys.last_letter, keys.generator
+    children: dict = {}
+    linked = set()
+    root = None
     for v in support:
         while v not in linked:
             linked.add(v)
-            i = v.reduced_word()[-1]
-            parent = v.times_transposition(i)
+            i = last_letter(v)
+            if not i:
+                root = v
+                break
+            parent = generator(i, False)[0](v)
             children.setdefault(parent, []).append((i, v))
             v = parent
     stack = [(root, 0, left)]
     while stack:
         v, i, cur = stack.pop()
         if i:
-            cur = _multiply_generator(cur, i, False, False, q_sum, q_prod)
+            cur = _multiply_generator(cur, i, False, False, q_sum, q_prod, keys)
         if v in support:
             yield v, cur
         stack.extend((child, j, cur) for j, child in children.get(v, ()))
@@ -324,7 +375,10 @@ def fold_letter(
 
 
 def from_braid_word(b: BraidWord, ctx: HeckeContext) -> HeckeElement:
-    """Image of a braid word under sigma_i -> T_i, extended to inverses."""
+    """Image of a braid word under sigma_i -> T_i, extended to inverses.
+
+    Raises ``HeckeSizeError`` as soon as the folded support has more than
+    ``MAX_SUPPORT`` terms."""
     if b.strands != ctx.n:
         raise HeckeError(
             f"word on {b.strands} strands does not live in H_{ctx.n}"
@@ -334,6 +388,11 @@ def from_braid_word(b: BraidWord, ctx: HeckeContext) -> HeckeElement:
     }
     for letter in b.letters:
         cur = fold_letter(cur, letter, ctx)
+        if len(cur) > MAX_SUPPORT:
+            raise HeckeSizeError(
+                f"the image of this {b.strands}-strand word has more than "
+                f"{MAX_SUPPORT} terms, the limit on a fold's support"
+            )
     return HeckeElement(ctx, cur)
 
 

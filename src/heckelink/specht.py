@@ -34,6 +34,15 @@ be the generic variable or any specialized field value.  For a partition
   radical and P E = 1 for E the inclusion of their pivot columns, so T_w
   acts on the head by P A(w) E, with no basis of the radical.
 
+A build computes in ranks: its vectors are ``{rank: scalar}`` dicts over
+the coordinate order of ``_perm_order``, the sparse rows ``EchelonBasis``
+stores, and the fold runs on them with rank keys, per-n tables of the
+generator steps, ascent bits and last letters, so a step is a list lookup.
+What depends on the shape alone, the supports of the coset rows and the
+d(s)^{-1}, is built once per partition by ``_shape`` and shared by every
+field.  Permutations appear only at the boundary: the module's public basis,
+and the subspaces of ``ideal_I`` and ``module_basis_M``.
+
 A cell module is built with its basis and generator action only.  The form
 is evaluated on first use, since characters never read the Gram matrix.
 ``specht_module`` keeps the last 64 modules in an lru cache and hands them
@@ -67,10 +76,12 @@ from .coefficients import (
     one_parameter_context,
 )
 from .hecke import (
+    PERMUTATION_KEYS,
     HeckeContext,
     HeckeElement,
+    Keys,
+    _multiply_generator,
     _prefix_products,
-    left_multiply_generator,
 )
 from .linalg import EchelonBasis, triangulate
 from .trace import Partition, partitions_of, strictly_dominates
@@ -146,20 +157,34 @@ class SpechtContext:
 
 
 @lru_cache(maxsize=8)
-def _perm_order(n: int) -> tuple[tuple[Permutation, ...], dict[Permutation, int]]:
-    """All permutations sorted by (length, one-line); the coordinate order."""
+def _perm_order(n: int) -> tuple[tuple[Permutation, ...], dict[Permutation, int], Keys]:
+    """All permutations sorted by (length, one-line), the coordinate order;
+    the rank of each; and the rank keys, the permutation keys read through
+    that order: per generator and side, the ranks of the steps and the ascent
+    bits, and the last letter of each rank's reduced word, all as list
+    lookups."""
     perms = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
     perms.sort(key=lambda w: (w.length(), w.images))
-    return tuple(perms), {w: i for i, w in enumerate(perms)}
+    index = {w: r for r, w in enumerate(perms)}
+    generators = {}
+    for i in range(1, n):
+        for left in (False, True):
+            step, ascent = PERMUTATION_KEYS.generator(i, left)
+            steps = [index[step(w)] for w in perms]
+            ascents = [ascent(w) for w in perms]
+            generators[i, left] = (steps.__getitem__, ascents.__getitem__)
+    last_letters = [PERMUTATION_KEYS.last_letter(w) for w in perms]
+    keys = Keys(lambda i, left: generators[i, left], last_letters.__getitem__)
+    return tuple(perms), index, keys
 
 
 def _to_sparse(x: HeckeElement, sctx: SpechtContext) -> dict[int, object]:
-    _, index = _perm_order(sctx.n)
+    index = _perm_order(sctx.n)[1]
     return {index[w]: c for w, c in x.terms.items()}
 
 
 def _from_sparse(vec: dict[int, object], sctx: SpechtContext) -> HeckeElement:
-    order, _ = _perm_order(sctx.n)
+    order = _perm_order(sctx.n)[0]
     return HeckeElement(sctx.hecke_context(), {order[j]: c for j, c in vec.items()})
 
 
@@ -232,8 +257,7 @@ class SubspaceBasis:
     def __init__(self, sctx: SpechtContext):
         self.sctx = sctx
         field = sctx.field_context.field
-        order, _ = _perm_order(sctx.n)
-        self.echelon = EchelonBasis(len(order), field.zero(), field.one())
+        self.echelon = EchelonBasis(math.factorial(sctx.n), field.zero(), field.one())
 
     @property
     def dimension(self) -> int:
@@ -301,25 +325,41 @@ def module_basis_M(lam: Partition, sctx: SpechtContext) -> SubspaceBasis:
     return basis
 
 
+@lru_cache(maxsize=64)
+def _shape(lam: Partition) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The combinatorics of lam that every field shares, in ranks: the
+    support of each standard coset row T_{d(s)} m_lam, d = 1 first, and each
+    d(s)^{-1}, both in the order of ``_standard_representatives``."""
+    index = _perm_order(lam.n)[1]
+    standard = _standard_representatives(lam)
+    subgroup = young_subgroup(lam)
+    rows = tuple(tuple(index[d * u] for u in subgroup) for d in standard)
+    return rows, tuple(index[d.inverse()] for d in standard)
+
+
 def _insert_murphy(basis: SubspaceBasis, shapes: Sequence[Partition]) -> None:
     """Insert Murphy's vectors m_st = T_{d(s)} m_mu T_{d(t)^{-1}} of each mu in
     ``shapes``, over the pairs s, t of standard tableaux of shape mu.
 
-    T_{d(s)} m_mu is a coset row, and one prefix-tree walk over the
-    d(t)^{-1} gives all its right products.  ``partitions_of`` order lists the
-    most dominant shapes first, which keeps the echelon rows sparse: at n = 6
-    over F_3, reversed or sorted insertion orders took 2 to 11 times as long
-    for the same RREF."""
+    T_{d(s)} m_mu is a coset row, and one prefix-tree walk in rank keys over
+    the d(t)^{-1} gives all its right products.  ``partitions_of`` order
+    lists the most dominant shapes first, which keeps the echelon rows
+    sparse: at n = 6 over F_3, reversed or sorted insertion orders took 2 to
+    11 times as long for the same RREF."""
     sctx = basis.sctx
-    _, index = _perm_order(sctx.n)
+    keys = _perm_order(sctx.n)[2]
     fc = sctx.field_context
+    one = fc.field.one()
     for mu in shapes:
-        standard = _standard_representatives(mu)
-        inverses = dict.fromkeys(d.inverse() for d in standard)
-        for row in _coset_rows(mu, sctx, standard):
-            products = dict(_prefix_products(row.terms, inverses, fc.q_sum, fc.q_prod))
+        rows, inverses = _shape(mu)
+        support = dict.fromkeys(inverses)
+        for row in rows:
+            walk = _prefix_products(
+                dict.fromkeys(row, one), support, fc.q_sum, fc.q_prod, keys
+            )
+            products = dict(walk)
             for v in inverses:
-                basis.echelon.insert({index[w]: c for w, c in products[v].items()})
+                basis.echelon.insert(products[v])
 
 
 def _grow_ideal(
@@ -564,24 +604,27 @@ def specht_module(lam: Partition, sctx: SpechtContext) -> SpechtModule:
         raise SpechtError(f"{lam.render()} is not a partition of {sctx.n}")
     _check_size(sctx)
     shapes, ideal = _take_ideal(lam, sctx)
-    quotient = SubspaceBasis(sctx)
-    rows = _coset_rows(lam, sctx, _standard_representatives(lam))
-    reduced = [ideal.echelon.reduce(_to_sparse(row, sctx)) for row in rows]
+    fc = sctx.field_context
+    one = fc.field.one()
+    quotient = EchelonBasis(math.factorial(sctx.n), fc.field.zero(), one)
+    reduced = [ideal.echelon.reduce(dict.fromkeys(row, one)) for row in _shape(lam)[0]]
     for vec in reduced:
-        quotient.echelon.insert(vec)
+        quotient.insert(vec)
     _check_dimension(
-        f"the cell module {lam.render()}", quotient.dimension,
-        count_standard_tableaux(lam),
+        f"the cell module {lam.render()}", len(quotient), count_standard_tableaux(lam)
     )
-    basis = tuple(quotient.rows_as_elements())
-    seed = tuple(quotient.echelon.coordinates(reduced[0]))  # m_lam: d = 1 is first
+    seed = tuple(quotient.coordinates(reduced[0]))  # m_lam: d = 1 is first
+    keys = _perm_order(sctx.n)[2]
+    rows = quotient.sparse_rows()
     action = []
     for i in range(1, sctx.n):
         columns = [
-            quotient.echelon.coordinates(
-                ideal.echelon.reduce(_to_sparse(left_multiply_generator(b, i), sctx))
+            quotient.coordinates(
+                ideal.echelon.reduce(
+                    _multiply_generator(b, i, False, True, fc.q_sum, fc.q_prod, keys)
+                )
             )
-            for b in basis
+            for b in rows
         ]
         if None in columns:
             raise ProportionalityError(
@@ -589,6 +632,7 @@ def specht_module(lam: Partition, sctx: SpechtContext) -> SpechtModule:
             )
         action.append(tuple(zip(*columns)))
     _held_ideal[:] = [(sctx, shapes, ideal)]
+    basis = tuple(_from_sparse(row, sctx) for row in rows)
     return SpechtModule(lam, sctx, basis, tuple(action), seed)
 
 

@@ -1,5 +1,6 @@
 """Braid words, the symmetric-group projection, and Markov moves."""
 
+import itertools
 import random
 
 import pytest
@@ -133,6 +134,23 @@ class TestPermutation:
     def test_degree_mismatch(self):
         with pytest.raises(BraidError):
             Permutation([2, 1]) * Permutation([1, 2, 3])
+
+    def test_steps_equal_the_checked_constructor(self):
+        # both steps build their result unchecked
+        for images in itertools.permutations(range(1, 6)):
+            w = Permutation(images)
+            for i in range(1, 5):
+                right = list(images)
+                right[i - 1], right[i] = right[i], right[i - 1]
+                left = [i + 1 if v == i else i if v == i + 1 else v for v in images]
+                for step, expected in (
+                    (w.times_transposition(i), Permutation(right)),
+                    (w.transposition_times(i), Permutation(left)),
+                ):
+                    assert step == expected
+                    assert step.images == expected.images
+                    assert type(step.images) is tuple
+                    assert hash(step) == hash(expected)
 
 
 class TestMarkovMoves:

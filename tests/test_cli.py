@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from heckelink import hecke
 from heckelink.cli import main
 
 
@@ -76,6 +77,15 @@ class TestReduce:
         )
         assert code == 0
         assert out == "T[2,1] + (2)*T[1,2]\n"
+
+
+@pytest.mark.parametrize("command", ["reduce", "homfly", "jones", "decompose"])
+def test_a_fold_past_the_support_limit_exits_2(capsys, monkeypatch, command):
+    # the full twist on 6 strands folds to all 720 terms
+    monkeypatch.setattr(hecke, "MAX_SUPPORT", 100)
+    code, out, err = run(capsys, command, "--strands", "6", " ".join(["1 2 3 4 5"] * 6))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "more than 100 terms" in err
 
 
 class TestInvariantCommands:

@@ -1,6 +1,7 @@
 """The Hecke algebra: relations, the braid-group homomorphism, star."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -15,10 +16,12 @@ from heckelink.coefficients import (
     one_parameter_context,
     parse_scalar,
 )
+from heckelink import hecke
 from heckelink.hecke import (
     HeckeContext,
     HeckeElement,
     HeckeError,
+    HeckeSizeError,
     _multiply_generator,
     _prefix_products,
     _right_product,
@@ -265,6 +268,23 @@ class TestBraidWordImages:
     def test_strand_mismatch(self):
         with pytest.raises(HeckeError):
             from_braid_word(BraidWord(3, [1]), generic_ctx(2))
+
+
+FULL_TWIST_6 = BraidWord(6, [1, 2, 3, 4, 5] * 6)
+
+
+class TestSupportBudget:
+    def test_no_word_on_8_strands_reaches_the_limit(self):
+        assert hecke.MAX_SUPPORT == math.factorial(8)
+        assert issubclass(HeckeSizeError, HeckeError)
+
+    def test_full_twist_has_every_term(self):
+        assert len(from_braid_word(FULL_TWIST_6, generic_ctx(6)).terms) == 720
+
+    def test_a_fold_past_the_limit_is_refused(self, monkeypatch):
+        monkeypatch.setattr(hecke, "MAX_SUPPORT", 100)
+        with pytest.raises(HeckeSizeError, match="more than 100 terms"):
+            from_braid_word(FULL_TWIST_6, generic_ctx(6))
 
 
 class TestStar:

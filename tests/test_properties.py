@@ -145,6 +145,21 @@ def test_stored_coefficients_are_int_or_proper_fraction(a, b, den):
         assert _int_or_proper_fraction(p)
 
 
+@PROPERTY
+@given(laurent(), laurent(), RATIONALS)
+def test_arithmetic_results_equal_the_checked_constructor(a, b, r):
+    # sums, products and negations skip the exponent checks of the public
+    # constructor, yet store exactly what it would
+    for p in (a + b, a - b, a * b, -a, a + r, r - a):
+        checked = LaurentPoly(p.variables, p.terms)
+        assert p.variables == checked.variables
+        assert [(e, type(c), c) for e, c in p.terms.items()] == [
+            (e, type(c), c) for e, c in checked.terms.items()
+        ]
+        assert all(p.terms.values())
+        assert _int_or_proper_fraction(p)
+
+
 # -- the sparse echelon basis ----------------------------------------------------
 
 ECHELON_FIELDS = {

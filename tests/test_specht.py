@@ -280,7 +280,11 @@ class TestMurphyAgainstClosure:
                 module = specht_module(lam, sctx)
                 assert module.basis == tuple(quotient.rows_as_elements())
 
-    def test_a_missing_standard_tableau_is_caught(self, monkeypatch):
+    def test_a_missing_standard_tableau_is_caught(self, monkeypatch, request):
+        # the shape data is cached per partition: empty it so that the fault
+        # reaches the build, and again so that no later test reads it
+        clear_caches()
+        request.addfinalizer(clear_caches)
         standard = specht._standard_representatives
         monkeypatch.setattr(
             specht, "_standard_representatives", lambda lam: standard(lam)[:-1]
@@ -296,6 +300,68 @@ class TestMurphyAgainstClosure:
                 reps = specht._standard_representatives(lam)
                 assert reps[0] == Permutation.identity(n)
                 assert len(reps) == count_standard_tableaux(lam)
+
+
+class TestRankKeys:
+    def test_tables_equal_the_permutation_methods(self):
+        for n in range(1, 7):
+            order, index, keys = specht._perm_order(n)
+            for r, w in enumerate(order):
+                word = w.reduced_word()
+                assert keys.last_letter(r) == (word[-1] if word else 0)
+                for i in range(1, n):
+                    step, ascent = keys.generator(i, False)
+                    assert step(r) == index[w.times_transposition(i)]
+                    assert ascent(r) == w.right_ascent(i)
+                    step, ascent = keys.generator(i, True)
+                    assert step(r) == index[w.transposition_times(i)]
+                    assert ascent(r) == w.left_ascent(i)
+
+    @pytest.mark.parametrize(
+        "make, max_n",
+        [
+            (lambda n: SpechtContext.at_value(n, PrimeField(3), 2), 5),
+            (lambda n: SpechtContext.at_value(n, Rationals(), Fraction(1, 2)), 5),
+            (SpechtContext.generic, 4),
+        ],
+        ids=["F_3 at q=2", "Q at q=1/2", "Q(q)"],
+    )
+    def test_rank_walks_equal_the_permutation_walks(self, make, max_n):
+        # the Murphy walk of every coset row, and the left generator steps of
+        # its products, in rank keys and through the permutations
+        for n in range(1, max_n + 1):
+            sctx = make(n)
+            fc = sctx.field_context
+            one = fc.field.one()
+            _, index, keys = specht._perm_order(n)
+            for lam in partitions_of(n):
+                standard = specht._standard_representatives(lam)
+                inverses = dict.fromkeys(d.inverse() for d in standard)
+                rows, inverse_ranks = specht._shape(lam)
+                assert inverse_ranks == tuple(index[v] for v in inverses)
+                coset_rows = specht._coset_rows(lam, sctx, standard)
+                assert [specht._to_sparse(row, sctx) for row in coset_rows] == [
+                    dict.fromkeys(ranks, one) for ranks in rows
+                ]
+                for row, ranks in zip(coset_rows, rows):
+                    walked = hecke._prefix_products(
+                        row.terms, inverses, fc.q_sum, fc.q_prod
+                    )
+                    expected = {
+                        index[v]: {index[w]: c for w, c in cur.items()}
+                        for v, cur in walked
+                    }
+                    ranked = dict(hecke._prefix_products(
+                        dict.fromkeys(ranks, one), dict.fromkeys(inverse_ranks),
+                        fc.q_sum, fc.q_prod, keys,
+                    ))
+                    assert ranked == expected
+                    for v, cur in ranked.items():
+                        x = specht._from_sparse(cur, sctx)
+                        for i in range(1, n):
+                            assert hecke._multiply_generator(
+                                cur, i, False, True, fc.q_sum, fc.q_prod, keys
+                            ) == specht._to_sparse(left_multiply_generator(x, i), sctx)
 
 
 _HELD_IDEAL_FIELDS = {
