@@ -62,10 +62,7 @@ from .specht import (
     SpechtModule,
     count_standard_tableaux,
     dim_D_lambda,
-    gram_entry,
     ideal_I,
-    m_lambda,
-    module_basis_M,
     specht_module,
     young_subgroup,
 )

@@ -13,16 +13,17 @@ Field selection: ``--field generic`` (the default) works over Q(q1, q2) or,
 for the specht table, Q(q) with (q1, q2) = (-1, q).  ``--field rationals
 --q VALUE`` and ``--field fp --p P --q VALUE`` pin q in the one-parameter
 convention.  The environment variable HECKELINK_FIELD supplies a default
-("generic", "rationals:VALUE", or "fp:P:VALUE").  A --p or --q that the
-selected field does not read is an input error.
+("generic", "rationals:VALUE", or "fp:P:VALUE").  Field names are read in
+any case.  A --p or --q that the selected field does not read is an input
+error.
 
 Output: every handler prints through ``_emit``, one JSON line under
 ``--format json`` and the text lines otherwise.  The ``verify --quick``
 suites yield one pass/fail verdict per check; ``cmd_verify`` counts them.
 
-Exit codes: 0 success, 2 input or parse error (a malformed field spec
-included), 3 unsupported field for the requested operation, 4 internal
-invariant violation.
+Exit codes: 0 success, 2 input or parse error (a malformed field spec or
+command line included, reported on one stderr line), 3 unsupported field for
+the requested operation, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -78,12 +79,24 @@ class FieldSelectionError(ValueError):
     pass
 
 
+class UsageError(ValueError):
+    """A malformed command line, in argparse's words."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ``UsageError`` instead of printing the usage block and exiting,
+    so that ``main`` reports it on one line; ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _field_spec(args) -> tuple[str, int | str | None, str | None]:
     """(kind, p, q) from --field, else HECKELINK_FIELD, else generic.  A --p
     or --q that the selected field does not read raises CoefficientError."""
     env = os.environ.get("HECKELINK_FIELD")
     if args.field is not None:
-        kind, p, q = args.field.lower(), args.p, args.q
+        kind, p, q = args.field, args.p, args.q
         source, reads = f"--field {kind}", {"rationals": "q", "fp": "pq"}.get(kind, "")
     elif env:
         parts = env.split(":")
@@ -353,7 +366,8 @@ def cmd_verify(args) -> int:
 def _add_field_arguments(sub) -> None:
     sub.add_argument(
         "--field",
-        choices=["generic", "rationals", "fp", "Fp", "FP"],
+        type=str.lower,
+        choices=["generic", "rationals", "fp"],
         default=None,
         help="coefficient field (default: generic, or HECKELINK_FIELD)",
     )
@@ -361,8 +375,8 @@ def _add_field_arguments(sub) -> None:
     sub.add_argument("--q", default=None, help="q value for rationals/fp fields")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> _Parser:
+    parser = _Parser(
         prog="heckelink",
         description="Exact Hecke-algebra computations and braid-closure invariants.",
     )
@@ -408,10 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    input_errors = (
+        UsageError, BraidError, HeckeError, CoefficientError, OracleError, SpechtError
+    )
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
-    except (BraidError, HeckeError, CoefficientError, OracleError, SpechtError) as exc:
+    except input_errors as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except FieldSelectionError as exc:

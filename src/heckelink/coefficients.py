@@ -869,11 +869,13 @@ class RationalFunctionField:
             return self.from_fraction(x)
         raise ContextMismatchError(f"cannot coerce {x!r} into Q{self.variables}")
 
-    def render(self, x) -> str:
-        return self.coerce(x).render()
-
     def parse(self, text: str) -> RationalFunction:
-        return parse_scalar(text, self)
+        """Parse ``num`` or ``num / den``, inverse to rendering."""
+        num_text, sep, den_text = text.partition(" / ")
+        num = parse_laurent(num_text, self.variables)
+        if not sep:
+            return RationalFunction.from_poly(num)
+        return canonicalize(num, parse_laurent(den_text, self.variables))
 
     def describe(self) -> str:
         return "Q(" + ",".join(self.variables) + ")"
@@ -898,9 +900,6 @@ class Rationals:
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         raise ContextMismatchError(f"cannot coerce {x!r} into Q")
-
-    def render(self, x) -> str:
-        return str(Fraction(x))
 
     def parse(self, text: str) -> Fraction:
         try:
@@ -950,9 +949,6 @@ class PrimeField:
         if isinstance(x, (int, Fraction)):
             return self.from_fraction(x)
         raise ContextMismatchError(f"cannot coerce {x!r} into F_{self.p}")
-
-    def render(self, x) -> str:
-        return str(self.coerce(x).value)
 
     def parse(self, text: str) -> PrimeFieldElement:
         try:
@@ -1010,8 +1006,8 @@ class FieldContext:
 
     def describe(self) -> str:
         return (
-            f"{self.field.describe()} with q1={self.field.render(self.q1)}, "
-            f"q2={self.field.render(self.q2)}"
+            f"{self.field.describe()} with q1={render_scalar(self.q1)}, "
+            f"q2={render_scalar(self.q2)}"
         )
 
 
@@ -1149,18 +1145,6 @@ def parse_laurent(text: str, variables: Iterable[str]) -> LaurentPoly:
             exps[vs.index(name)] += e
         result = result + LaurentPoly.monomial(vs, tuple(exps), sign * coeff)
     return result
-
-
-def parse_scalar(text: str, field: Field):
-    """Parse a scalar in the given field, inverse to rendering."""
-    if isinstance(field, RationalFunctionField):
-        num_text, sep, den_text = text.partition(" / ")
-        num = parse_laurent(num_text, field.variables)
-        if not sep:
-            return RationalFunction.from_poly(num)
-        den = parse_laurent(den_text, field.variables)
-        return canonicalize(num, den)
-    return field.parse(text)
 
 
 def render_scalar(x) -> str:

@@ -3,10 +3,10 @@
 Matrices are plain Python lists of scalars; vectors are lists too, or sparse
 ``{column: value}`` dicts where they are long.  Everything here divides
 exactly and never touches floating point.  There is one elimination routine,
-the reduced-row-echelon basis ``EchelonBasis``; ranks, kernels and
-determinants insert the rows of their matrix into one and read the answer off
-the echelon rows, on every field alike.  ``triangulate`` yields a square
-matrix's determinant and echelon basis from one pass.
+the reduced-row-echelon basis ``EchelonBasis``, on every field alike, and one
+way to eliminate a matrix: ``triangulate`` yields a square matrix's
+determinant and echelon basis from one pass, and its rank is the number of
+echelon rows.
 
 Over Q and F_p the basis computes on plain integers, since every operation on
 a scalar object costs a type check and an allocation: field scalars become
@@ -122,11 +122,6 @@ class EchelonBasis:
         size = None if isinstance(vector, dict) else self.dimension
         return self._export(row, scale, size)
 
-    def contains(self, vector: Sequence | dict) -> bool:
-        v, _ = self._import(vector)
-        self._eliminate(v)
-        return not v
-
     def _eliminate(self, w: dict, pivots: list[int] | None = None) -> int:
         """The one elimination pass, in place: w becomes
         A*w - sum over the pivots p of (A / a_p) * w[p] * row_p, with A the
@@ -213,13 +208,6 @@ class EchelonBasis:
         return dense
 
 
-def _echelon(rows: Sequence[Sequence], ncols: int, zero, one) -> EchelonBasis:
-    basis = EchelonBasis(ncols, zero, one)
-    for row in rows:
-        basis.insert(row)
-    return basis
-
-
 def triangulate(matrix: Sequence[Sequence], zero, one) -> tuple[object, EchelonBasis]:
     """One elimination of a square matrix: its exact determinant and the
     echelon basis of its rows.
@@ -248,32 +236,3 @@ def triangulate(matrix: Sequence[Sequence], zero, one) -> tuple[object, EchelonB
             det = -det
         basis.insert(v)
     return det, basis
-
-
-def determinant(matrix: Sequence[Sequence], zero, one):
-    """Exact determinant, read off ``triangulate``."""
-    return triangulate(matrix, zero, one)[0]
-
-
-def kernel_basis(matrix: Sequence[Sequence], zero, one) -> list[list]:
-    """A basis of the right kernel, one vector per free column of the RREF."""
-    ncols = len(matrix[0]) if matrix else 0
-    basis = _echelon(matrix, ncols, zero, one)
-    pivot_set = set(basis.pivots)
-    kernel = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [zero] * ncols
-        v[free] = one
-        for pcol, row in zip(basis.pivots, basis.rows):
-            v[pcol] = zero - row[free]
-        kernel.append(v)
-    return kernel
-
-
-def matrix_rank(matrix: Sequence[Sequence], field) -> int:
-    """Rank over the given field: the number of echelon rows."""
-    if not matrix:
-        return 0
-    return len(_echelon(matrix, len(matrix[0]), field.zero(), field.one()))

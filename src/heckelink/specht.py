@@ -40,8 +40,8 @@ stores, and the fold runs on them with rank keys, per-n tables of the
 generator steps, ascent bits and last letters, so a step is a list lookup.
 What depends on the shape alone, the supports of the coset rows and the
 d(s)^{-1}, is built once per partition by ``_shape`` and shared by every
-field.  Permutations appear only at the boundary: the module's public basis,
-and the subspaces of ``ideal_I`` and ``module_basis_M``.
+field.  Permutations appear only at the boundary, in the module's public
+basis.
 
 A cell module is built with its basis and generator action only.  The form
 is evaluated on first use, since characters never read the Gram matrix.
@@ -49,9 +49,9 @@ is evaluated on first use, since characters never read the Gram matrix.
 out frozen.  It also holds the ideal of the last module it built, never
 handed out, and grows it for the next shape when that shape's dominating
 set contains the held one, as it does along ``partitions_of`` order; so a
-table inserts each Murphy vector once.  ``ideal_I``, ``module_basis_M`` and
-the reference form ``gram_entry`` rebuild their subspaces on every call.
-Above n = ``MAX_N`` all four raise ``SpechtSizeError`` before any n!-length
+table inserts each Murphy vector once.  ``ideal_I`` rebuilds its subspace on
+every call.  Both refuse a partition of another n with ``SpechtError``, and
+above n = ``MAX_N`` both raise ``SpechtSizeError``, before any n!-length
 work.
 
 Both spans are built with no closure, so each insert grows them; their
@@ -97,12 +97,15 @@ class SpechtSizeError(SpechtError):
 
 
 MAX_N = 7
-"""The largest n whose cell modules ``specht_module``, ``ideal_I`` and
-``module_basis_M`` build (7! = 5040 coordinates per vector)."""
+"""The largest n whose cell modules ``specht_module`` and ``ideal_I`` build
+(7! = 5040 coordinates per vector)."""
 
 
-def _check_size(sctx: SpechtContext) -> None:
-    """Refuse n > MAX_N before any n!-length work."""
+def _check_shape(lam: Partition, sctx: SpechtContext) -> None:
+    """Refuse a partition of another n than the context's, and n > MAX_N,
+    before any n!-length work."""
+    if lam.n != sctx.n:
+        raise SpechtError(f"{lam.render()} is not a partition of {sctx.n}")
     if sctx.n > MAX_N:
         raise SpechtSizeError(
             f"cell modules are limited to n <= {MAX_N}: n = {sctx.n} needs "
@@ -178,11 +181,6 @@ def _perm_order(n: int) -> tuple[tuple[Permutation, ...], dict[Permutation, int]
     return tuple(perms), index, keys
 
 
-def _to_sparse(x: HeckeElement, sctx: SpechtContext) -> dict[int, object]:
-    index = _perm_order(sctx.n)[1]
-    return {index[w]: c for w, c in x.terms.items()}
-
-
 def _from_sparse(vec: dict[int, object], sctx: SpechtContext) -> HeckeElement:
     order = _perm_order(sctx.n)[0]
     return HeckeElement(sctx.hecke_context(), {order[j]: c for j, c in vec.items()})
@@ -207,14 +205,6 @@ def young_subgroup(lam: Partition) -> list[Permutation]:
                 images[pos - 1] = val
         out.append(Permutation(images))
     return out
-
-
-def m_lambda(lam: Partition, sctx: SpechtContext) -> HeckeElement:
-    """Sum of the basis elements over the Young subgroup of lam."""
-    if lam.n != sctx.n:
-        raise SpechtError(f"{lam.render()} is not a partition of {sctx.n}")
-    one = sctx.field_context.field.one()
-    return HeckeElement(sctx.hecke_context(), {w: one for w in young_subgroup(lam)})
 
 
 def _coset_representatives(lam: Partition) -> list[Permutation]:
@@ -248,10 +238,9 @@ def _coset_representatives(lam: Partition) -> list[Permutation]:
 
 
 class SubspaceBasis:
-    """An echelonized subspace of the algebra in the T_w coordinate order.
-
-    Rows are in reduced row-echelon form with strictly increasing pivots, so
-    membership tests and modular reduction are exact sweeps.
+    """An echelonized subspace of the algebra: ``echelon`` holds its rows as
+    ``{rank: scalar}`` dicts over the coordinate order of ``_perm_order``,
+    and ``dimension`` is their number, not the n! of the ambient space.
     """
 
     def __init__(self, sctx: SpechtContext):
@@ -262,18 +251,6 @@ class SubspaceBasis:
     @property
     def dimension(self) -> int:
         return len(self.echelon)
-
-    def insert_element(self, x: HeckeElement) -> dict | None:
-        return self.echelon.insert(_to_sparse(x, self.sctx))
-
-    def reduce_element(self, x: HeckeElement) -> HeckeElement:
-        return _from_sparse(self.echelon.reduce(_to_sparse(x, self.sctx)), self.sctx)
-
-    def contains(self, x: HeckeElement) -> bool:
-        return self.echelon.contains(_to_sparse(x, self.sctx))
-
-    def rows_as_elements(self) -> list[HeckeElement]:
-        return [_from_sparse(row, self.sctx) for row in self.echelon.sparse_rows()]
 
 
 def _standard_representatives(lam: Partition) -> list[Permutation]:
@@ -293,36 +270,12 @@ def _standard_representatives(lam: Partition) -> list[Permutation]:
     ]
 
 
-def _coset_rows(
-    lam: Partition, sctx: SpechtContext, reps: Sequence[Permutation]
-) -> list[HeckeElement]:
-    """The products T_d m_lam over minimal coset representatives d in reps.
-
-    Lengths add across the coset split, so each product is a sum of distinct
-    basis elements with unit coefficients and the supports of distinct
-    cosets are disjoint; the rows are independent."""
-    one = sctx.field_context.field.one()
-    ctx = sctx.hecke_context()
-    subgroup = young_subgroup(lam)
-    return [HeckeElement(ctx, {d * u: one for u in subgroup}) for d in reps]
-
-
 def _check_dimension(what: str, found: int, expected: int) -> None:
     if found != expected:
         raise ProportionalityError(
             f"{what} has dimension {found}, but the standard tableaux count "
             f"gives {expected}"
         )
-
-
-def module_basis_M(lam: Partition, sctx: SpechtContext) -> SubspaceBasis:
-    """Echelon basis of the left ideal generated by m_lam, built anew on each
-    call, so the caller owns it."""
-    _check_size(sctx)
-    basis = SubspaceBasis(sctx)
-    for row in _coset_rows(lam, sctx, _coset_representatives(lam)):
-        basis.insert_element(row)
-    return basis
 
 
 @lru_cache(maxsize=64)
@@ -384,7 +337,7 @@ def ideal_I(lam: Partition, sctx: SpechtContext) -> SubspaceBasis:
     closure runs.  The dimension is checked against sum (f^mu)^2 from the
     tableaux count.  Built anew on each call, so the caller owns it.
     """
-    _check_size(sctx)
+    _check_shape(lam, sctx)
     return _grow_ideal(lam, SubspaceBasis(sctx), frozenset())[1]
 
 
@@ -600,9 +553,7 @@ def specht_module(lam: Partition, sctx: SpechtContext) -> SpechtModule:
     module is cached and shared.  I^lam grows the held ideal of the previous
     build when it can (``_take_ideal``) and is held in turn, never handed
     out; ``clear_caches`` drops it."""
-    if lam.n != sctx.n:
-        raise SpechtError(f"{lam.render()} is not a partition of {sctx.n}")
-    _check_size(sctx)
+    _check_shape(lam, sctx)
     shapes, ideal = _take_ideal(lam, sctx)
     fc = sctx.field_context
     one = fc.field.one()
@@ -634,43 +585,6 @@ def specht_module(lam: Partition, sctx: SpechtContext) -> SpechtModule:
     _held_ideal[:] = [(sctx, shapes, ideal)]
     basis = tuple(_from_sparse(row, sctx) for row in rows)
     return SpechtModule(lam, sctx, basis, tuple(action), seed)
-
-
-def _form(lam: Partition, sctx: SpechtContext):
-    """The bilinear form as a function of the product star(x) * y: the
-    scalar r with star(x) * y = r * m_lam modulo the ideal."""
-    ideal = ideal_I(lam, sctx).echelon
-    m_bar = ideal.reduce(_to_sparse(m_lambda(lam, sctx), sctx))
-    pivot = min(m_bar, default=None)
-    zero = sctx.field_context.field.zero()
-
-    def form(product: HeckeElement):
-        reduced = ideal.reduce(_to_sparse(product, sctx))
-        if pivot is None:
-            if reduced:
-                raise ProportionalityError(
-                    f"form value undefined: m_{lam.render()} lies in the ideal "
-                    "but the product does not"
-                )
-            return zero
-        ratio = reduced.get(pivot, zero) / m_bar[pivot]
-        if reduced != {j: ratio * c for j, c in m_bar.items() if ratio}:
-            raise ProportionalityError(
-                f"star(x)*y is not proportional to m_{lam.render()} modulo the ideal"
-            )
-        return ratio
-
-    return form
-
-
-def gram_entry(x: HeckeElement, y: HeckeElement, lam: Partition, sctx: SpechtContext):
-    """Bilinear form value <x, y> for x, y in the left ideal of m_lam.
-
-    The reference route: it builds M^lam and I^lam on every call."""
-    module_m = module_basis_M(lam, sctx)
-    if not module_m.contains(x) or not module_m.contains(y):
-        raise SpechtError("form arguments must lie in the left ideal of m_lambda")
-    return _form(lam, sctx)(x.star() * y)
 
 
 def dim_D_lambda(lam: Partition, sctx: SpechtContext) -> int:

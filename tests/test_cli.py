@@ -300,6 +300,14 @@ class TestMalformedFieldSpec:
             # the field is resolved even when the table has no rows
             (None, ["specht", "--n", "0", "--field", "fp", "--p", "4", "--q", "2"]),
             ("bogus", ["specht", "--n", "0"]),
+            # usage errors that argparse finds, on one line instead of the
+            # usage block
+            (None, []),
+            (None, ["reduce"]),
+            (None, ["reduce", "--strands", "x", "1"]),
+            (None, ["specht"]),
+            (None, ["specht", "--n", "2", "--field", "bogus"]),
+            (None, ["specht", "--n", "2", "--field", "fp", "--p", "abc", "--q", "2"]),
         ],
     )
     def test_exits_2_with_one_line(self, capsys, monkeypatch, env, argv):
@@ -312,6 +320,26 @@ class TestMalformedFieldSpec:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_usage_error_names_the_argument(self, capsys):
+        code, out, err = run(capsys, "reduce", "--strands", "x", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: argument --strands: invalid int value: 'x'\n"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["specht", "--help"]])
+    def test_help_still_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: heckelink")
+
+    def test_field_is_case_insensitive(self, capsys, monkeypatch):
+        # "Fp" is pinned by the golden tables; any other case is read too
+        monkeypatch.delenv("HECKELINK_FIELD", raising=False)
+        argv = ["specht", "--n", "2", "--field", "fP", "--p", "3", "--q", "2"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == "partition\tdim_S\tdim_D\tgram_det\n(2)\t1\t0\t0\n(1,1)\t1\t1\t1\n"
 
     @pytest.mark.parametrize(
         "env, argv, flag",

@@ -14,7 +14,6 @@ from heckelink.coefficients import (
     Rationals,
     generic_field_context,
     one_parameter_context,
-    parse_scalar,
 )
 from heckelink import hecke
 from heckelink.hecke import (
@@ -29,6 +28,7 @@ from heckelink.hecke import (
     left_multiply_generator,
     to_symmetric_group,
 )
+from reference import FIELDS, reference_product
 
 
 def generic_ctx(n):
@@ -36,33 +36,7 @@ def generic_ctx(n):
 
 
 def scalar(text):
-    return parse_scalar(text, generic_field_context().field)
-
-
-def _reference_product(x, y):
-    """x * y by folding all of x along the reduced word of every term T_v of
-    y, one term at a time: the product before the shared prefix walk."""
-    field = x.context.field
-    result = {}
-    for v, d in y.terms.items():
-        cur = x.terms
-        for i in v.reduced_word():
-            cur = _multiply_generator(cur, i, False, False, field.q_sum, field.q_prod)
-        for u, c in cur.items():
-            s = result.get(u)
-            s = c * d if s is None else s + c * d
-            if s:
-                result[u] = s
-            else:
-                result.pop(u, None)
-    return HeckeElement(x.context, result)
-
-
-FIELDS = {
-    "Q(q1,q2)": generic_field_context(),
-    "Q at q=2": one_parameter_context(Rationals(), 2),
-    "F_7 at q=3": one_parameter_context(PrimeField(7), 3),
-}
+    return generic_field_context().field.parse(text)
 
 
 def random_element(rng, ctx, size):
@@ -166,7 +140,7 @@ class TestRightProducts:
             for _ in range(12):
                 x = random_element(rng, ctx, rng.randrange(0, 7))
                 y = random_element(rng, ctx, rng.randrange(0, 7))
-                assert x * y == _reference_product(x, y)
+                assert x * y == reference_product(x, y)
 
     @staticmethod
     def _walk_cases(name):
@@ -193,7 +167,7 @@ class TestRightProducts:
         for lhs, r in self._walk_cases(name):
             fc = lhs.context.field
             product = _right_product(lhs.terms, r.terms, fc.q_sum, fc.q_prod)
-            assert HeckeElement(lhs.context, product) == _reference_product(lhs, r)
+            assert HeckeElement(lhs.context, product) == reference_product(lhs, r)
 
     @pytest.mark.parametrize("name", FIELDS)
     def test_prefix_products_match_reference(self, name):
@@ -206,7 +180,7 @@ class TestRightProducts:
             assert walked.keys() == support
             for v, terms in walked.items():
                 basis = HeckeElement(ctx, {v: fc.one()})
-                assert HeckeElement(ctx, terms) == _reference_product(lhs, basis)
+                assert HeckeElement(ctx, terms) == reference_product(lhs, basis)
 
     def test_no_right_factors(self):
         # a right factor without terms: the walk has no tree and yields zero

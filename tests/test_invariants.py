@@ -17,7 +17,6 @@ from heckelink.coefficients import (
     RationalFunctionField,
     generic_field_context,
     parse_laurent,
-    parse_scalar,
     specialize,
 )
 from heckelink.invariants import (
@@ -34,7 +33,7 @@ FIELD = generic_field_context()
 
 
 def rf(text):
-    return parse_scalar(text, FIELD.field)
+    return FIELD.field.parse(text)
 
 
 class TestHomflypt:

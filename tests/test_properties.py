@@ -25,11 +25,11 @@ from heckelink.coefficients import (
     RationalFunctionField,
     Rationals,
     canonicalize,
-    parse_scalar,
+    render_scalar,
 )
 from heckelink.hecke import HeckeContext, HeckeElement
-from heckelink.linalg import EchelonBasis, determinant, kernel_basis, triangulate
-from test_hecke import FIELDS, _reference_product
+from heckelink.linalg import EchelonBasis, triangulate
+from reference import FIELDS, kernel_basis, reference_product
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -62,7 +62,7 @@ def triples(draw, max_n=4):
 @given(triples(max_n=5))
 def test_product_is_the_reference_fold(abc):
     a, b, _ = abc
-    assert a * b == _reference_product(a, b)
+    assert a * b == reference_product(a, b)
 
 
 @PROPERTY
@@ -125,16 +125,16 @@ def test_canonical_form_ignores_a_common_factor(num, den, k):
 @given(laurent(), laurent(ordinary=True).filter(bool))
 def test_parse_inverts_render_over_q12(num, den):
     x = canonicalize(num, den)
-    assert parse_scalar(x.render(), RationalFunctionField(Q12)) == x
+    assert RationalFunctionField(Q12).parse(x.render()) == x
 
 
 @PROPERTY
 @given(RATIONALS, st.integers(-50, 50), st.sampled_from([2, 3, 5, 7, 101]))
 def test_parse_inverts_render_over_q_and_fp(r, n, p):
     q = Rationals()
-    assert q.parse(q.render(r)) == r
+    assert q.parse(render_scalar(r)) == r
     fp = PrimeField(p)
-    assert fp.parse(fp.render(fp.from_int(n))) == fp.from_int(n)
+    assert fp.parse(render_scalar(fp.from_int(n))) == fp.from_int(n)
 
 
 @PROPERTY
@@ -301,7 +301,8 @@ def test_echelon_reduce_and_coordinates_match_a_dense_sweep(named, mix):
         assert basis.coordinates(sparse) == expected
         if expected is not None:
             assert_field_scalars(name, basis.coordinates(v) + basis.coordinates(sparse))
-        assert basis.contains(v) == basis.contains(sparse) == (expected is not None)
+        in_span = basis.coordinates(v) is not None
+        assert in_span == (basis.coordinates(sparse) is not None) == (expected is not None)
     assert basis.coordinates(inside) is not None
 
 
@@ -311,7 +312,7 @@ def test_determinant_matches_a_dense_sweep(named):
     name, m = named
     field = ECHELON_FIELDS[name]
     expected = sweep_determinant(m, field.zero(), field.one())
-    det = determinant(m, field.zero(), field.one())
+    det = triangulate(m, field.zero(), field.one())[0]
     assert det == expected
     assert_field_scalars(name, [det])
     # one pass gives the determinant and the whole RREF, singular or not

@@ -17,8 +17,8 @@ import heckelink
 from heckelink import clear_caches, hecke, specht
 from heckelink.braid import BraidWord, Permutation
 from heckelink.coefficients import PrimeField, Rationals, quantum_e
-from heckelink.hecke import HeckeElement, fold_letter, left_multiply_generator
-from heckelink.linalg import EchelonBasis, kernel_basis, matrix_rank
+from heckelink.hecke import left_multiply_generator
+from heckelink.linalg import EchelonBasis
 from heckelink.specht import (
     ProportionalityError,
     SpechtContext,
@@ -26,10 +26,7 @@ from heckelink.specht import (
     SpechtModule,
     count_standard_tableaux,
     dim_D_lambda,
-    gram_entry,
     ideal_I,
-    m_lambda,
-    module_basis_M,
     specht_module,
     young_subgroup,
 )
@@ -40,8 +37,11 @@ from heckelink.trace import (
     partitions_of,
     strictly_dominates,
 )
-from test_hecke import _reference_product
-from test_linalg import cofactor
+from reference import (
+    bilinear_form, closure_ideal, closure_quotient, cofactor, contains, coset_rows,
+    gram_entry, insert_element, kernel_basis, m_lambda, matrix_rank, module_basis_M,
+    reduce_element, reference_product, rows_as_elements, to_sparse,
+)
 
 
 class TestSizeBudget:
@@ -130,8 +130,6 @@ class TestMLambda:
 
     def test_generator_absorbs_into_m(self):
         # T_s m = q m for s inside the Young subgroup
-        from heckelink.hecke import left_multiply_generator
-
         sctx = SpechtContext.generic(3)
         m = m_lambda(Partition((2, 1)), sctx)
         assert left_multiply_generator(m, 1) == m.scalar_mul(sctx.q)
@@ -160,36 +158,32 @@ class TestSubspaces:
         assert ideal_I(Partition((3,)), sctx).dimension == 0
 
     def test_M_is_a_left_ideal_containing_m(self):
-        from heckelink.hecke import left_multiply_generator
-
         sctx = SpechtContext.generic(4)
         for lam in partitions_of(4):
             basis = module_basis_M(lam, sctx)
-            assert basis.contains(m_lambda(lam, sctx))
-            for row in basis.rows_as_elements()[:4]:
+            assert contains(basis, m_lambda(lam, sctx))
+            for row in rows_as_elements(basis)[:4]:
                 for i in range(1, 4):
-                    assert basis.contains(left_multiply_generator(row, i))
+                    assert contains(basis, left_multiply_generator(row, i))
 
     def test_ideal_is_two_sided(self):
-        from heckelink.hecke import left_multiply_generator
-
         rng = random.Random(30)
         sctx = SpechtContext.generic(4)
         ideal = ideal_I(Partition((2, 1, 1)), sctx)
         ctx = sctx.hecke_context()
-        for row in ideal.rows_as_elements()[:6]:
+        for row in rows_as_elements(ideal)[:6]:
             for i in range(1, 4):
-                assert ideal.contains(left_multiply_generator(row, i))
-                assert ideal.contains(row * ctx.generator_image(i))
+                assert contains(ideal, left_multiply_generator(row, i))
+                assert contains(ideal, row * ctx.generator_image(i))
 
     def test_returned_bases_are_copies(self):
         sctx = SpechtContext.generic(3)
         lam = Partition((2, 1))
         ideal_dim = ideal_I(lam, sctx).dimension
         module_dim = module_basis_M(lam, sctx).dimension
-        assert ideal_I(lam, sctx).insert_element(m_lambda(lam, sctx)) is not None
+        assert insert_element(ideal_I(lam, sctx), m_lambda(lam, sctx)) is not None
         identity = sctx.hecke_context().identity()
-        assert module_basis_M(lam, sctx).insert_element(identity) is not None
+        assert insert_element(module_basis_M(lam, sctx), identity) is not None
         assert ideal_I(lam, sctx).dimension == ideal_dim
         assert module_basis_M(lam, sctx).dimension == module_dim
 
@@ -217,46 +211,6 @@ class TestSubspaces:
         assert len(set(pivots)) == len(pivots)
 
 
-def _close(basis, seeds, step):
-    """Grow ``basis`` to the span of ``seeds`` closed under x -> step(x, i)
-    for i = 1, ..., n-1, with a worklist of the rows that grew it."""
-    n = basis.sctx.n
-    queue = [x for x in seeds if basis.insert_element(x) is not None]
-    while queue:
-        x = queue.pop()
-        for i in range(1, n):
-            image = step(x, i)
-            if basis.insert_element(image) is not None:
-                queue.append(image)
-
-
-def _closure_ideal(lam, sctx):
-    """The reference I^lam: the left ideals H m_mu, mu strictly dominating
-    lam, closed under right multiplication by the generators."""
-    ctx = sctx.hecke_context()
-    basis = specht.SubspaceBasis(sctx)
-    seeds = [
-        row
-        for mu in partitions_of(sctx.n)
-        if strictly_dominates(mu, lam)
-        for row in specht._coset_rows(mu, sctx, specht._coset_representatives(mu))
-    ]
-    _close(basis, seeds, lambda x, i: HeckeElement(ctx, fold_letter(x.terms, i, ctx)))
-    return basis
-
-
-def _closure_quotient(lam, sctx, ideal):
-    """The reference cell module: m_lam modulo the ideal, closed under left
-    multiplication by the generators modulo the ideal."""
-    quotient = specht.SubspaceBasis(sctx)
-    m_bar = ideal.reduce_element(m_lambda(lam, sctx))
-    _close(
-        quotient, [m_bar],
-        lambda x, i: ideal.reduce_element(left_multiply_generator(x, i)),
-    )
-    return quotient
-
-
 class TestMurphyAgainstClosure:
     @pytest.mark.parametrize(
         "make, max_n",
@@ -273,12 +227,12 @@ class TestMurphyAgainstClosure:
             sctx = make(n)
             for lam in partitions_of(n):
                 murphy = ideal_I(lam, sctx).echelon
-                closure = _closure_ideal(lam, sctx)
+                closure = closure_ideal(lam, sctx)
                 assert murphy.pivots == closure.echelon.pivots
                 assert murphy.sparse_rows() == closure.echelon.sparse_rows()
-                quotient = _closure_quotient(lam, sctx, closure)
+                quotient = closure_quotient(lam, sctx, closure)
                 module = specht_module(lam, sctx)
-                assert module.basis == tuple(quotient.rows_as_elements())
+                assert module.basis == tuple(rows_as_elements(quotient))
 
     def test_a_missing_standard_tableau_is_caught(self, monkeypatch, request):
         # the shape data is cached per partition: empty it so that the fault
@@ -339,11 +293,11 @@ class TestRankKeys:
                 inverses = dict.fromkeys(d.inverse() for d in standard)
                 rows, inverse_ranks = specht._shape(lam)
                 assert inverse_ranks == tuple(index[v] for v in inverses)
-                coset_rows = specht._coset_rows(lam, sctx, standard)
-                assert [specht._to_sparse(row, sctx) for row in coset_rows] == [
+                standard_rows = coset_rows(lam, sctx, standard)
+                assert [to_sparse(row, sctx) for row in standard_rows] == [
                     dict.fromkeys(ranks, one) for ranks in rows
                 ]
-                for row, ranks in zip(coset_rows, rows):
+                for row, ranks in zip(standard_rows, rows):
                     walked = hecke._prefix_products(
                         row.terms, inverses, fc.q_sum, fc.q_prod
                     )
@@ -361,7 +315,7 @@ class TestRankKeys:
                         for i in range(1, n):
                             assert hecke._multiply_generator(
                                 cur, i, False, True, fc.q_sum, fc.q_prod, keys
-                            ) == specht._to_sparse(left_multiply_generator(x, i), sctx)
+                            ) == to_sparse(left_multiply_generator(x, i), sctx)
 
 
 _HELD_IDEAL_FIELDS = {
@@ -681,12 +635,12 @@ class TestGramAgainstReferenceProduct:
             one = sctx.field_context.field.one()
             for lam in partitions_of(n):
                 mod = specht_module(lam, sctx)
-                form = specht._form(lam, sctx)
+                form = bilinear_form(lam, sctx)
                 cleared = [
                     b.scalar_mul(specht._denominator_factor(b, one)) for b in mod.basis
                 ]
                 expected = tuple(
-                    tuple(form(_reference_product(x.star(), y)) for y in cleared)
+                    tuple(form(reference_product(x.star(), y)) for y in cleared)
                     for x in cleared
                 )
                 assert mod.gram == expected
@@ -705,10 +659,10 @@ class TestGramAgainstReferenceProduct:
         scaled = SpechtModule(lam, sctx, basis, mod.action, seed)
         factors = [specht._denominator_factor(b, one) for b in basis]
         assert all(f != one for f in factors)
-        form = specht._form(lam, sctx)
+        form = bilinear_form(lam, sctx)
         cleared = [b.scalar_mul(f) for b, f in zip(basis, factors)]
         expected = tuple(
-            tuple(form(_reference_product(x.star(), y)) for y in cleared)
+            tuple(form(reference_product(x.star(), y)) for y in cleared)
             for x in cleared
         )
         assert scaled.gram == expected
@@ -832,8 +786,8 @@ class TestMurphyProportionality:
                     sandwich = m * ctx.basis_element(w) * m
                     # must not raise, and the value is consistent with the form
                     value = gram_entry(m, (ctx.basis_element(w) * m), lam, sctx)
-                    residue = ideal.reduce_element(sandwich)
-                    expected = ideal.reduce_element(m.scalar_mul(value))
+                    residue = reduce_element(ideal, sandwich)
+                    expected = reduce_element(ideal, m.scalar_mul(value))
                     assert residue == expected
 
 
@@ -1006,3 +960,15 @@ class TestContextValidation:
 
         with pytest.raises(SpechtError):
             SpechtContext(2, FieldContext(Rationals(), 1, -1))
+
+    def test_builders_refuse_a_partition_of_another_n(self):
+        # a smaller n once built a one-dimensional "ideal" of H_4 from the
+        # ranks of S_3; a larger one failed inside the fold with IndexError
+        cases = [
+            (Partition((2, 1)), SpechtContext.generic(4)),
+            (Partition((2, 1, 1, 1)), SpechtContext.generic(3)),
+        ]
+        for lam, sctx in cases:
+            for build in (ideal_I, specht_module):
+                with pytest.raises(SpechtError, match=f"is not a partition of {sctx.n}"):
+                    build(lam, sctx)
