@@ -278,15 +278,20 @@ def underlying_permutation(b: BraidWord) -> Permutation:
     return Permutation(images)
 
 
-def free_reduce(b: BraidWord) -> BraidWord:
-    """Cancel adjacent letter pairs j, -j."""
+def free_reduced(letters: Iterable[int]) -> list[int]:
+    """The letters with adjacent pairs j, -j cancelled."""
     stack: list[int] = []
-    for j in b.letters:
+    for j in letters:
         if stack and stack[-1] == -j:
             stack.pop()
         else:
             stack.append(j)
-    return BraidWord(b.strands, stack)
+    return stack
+
+
+def free_reduce(b: BraidWord) -> BraidWord:
+    """Cancel adjacent letter pairs j, -j."""
+    return BraidWord(b.strands, free_reduced(b.letters))
 
 
 def conjugate(b: BraidWord, a: BraidWord) -> BraidWord:

@@ -20,12 +20,12 @@ representative: w = x d_p, with x fixing n and lengths adding, hence
 and E(T_w) = T_x T_y, whose trace is tr_{n-1}(T_y T_x) by cyclicity.
 
 ``markov_trace`` takes n - 1 such steps on the whole element.  Each step
-buckets the terms by p (within a bucket w -> x is injective) and
-left-multiplies each bucket by T_p, ..., T_{n-2} in turn.  It scales the
-p = n bucket by 1 + q1 q2 and the others by q1 + q2, which carries the scaled
-trace tau_n = (q1 + q2)^(n-1) * tr_n to tau_{n-1} without dividing, and it
-stores nothing between calls.  The trace is the coefficient left on one
-strand divided once by (q1 + q2)^(n-1).
+sums the terms c_w T_w with p = w^{-1}(n) into X_p = sum c_w T_x (w -> x is
+injective there).  The chains T_{n-2} ... T_p share their left factors, so
+it sums the X_p, p < n, by Horner's rule, C = T_{p-1} C + X_p from C = X_1,
+and returns (q1 + q2) C + (1 + q1 q2) X_n, whose tau_{n-1} is tau_n(h) for
+tau_n = (q1 + q2)^(n-1) tr_n; no step divides or stores anything.  The trace
+is the coefficient left on one strand divided once by (q1 + q2)^(n-1).
 
 On a braid the trace is an invariant of the closure (Jones, Ann. Math. 126,
 1987), so ``trace_of_braid`` factors the closure before any Hecke
@@ -63,7 +63,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .braid import BraidWord, Permutation
+from .braid import BraidWord, Permutation, free_reduced
 from .coefficients import (
     CoefficientError,
     FieldContext,
@@ -187,14 +187,13 @@ def _expectation(h: HeckeElement) -> HeckeElement:
         p = w.images.index(n) + 1
         buckets.setdefault(p, {})[Permutation(w.images[: p - 1] + w.images[p:])] = c
     sub_ctx = HeckeContext(n - 1, field)
-    total = sub_ctx.zero_element()
-    for p, bucket in buckets.items():
-        x = HeckeElement(sub_ctx, bucket)
-        for i in range(p, n - 1):
-            x = left_multiply_generator(x, i)
-        scale = field.q_sum if p < n else field.one() + field.q_prod
-        total = total + x.scalar_mul(scale)
-    return total
+    chain = sub_ctx.zero_element()
+    for p in range(1, n):
+        if chain.terms:
+            chain = left_multiply_generator(chain, p - 1)
+        chain = chain + HeckeElement(sub_ctx, buckets.get(p, {}))
+    fixed = HeckeElement(sub_ctx, buckets.get(n, {}))
+    return chain.scalar_mul(field.q_sum) + fixed.scalar_mul(field.one() + field.q_prod)
 
 
 def _q_sum(field: FieldContext) -> object:
@@ -222,12 +221,7 @@ def markov_trace(h: HeckeElement) -> object:
 
 def _cyclically_reduced(letters: Sequence[int]) -> list[int]:
     """The word with adjacent pairs i, -i cancelled, also across the wrap."""
-    word: list[int] = []
-    for letter in letters:
-        if word and word[-1] == -letter:
-            word.pop()
-        else:
-            word.append(letter)
+    word = free_reduced(letters)
     start, stop = 0, len(word)
     while stop - start > 1 and word[start] == -word[stop - 1]:
         start, stop = start + 1, stop - 1

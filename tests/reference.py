@@ -1,13 +1,14 @@
 """The slow, direct routes that the tests compare the library against: the
 Gram form from products in the algebra (``gram_entry``), the ideal and the
 cell module as closures under the generators, products folded one term at a
-time, and ranks, kernels and determinants without ``triangulate``.  Elements
-meet a ``SubspaceBasis`` through ``to_sparse``, in the ranks of
+time, ranks, kernels and determinants without ``triangulate``, and the Jones
+polynomial of a torus knot in closed form.  Elements meet a
+``SubspaceBasis`` through ``to_sparse``, in the ranks of
 ``specht._perm_order``."""
 
 from heckelink import specht
 from heckelink.coefficients import (
-    PrimeField, Rationals, generic_field_context, one_parameter_context,
+    LaurentPoly, PrimeField, Rationals, generic_field_context, one_parameter_context,
 )
 from heckelink.hecke import (
     HeckeElement, _multiply_generator, fold_letter, left_multiply_generator,
@@ -209,3 +210,20 @@ def closure_quotient(lam, sctx, ideal):
         lambda x, i: reduce_element(ideal, left_multiply_generator(x, i)),
     )
     return quotient
+
+
+def torus_knot_jones(p, q):
+    """V(T(p, q)) = t^((p-1)(q-1)/2) (1 - t^(p+1) - t^(q+1) + t^(p+q)) / (1 - t^2),
+    the Jones polynomial of the closure of (sigma_1 ... sigma_{p-1})^q for
+    coprime p, q >= 2 (Jones, Ann. Math. 126, 1987), as a Laurent
+    polynomial in t."""
+    numerator = [0] * (p + q + 1)
+    for e, c in ((0, 1), (p + 1, -1), (q + 1, -1), (p + q, 1)):
+        numerator[e] += c
+    # divide by 1 - t^2: the quotient's coefficients satisfy c_k = a_k + c_{k-2}
+    quotient = numerator[:2] + [0] * (p + q - 1)
+    for k in range(2, p + q + 1):
+        quotient[k] = numerator[k] + quotient[k - 2]
+    assert quotient[p + q - 1] == quotient[p + q] == 0, "1 - t^2 does not divide"
+    shift = (p - 1) * (q - 1) // 2
+    return LaurentPoly(("t",), {(k + shift,): c for k, c in enumerate(quotient) if c})

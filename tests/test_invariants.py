@@ -28,6 +28,7 @@ from heckelink.invariants import (
     jones_via_bracket,
     kauffman_bracket_oracle,
 )
+from reference import torus_knot_jones
 
 FIELD = generic_field_context()
 
@@ -63,6 +64,18 @@ class TestHomflypt:
             assert homflypt(conjugate(b, random_word(rng, n, 3))) == value
             assert homflypt(stabilize(b, +1)) == value
             assert homflypt(stabilize(b, -1)) == value
+
+
+class TestTorusKnots:
+    # The closed form checks the trace route above the bracket's 16-crossing
+    # cap: T(7, 8) has 48 crossings on 7 strands.
+    @pytest.mark.parametrize(
+        "p, q", [(2, 3), (2, 5), (3, 4), (3, 5), (3, 7), (4, 5), (5, 6), (6, 7), (7, 8)]
+    )
+    def test_jones_matches_the_closed_form(self, p, q):
+        j = jones(BraidWord(p, list(range(1, p)) * q))
+        assert j.components == 1
+        assert j.in_t() == torus_knot_jones(p, q)
 
 
 class TestJones:

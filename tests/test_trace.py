@@ -18,7 +18,10 @@ from heckelink.coefficients import (
     render_scalar,
     specialize,
 )
-from heckelink.hecke import HeckeContext, HeckeElement, from_braid_word
+from heckelink import trace
+from heckelink.hecke import (
+    HeckeContext, HeckeElement, from_braid_word, left_multiply_generator,
+)
 from heckelink.trace import (
     ClosureDecomposition,
     Partition,
@@ -198,6 +201,11 @@ class TestScaledTrace:
             assert scaled.is_polynomial()
 
 
+def full_twist_image(n, field):
+    """The image of the full twist (sigma_1 ... sigma_{n-1})^n in H_n."""
+    return from_braid_word(BraidWord(n, list(range(1, n)) * n), HeckeContext(n, field))
+
+
 def reference_trace(h):
     """The Markov trace by the per-basis recursion on the scaled trace
     tau_n(T_w) = (q1 + q2)^(n-1) tr_n(T_w), divided once at the end:
@@ -272,6 +280,35 @@ class TestAgainstReferenceTrace:
             sizes.add(len(h.terms))
             assert markov_trace(h) == reference_trace(h)
         assert 0 in sizes and max(sizes) >= 6
+
+    # Dense images: every bucket is nonempty, so the Horner sums merge terms.
+    @pytest.mark.parametrize("field", REFERENCE_CONTEXTS)
+    def test_full_twist_on_six_strands(self, field):
+        h = full_twist_image(6, field)
+        assert {w.images.index(6) for w in h.terms} == set(range(6))
+        assert markov_trace(h) == reference_trace(h)
+
+    @pytest.mark.parametrize("field", REFERENCE_CONTEXTS[2:])
+    def test_full_twist_on_seven_strands(self, field):
+        h = full_twist_image(7, field)
+        assert {w.images.index(7) for w in h.terms} == set(range(7))
+        assert markov_trace(h) == reference_trace(h)
+
+    def test_one_chain_of_left_folds_per_step(self, monkeypatch):
+        # n - 2 left folds per step, C(n - 1, 2) in all; one chain per bucket
+        # would make C(n, 3).
+        folds = []
+
+        def counting(x, i):
+            folds.append(i)
+            return left_multiply_generator(x, i)
+
+        monkeypatch.setattr(trace, "left_multiply_generator", counting)
+        field = FieldContext(Rationals(), 2, 3)
+        for n, expected in ((6, 10), (7, 15)):
+            folds.clear()
+            markov_trace(full_twist_image(n, field))
+            assert len(folds) == expected
 
 
 def whole_trace(b, field=FIELD):
