@@ -55,6 +55,7 @@ from .specht import (
     ProportionalityError,
     SpechtContext,
     SpechtError,
+    check_size,
     count_standard_tableaux,
     dim_D_lambda,
     specht_module,
@@ -202,6 +203,7 @@ def cmd_specht(args) -> int:
     rows = []
     if n > 0:
         sctx = SpechtContext(n, field)
+        check_size(n)
         for lam in partitions_of(n):
             module = specht_module(lam, sctx)
             rows.append(

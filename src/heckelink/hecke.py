@@ -52,13 +52,16 @@ class HeckeError(ValueError):
 
 
 class HeckeSizeError(HeckeError):
-    """A fold whose support outgrew ``MAX_SUPPORT``."""
+    """A fold whose support outgrew ``MAX_SUPPORT``, or a closure
+    decomposition that explored more permutations than that."""
 
 
 MAX_SUPPORT = 40_320
-"""The most terms a braid word's image may have while it is folded: 8!, so
-no word on 8 strands or fewer reaches it.  Folds on more strands can reach
-n! terms (the full twist does), and are refused once they pass it."""
+"""The most terms any fold may leave (``_multiply_generator`` checks it), so
+braid letters, products, left multiplications and the Markov trace steps are
+all bounded.  It is 8!, which no fold on 8 strands or fewer reaches; on more
+strands the full twist and the trace steps of w0 pass it and are refused.
+``trace.decompose_closure`` bounds the permutations it explores by it too."""
 
 
 class Keys(NamedTuple):
@@ -305,6 +308,10 @@ def _multiply_generator(
                 out[ws] = s
             else:
                 out.pop(ws, None)
+    if len(out) > MAX_SUPPORT:
+        raise HeckeSizeError(
+            f"a fold grew to more than {MAX_SUPPORT} terms, the limit on its support"
+        )
     return out
 
 
@@ -377,7 +384,7 @@ def fold_letter(
 def from_braid_word(b: BraidWord, ctx: HeckeContext) -> HeckeElement:
     """Image of a braid word under sigma_i -> T_i, extended to inverses.
 
-    Raises ``HeckeSizeError`` as soon as the folded support has more than
+    Raises ``HeckeSizeError`` from the first letter whose fold has more than
     ``MAX_SUPPORT`` terms."""
     if b.strands != ctx.n:
         raise HeckeError(
@@ -388,11 +395,6 @@ def from_braid_word(b: BraidWord, ctx: HeckeContext) -> HeckeElement:
     }
     for letter in b.letters:
         cur = fold_letter(cur, letter, ctx)
-        if len(cur) > MAX_SUPPORT:
-            raise HeckeSizeError(
-                f"the image of this {b.strands}-strand word has more than "
-                f"{MAX_SUPPORT} terms, the limit on a fold's support"
-            )
     return HeckeElement(ctx, cur)
 
 

@@ -40,8 +40,8 @@ stores, and the fold runs on them with rank keys, per-n tables of the
 generator steps, ascent bits and last letters, so a step is a list lookup.
 What depends on the shape alone, the supports of the coset rows and the
 d(s)^{-1}, is built once per partition by ``_shape`` and shared by every
-field.  Permutations appear only at the boundary, in the module's public
-basis.
+field, the d(s) by one filter of the n! permutations.  Permutations appear
+only at the boundary, in the module's public basis.
 
 A cell module is built with its basis and generator action only.  The form
 is evaluated on first use, since characters never read the Gram matrix.
@@ -51,8 +51,8 @@ handed out, and grows it for the next shape when that shape's dominating
 set contains the held one, as it does along ``partitions_of`` order; so a
 table inserts each Murphy vector once.  ``ideal_I`` rebuilds its subspace on
 every call.  Both refuse a partition of another n with ``SpechtError``, and
-above n = ``MAX_N`` both raise ``SpechtSizeError``, before any n!-length
-work.
+above n = ``MAX_N`` both raise ``SpechtSizeError`` (``check_size``, which
+``specht --n`` calls first) before any n!-length work.
 
 Both spans are built with no closure, so each insert grows them; their
 dimensions, sum (f^mu)^2 over mu strictly dominating lam and f^lam, are
@@ -101,16 +101,23 @@ MAX_N = 7
 (7! = 5040 coordinates per vector)."""
 
 
+def check_size(n: int) -> None:
+    """Refuse n > MAX_N with ``SpechtSizeError``, before any n!-length work.
+    Past n = 20 the message writes n! as such: its digits are slow to compute
+    and, for n in the thousands, more than ``str`` converts by default."""
+    if n > MAX_N:
+        size = math.factorial(n) if n <= 20 else f"{n}!"
+        raise SpechtSizeError(
+            f"cell modules are limited to n <= {MAX_N}: n = {n} needs "
+            f"{size} coordinates per vector"
+        )
+
+
 def _check_shape(lam: Partition, sctx: SpechtContext) -> None:
-    """Refuse a partition of another n than the context's, and n > MAX_N,
-    before any n!-length work."""
+    """Refuse a partition of another n than the context's, and n > MAX_N."""
     if lam.n != sctx.n:
         raise SpechtError(f"{lam.render()} is not a partition of {sctx.n}")
-    if sctx.n > MAX_N:
-        raise SpechtSizeError(
-            f"cell modules are limited to n <= {MAX_N}: n = {sctx.n} needs "
-            f"{math.factorial(sctx.n)} coordinates per vector"
-        )
+    check_size(sctx.n)
 
 
 class ProportionalityError(ArithmeticError):
@@ -207,33 +214,6 @@ def young_subgroup(lam: Partition) -> list[Permutation]:
     return out
 
 
-def _coset_representatives(lam: Partition) -> list[Permutation]:
-    """Minimal-length representatives of the left cosets w S_lam: the
-    permutations increasing on every block."""
-    blocks: list[range] = []
-    offset = 0
-    for part in lam.parts:
-        blocks.append(range(offset, offset + part))
-        offset += part
-    n = lam.n
-    reps: list[Permutation] = []
-    values = list(range(1, n + 1))
-
-    def rec(remaining: frozenset[int], images: list[int], b: int) -> None:
-        if b == len(blocks):
-            reps.append(Permutation(images))
-            return
-        block = blocks[b]
-        for combo in itertools.combinations(sorted(remaining), len(block)):
-            nxt = list(images)
-            for pos, val in zip(block, combo):
-                nxt[pos] = val
-            rec(remaining - set(combo), nxt, b + 1)
-
-    rec(frozenset(values), [0] * n, 0)
-    return reps
-
-
 # -- subspaces -------------------------------------------------------------------
 
 
@@ -254,19 +234,17 @@ class SubspaceBasis:
 
 
 def _standard_representatives(lam: Partition) -> list[Permutation]:
-    """The coset representatives d whose images, cut into the rows of lam,
-    also increase down every column: d lists a standard tableau row by row.
-    The identity, the row-reading tableau, comes first."""
-    parts = lam.parts
-    starts = list(itertools.accumulate(parts[:-1], initial=0))
-    pairs = [
-        (starts[r] + c, starts[r + 1] + c)
-        for r in range(len(parts) - 1)
-        for c in range(parts[r + 1])
-    ]
+    """The permutations whose images, cut into the rows of lam, increase along
+    rows and down columns, listing a standard tableau row by row: all n! are
+    filtered (n <= MAX_N) in lexicographic order, so the identity comes first."""
+    starts = list(itertools.accumulate(lam.parts, initial=0))
+    rows = [range(a, b) for a, b in zip(starts, starts[1:])]
+    pairs = [(j - 1, j) for row in rows for j in row[1:]]
+    pairs += [cells for above, below in zip(rows, rows[1:]) for cells in zip(above, below)]
     return [
-        d for d in _coset_representatives(lam)
-        if all(d.images[above] < d.images[below] for above, below in pairs)
+        Permutation(d)
+        for d in itertools.permutations(range(1, lam.n + 1))
+        if all(d[i] < d[j] for i, j in pairs)
     ]
 
 

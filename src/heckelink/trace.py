@@ -72,6 +72,7 @@ from .coefficients import (
     generic_one_parameter_context,
     render_scalar,
 )
+from . import hecke
 from .hecke import HeckeContext, HeckeElement, from_braid_word, left_multiply_generator
 
 
@@ -282,8 +283,9 @@ class ClosureDecomposition:
                 )
 
     def items(self) -> list[tuple[Partition, object]]:
-        order = {lam: i for i, lam in enumerate(partitions_of(self.n))}
-        return sorted(self.coefficients.items(), key=lambda kv: order[kv[0]])
+        # Descending parts is ``partitions_of`` order: that order is descending
+        # lexicographic, and no partition of n is a proper prefix of another.
+        return sorted(self.coefficients.items(), key=lambda kv: kv[0].parts, reverse=True)
 
     def coefficient(self, lam: Partition):
         return self.coefficients.get(lam)
@@ -297,11 +299,14 @@ class ClosureDecomposition:
 
 def _class_polynomial(w: Permutation, field: FieldContext, memo: dict) -> dict:
     """Coordinates of T_w modulo [H, H] in the basis T_{w_lambda}; stores
-    them for every element of the explored shift class of w."""
+    them for every element of the explored shift class of w.
+
+    Raises ``HeckeSizeError`` once the memo and the class being explored
+    hold more than ``hecke.MAX_SUPPORT`` permutations."""
     if w in memo:
         return memo[w]
     length = w.length()
-    shift_class, value = [w], None
+    shift_class, seen, value = [w], {w}, None
     for x in shift_class:  # the list grows as the class is explored
         for i in range(1, w.degree):
             y = x.times_transposition(i).transposition_times(i)
@@ -315,8 +320,14 @@ def _class_polynomial(w: Permutation, field: FieldContext, memo: dict) -> dict:
                     for lam in sx.keys() | sxs.keys()
                 }
                 break
-            if y_length == length and y not in shift_class:
+            if y_length == length and y not in seen:
                 shift_class.append(y)
+                seen.add(y)
+                if len(memo) + len(shift_class) > hecke.MAX_SUPPORT:
+                    raise hecke.HeckeSizeError(
+                        "the class polynomials of this closure need more than "
+                        f"{hecke.MAX_SUPPORT} permutations, the limit on a fold's support"
+                    )
         if value is not None:
             break
     else:
@@ -335,5 +346,4 @@ def decompose_closure(b: BraidWord) -> ClosureDecomposition:
     for w, c in from_braid_word(b, HeckeContext(b.strands, field)).terms.items():
         for lam, f in _class_polynomial(w, field, memo).items():
             totals[lam] = totals.get(lam, zero) + c * f
-    coefficients = {lam: totals[lam] for lam in partitions_of(b.strands) if totals.get(lam)}
-    return ClosureDecomposition(b.strands, coefficients)
+    return ClosureDecomposition(b.strands, {lam: c for lam, c in totals.items() if c})

@@ -6,7 +6,10 @@ polynomial of a torus knot in closed form.  Elements meet a
 ``SubspaceBasis`` through ``to_sparse``, in the ranks of
 ``specht._perm_order``."""
 
+import itertools
+
 from heckelink import specht
+from heckelink.braid import Permutation
 from heckelink.coefficients import (
     LaurentPoly, PrimeField, Rationals, generic_field_context, one_parameter_context,
 )
@@ -115,6 +118,18 @@ def m_lambda(lam, sctx):
     return HeckeElement(sctx.hecke_context(), {w: one for w in young_subgroup(lam)})
 
 
+def coset_representatives(lam):
+    """Minimal-length representatives of the left cosets w S_lam: the
+    permutations whose images increase within each row block of lam."""
+    starts = list(itertools.accumulate(lam.parts, initial=0))
+    steps = [j for a, b in zip(starts, starts[1:]) for j in range(a + 1, b)]
+    return [
+        Permutation(d)
+        for d in itertools.permutations(range(1, lam.n + 1))
+        if all(d[j - 1] < d[j] for j in steps)
+    ]
+
+
 def coset_rows(lam, sctx, reps):
     """The products T_d m_lam over minimal coset representatives d in reps.
 
@@ -131,7 +146,7 @@ def module_basis_M(lam, sctx):
     """Echelon basis of the left ideal generated by m_lam."""
     specht._check_shape(lam, sctx)
     basis = SubspaceBasis(sctx)
-    for row in coset_rows(lam, sctx, specht._coset_representatives(lam)):
+    for row in coset_rows(lam, sctx, coset_representatives(lam)):
         insert_element(basis, row)
     return basis
 
@@ -194,7 +209,7 @@ def closure_ideal(lam, sctx):
         row
         for mu in partitions_of(sctx.n)
         if strictly_dominates(mu, lam)
-        for row in coset_rows(mu, sctx, specht._coset_representatives(mu))
+        for row in coset_rows(mu, sctx, coset_representatives(mu))
     ]
     close(basis, seeds, lambda x, i: HeckeElement(ctx, fold_letter(x.terms, i, ctx)))
     return basis

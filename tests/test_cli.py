@@ -88,6 +88,28 @@ def test_a_fold_past_the_support_limit_exits_2(capsys, monkeypatch, command):
     assert err.count("\n") == 1 and "more than 100 terms" in err
 
 
+W0_WORD = {n: " ".join(str(j) for k in range(1, n) for j in range(k, 0, -1)) for n in (6, 8)}
+
+
+@pytest.mark.parametrize("command", ["homfly", "jones"])
+def test_a_trace_step_past_the_support_limit_exits_2(capsys, monkeypatch, command):
+    # the image of w0 is one term, but the trace steps of its closure on 8
+    # strands reach 162 terms
+    monkeypatch.setattr(hecke, "MAX_SUPPORT", 100)
+    code, out, err = run(capsys, command, "--strands", "8", W0_WORD[8])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "more than 100 terms" in err
+
+
+def test_class_polynomials_past_the_support_limit_exit_2(capsys, monkeypatch):
+    # the image of w0 on 6 strands is one term, whose class polynomial
+    # explores 205 permutations
+    monkeypatch.setattr(hecke, "MAX_SUPPORT", 100)
+    code, out, err = run(capsys, "decompose", "--strands", "6", W0_WORD[6])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "more than 100 permutations" in err
+
+
 class TestInvariantCommands:
     def test_jones_trefoil(self, capsys):
         code, out, _ = run(capsys, "jones", "--strands", "2", "1 1 1")

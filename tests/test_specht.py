@@ -94,6 +94,33 @@ class TestSizeBudget:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "n <= 7" in captured.err
 
+    def test_a_huge_n_is_refused_without_its_factorial(self, no_ideal, capsys):
+        # 2000! has more digits than str() converts by default
+        n = 2000
+        sctx = SpechtContext.at_value(n, PrimeField(3), 2)
+        with pytest.raises(specht.SpechtSizeError, match=rf"n = {n} needs {n}! coordinates"):
+            specht_module(Partition((n,)), sctx)
+        from heckelink.cli import main
+
+        assert main(["specht", "--n", str(n)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "n <= 7" in captured.err
+
+    def test_cli_refuses_before_listing_partitions(self, monkeypatch, capsys):
+        # p(80) = 15,796,476 partitions would be listed before the first
+        # module refused n = 80
+        from heckelink import cli
+
+        def refuse(n):
+            raise AssertionError(f"partitions_of({n}) was called")
+
+        monkeypatch.setattr(cli, "partitions_of", refuse)
+        assert cli.main(["specht", "--n", "80"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "n <= 7" in captured.err
+
 
 class TestYoungSubgroup:
     def test_trivial(self):

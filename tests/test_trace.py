@@ -475,6 +475,24 @@ class TestDecomposeClosure:
                 assert dec.coefficients == {lam: one}
                 assert one == 1
 
+    def test_one_shape_on_64_strands_lists_no_partitions(self, monkeypatch):
+        # p(64) = 1,741,630 partitions, none of which the answer needs
+        def refuse(n):
+            raise AssertionError(f"partitions_of({n}) was called")
+
+        monkeypatch.setattr(trace, "partitions_of", refuse)
+        dec = decompose_closure(BraidWord(64, [1, 2]))
+        lam = Partition((3,) + (1,) * 61)
+        assert dec.render() == f"{lam.render()}: 1"
+        assert dec.to_json() == {lam.render(): "1"}
+
+    def test_items_come_in_partitions_of_order(self):
+        shapes = partitions_of(6)
+        shuffled = random.Random(36).sample(shapes, len(shapes))
+        assert shuffled != shapes
+        dec = ClosureDecomposition(6, {lam: k + 1 for k, lam in enumerate(shuffled)})
+        assert [lam for lam, _ in dec.items()] == shapes
+
     def test_hand_solved_two_strand_square(self):
         # characters of H_2 at (-1, q): chi_(2)(T_1) = q, chi_(1,1)(T_1) = -1;
         # T_1^2 = (q-1) T_1 + q gives the 2x2 system with solution
