@@ -328,7 +328,9 @@ def _quick_suites(image_fn):
 def cmd_verify(args) -> int:
     image_fn = faulty_braid_image if args.inject_fault else None
     if args.exhaustive:
-        report = exhaustive_word_closure(args.n, args.max_len, image_fn=image_fn)
+        n = 3 if args.n is None else args.n
+        max_len = 5 if args.max_len is None else args.max_len
+        report = exhaustive_word_closure(n, max_len, image_fn=image_fn)
         violations = report["violations"]
         _emit(
             args,
@@ -341,6 +343,8 @@ def cmd_verify(args) -> int:
             f"violations: {len(violations)}",
         )
         return EXIT_INTERNAL if violations else EXIT_OK
+    if args.n is not None or args.max_len is not None:
+        raise UsageError("--n and --max-len apply only to --exhaustive")
 
     suites = []
     for name, suite in _quick_suites(image_fn):
@@ -405,13 +409,14 @@ def build_parser() -> _Parser:
     p_specht.set_defaults(handler=cmd_specht)
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
-    p_verify.add_argument("--quick", action="store_true", help="bounded property run")
-    p_verify.add_argument(
+    mode = p_verify.add_mutually_exclusive_group()
+    mode.add_argument("--quick", action="store_true", help="bounded property run")
+    mode.add_argument(
         "--exhaustive", action="store_true", help="exhaustive word-rewrite closure"
     )
-    p_verify.add_argument("--n", type=int, default=3, help="strands for --exhaustive")
+    p_verify.add_argument("--n", type=int, help="strands for --exhaustive (default 3)")
     p_verify.add_argument(
-        "--max-len", type=int, default=5, help="word length cap for --exhaustive"
+        "--max-len", type=int, help="word length cap for --exhaustive (default 5)"
     )
     p_verify.add_argument(
         "--inject-fault",

@@ -179,10 +179,12 @@ class LaurentPoly:
         )
         if not any(mins):
             return mins, self
-        shifted = {
-            tuple(e - m for e, m in zip(exps, mins)): c for exps, c in self.terms.items()
-        }
-        return mins, LaurentPoly(self.variables, shifted)
+        return mins, self._shifted(tuple(-m for m in mins))
+
+    def _shifted(self, shift: Exponents) -> LaurentPoly:
+        """x^shift * self."""
+        terms = {tuple(map(operator.add, e, shift)): c for e, c in self.terms.items()}
+        return LaurentPoly._trusted(self.variables, terms)
 
     def content(self) -> int | Fraction:
         """The positive rational c with self/c having coprime integer
@@ -383,14 +385,18 @@ def poly_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(variables, quo)
 
 
-def _normalize_poly(p: LaurentPoly) -> LaurentPoly:
-    """Scale to coprime integer coefficients, positive graded-lex lead."""
-    if p.is_zero():
-        return p
+def _primitive(p: LaurentPoly) -> tuple[int | Fraction, LaurentPoly]:
+    """(c, p / c) for the rational c that leaves p / c with coprime integer
+    coefficients and a positive graded-lex lead; p must be nonzero."""
     c = p.content()
     if p.leading()[1] < 0:
         c = -c
-    return p.scale(_div(1, c))
+    return c, p if c == 1 else p.scale(_div(1, c))
+
+
+def _normalize_poly(p: LaurentPoly) -> LaurentPoly:
+    """Scale to coprime integer coefficients, positive graded-lex lead."""
+    return _primitive(p)[1] if p else p
 
 
 def _univariate_view(p: LaurentPoly, index: int) -> dict[int, LaurentPoly]:
@@ -529,10 +535,7 @@ class RationalFunction:
 
     def _coerce(self, other) -> RationalFunction | None:
         if isinstance(other, RationalFunction):
-            if other.variables != self.variables:
-                raise ContextMismatchError(
-                    f"variable mismatch: {self.variables} vs {other.variables}"
-                )
+            self.num._check(other.num)
             return other
         if isinstance(other, (int, Fraction)):
             return RationalFunction.constant(self.variables, other)
@@ -651,21 +654,8 @@ def _canonical_coprime(shift: Exponents, pn: LaurentPoly, pd: LaurentPoly) -> Ra
     """The canonical form of x^shift * pn / pd for coprime ordinary parts:
     both are scaled so that pd has coprime integer coefficients and a
     positive leading coefficient."""
-    c = pd.content()
-    if pd.leading()[1] < 0:
-        c = -c
-    if c != 1:
-        pd = pd.scale(_div(1, c))
-    new_num = LaurentPoly(
-        pn.variables,
-        {
-            tuple(e + s for e, s in zip(exps, shift)): _div(coeff, c)
-            for exps, coeff in pn.terms.items()
-        },
-    )
-    if pd.is_one():
-        return RationalFunction(new_num, LaurentPoly.constant(pn.variables, 1))
-    return RationalFunction(new_num, pd)
+    c, pd = _primitive(pd)
+    return RationalFunction(pn._shifted(shift).scale(_div(1, c)), pd)
 
 
 def divide_by_power(x, base, k: int):
@@ -695,11 +685,7 @@ def divide_by_power(x, base, k: int):
     den = x.den * pb ** (k - m)
     if sum(pb.leading()[0]) == 1:
         return _canonical_coprime(shift, pn, den)
-    num = LaurentPoly(
-        x.variables,
-        {tuple(e + s for e, s in zip(exps, shift)): c for exps, c in pn.terms.items()},
-    )
-    return canonicalize(num, den)
+    return canonicalize(pn._shifted(shift), den)
 
 
 # -- prime fields -------------------------------------------------------------
@@ -750,13 +736,7 @@ class PrimeFieldElement:
         if isinstance(other, int):
             return PrimeFieldElement(other, self.p)
         if isinstance(other, Fraction):
-            if other.denominator % self.p == 0:
-                raise SpecializationError(
-                    f"rational {other} has no image in F_{self.p}"
-                )
-            return PrimeFieldElement(
-                other.numerator * pow(other.denominator, -1, self.p), self.p
-            )
+            return _fp_image(other, self.p)
         return None
 
     def __add__(self, other):
@@ -823,6 +803,13 @@ class PrimeFieldElement:
         return f"PrimeFieldElement({self.value}, p={self.p})"
 
 
+def _fp_image(value: Fraction, p: int) -> PrimeFieldElement:
+    """The image of a rational in F_p."""
+    if value.denominator % p == 0:
+        raise SpecializationError(f"rational {value} has no image in F_{p}")
+    return PrimeFieldElement(value.numerator * pow(value.denominator, -1, p), p)
+
+
 # -- fields -------------------------------------------------------------------
 
 
@@ -853,18 +840,14 @@ class RationalFunctionField:
         return RationalFunction.variable(self.variables, name)
 
     def coerce(self, x) -> RationalFunction:
+        if isinstance(x, LaurentPoly):
+            x = RationalFunction.from_poly(x)
         if isinstance(x, RationalFunction):
             if x.variables != self.variables:
                 raise ContextMismatchError(
                     f"value over {x.variables} does not live in Q{self.variables}"
                 )
             return x
-        if isinstance(x, LaurentPoly):
-            if x.variables != self.variables:
-                raise ContextMismatchError(
-                    f"value over {x.variables} does not live in Q{self.variables}"
-                )
-            return RationalFunction.from_poly(x)
         if isinstance(x, (int, Fraction)):
             return self.from_fraction(x)
         raise ContextMismatchError(f"cannot coerce {x!r} into Q{self.variables}")
@@ -930,12 +913,7 @@ class PrimeField:
         return PrimeFieldElement(1, self.p)
 
     def from_fraction(self, value) -> PrimeFieldElement:
-        value = Fraction(value)
-        if value.denominator % self.p == 0:
-            raise SpecializationError(f"rational {value} has no image in F_{self.p}")
-        return PrimeFieldElement(
-            value.numerator * pow(value.denominator, -1, self.p), self.p
-        )
+        return _fp_image(Fraction(value), self.p)
 
     from_int = from_fraction
 
@@ -1063,27 +1041,24 @@ def quantum_e(q) -> int | float:
 
     Over characteristic zero the partial geometric sums vanish only for
     q = -1 (giving e = 2): the only roots of unity in Q and in Q(vars) are
-    +-1, and q = 1 sums to e != 0.  Over F_p the sums are periodic, so a
-    bounded search is exact.
+    +-1, and q = 1 sums to e != 0.  Over F_p the sum is e when q = 1, so
+    e = p, and (q^e - 1)/(q - 1) otherwise, so e is the multiplicative
+    order of q, found by walking its powers.  That walk takes ord(q) <= p - 1
+    steps: a q of huge order in a huge field still walks that many powers.
     """
-    if isinstance(q, PrimeFieldElement):
-        if not q:
-            raise CoefficientError("q must be a unit")
-        p = q.p
-        acc = 0
-        power = 1
-        # The sum is periodic with period dividing p * ord(q) <= p * (p - 1).
-        for e in range(1, p * (p - 1) + 2):
-            acc = (acc + power) % p
-            power = power * q.value % p
-            if acc == 0:
-                return e
-        return math.inf
-    if isinstance(q, (int, Fraction, RationalFunction)):
-        if not q:
-            raise CoefficientError("q must be a unit")
+    if not isinstance(q, (PrimeFieldElement, int, Fraction, RationalFunction)):
+        raise CoefficientError(f"unsupported scalar {q!r}")
+    if not q:
+        raise CoefficientError("q must be a unit")
+    if not isinstance(q, PrimeFieldElement):
         return 2 if q == -1 else math.inf
-    raise CoefficientError(f"unsupported scalar {q!r}")
+    if q == 1:
+        return q.p
+    e, power = 1, q.value
+    while power != 1:
+        power = power * q.value % q.p
+        e += 1
+    return e
 
 
 # -- parsing ------------------------------------------------------------------

@@ -260,6 +260,10 @@ class TestVerify:
         report = json.loads(out)
         assert report["violations"] == []
         assert report["checked"] > 0
+        # without --n and --max-len: 3 strands, words up to length 5
+        code, out, _ = run(capsys, "verify", "--exhaustive")
+        assert code == 0
+        assert out.splitlines()[0] == "checked 1480 rewrites on 3 strands"
 
     def test_fault_injection(self, capsys):
         code, out, _ = run(capsys, "verify", "--exhaustive", "--n", "2", "--max-len", "4", "--inject-fault")
@@ -330,6 +334,10 @@ class TestMalformedFieldSpec:
             (None, ["specht"]),
             (None, ["specht", "--n", "2", "--field", "bogus"]),
             (None, ["specht", "--n", "2", "--field", "fp", "--p", "abc", "--q", "2"]),
+            # verify flags that only --exhaustive reads, and both modes at once
+            (None, ["verify", "--quick", "--n", "9"]),
+            (None, ["verify", "--max-len", "4"]),
+            (None, ["verify", "--quick", "--exhaustive"]),
         ],
     )
     def test_exits_2_with_one_line(self, capsys, monkeypatch, env, argv):

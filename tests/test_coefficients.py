@@ -80,6 +80,8 @@ class TestLaurentPoly:
     def test_variable_mismatch(self):
         with pytest.raises(ContextMismatchError):
             lp("q1") + lp("q", ("q",))
+        with pytest.raises(ContextMismatchError, match="variable mismatch"):
+            RationalFunction.from_poly(lp("q1")) + RationalFunction.from_poly(lp("q", ("q",)))
 
 
 class TestGcd:
@@ -407,8 +409,10 @@ class TestPrimeField:
     def test_fraction_image(self):
         f5 = PrimeField(5)
         assert f5.from_fraction(Fraction(1, 2)) == f5.from_int(3)
-        with pytest.raises(SpecializationError):
+        with pytest.raises(SpecializationError, match=r"^rational 1/5 has no image in F_5$"):
             f5.from_fraction(Fraction(1, 5))
+        with pytest.raises(SpecializationError, match=r"^rational 1/5 has no image in F_5$"):
+            f5.one() + Fraction(1, 5)
 
     def test_mixed_characteristic(self):
         with pytest.raises(ContextMismatchError):
@@ -480,19 +484,24 @@ class TestQuantumE:
 
     def test_one_over_f3(self):
         assert quantum_e(PrimeField(3).from_int(1)) == 3
+        # at once: the partial sums of q = 1 are 1, 2, ..., first 0 at e = p
+        assert quantum_e(PrimeField(2**61 - 1).from_int(1)) == 2**61 - 1
 
     def test_two_over_f5(self):
-        # independent oracle: direct partial sums
-        p, q = 5, 2
-        acc, power, expected = 0, 1, None
-        for e in range(1, 50):
-            acc = (acc + power) % p
-            power = power * q % p
-            if acc == 0:
-                expected = e
-                break
-        assert expected == 4
-        assert quantum_e(PrimeField(5).from_int(2)) == expected
+        # independent oracle: direct partial sums, for every unit q of every
+        # prime p <= 31 (the sums are periodic with period dividing p(p - 1))
+        def first_vanishing_sum(p, q):
+            acc, power = 0, 1
+            for e in range(1, p * (p - 1) + 2):
+                acc = (acc + power) % p
+                power = power * q % p
+                if acc == 0:
+                    return e
+
+        assert first_vanishing_sum(5, 2) == 4
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            for q in range(1, p):
+                assert quantum_e(PrimeField(p).from_int(q)) == first_vanishing_sum(p, q)
 
     def test_generic_variable_is_infinite(self):
         field = RationalFunctionField(("q",))
@@ -503,6 +512,7 @@ class TestQuantumE:
         assert quantum_e(PrimeField(3).from_int(2)) == 2
         assert quantum_e(PrimeField(7).from_int(2)) == 3
         assert quantum_e(PrimeField(5).from_int(2)) == 4
+        assert quantum_e(PrimeField(2**61 - 1).from_int(-1)) == 2
 
 
 class TestFieldContext:

@@ -486,6 +486,26 @@ class TestDecomposeClosure:
         assert dec.render() == f"{lam.render()}: 1"
         assert dec.to_json() == {lam.render(): "1"}
 
+    def test_shift_lengths_come_from_ascents(self, monkeypatch):
+        # each permutation whose class polynomial is computed has its length
+        # counted at most once; its shifts' lengths come from ascent tests
+        calls, entered = [], set()
+        counted_length = Permutation.length
+        explore = trace._class_polynomial
+
+        def length(w):
+            calls.append(w)
+            return counted_length(w)
+
+        def recording(w, field, memo):
+            entered.add(w)
+            return explore(w, field, memo)
+
+        monkeypatch.setattr(Permutation, "length", length)
+        monkeypatch.setattr(trace, "_class_polynomial", recording)
+        decompose_closure(BraidWord(5, [1, 2, 3, 4, 3, 2, 1, -2, 3, -4, 1, 2, 3, 4, 2]))
+        assert entered and len(calls) <= len(entered)
+
     def test_items_come_in_partitions_of_order(self):
         shapes = partitions_of(6)
         shuffled = random.Random(36).sample(shapes, len(shapes))
