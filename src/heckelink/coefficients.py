@@ -212,10 +212,10 @@ class LaurentPoly:
             )
 
     def __add__(self, other) -> LaurentPoly:
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(self.variables, other)
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = LaurentPoly.constant(self.variables, other)
         self._check(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
@@ -239,9 +239,9 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other) -> LaurentPoly:
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, LaurentPoly):
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
             return NotImplemented
         self._check(other)
         terms: dict[Exponents, int | Fraction] = {}
@@ -285,11 +285,11 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         if self is other:
             return True
+        if isinstance(other, LaurentPoly):
+            return self.variables == other.variables and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.constant_value() == other
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -605,11 +605,11 @@ class RationalFunction:
     def __eq__(self, other) -> bool:
         if self is other:
             return True
+        if isinstance(other, RationalFunction):
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.constant_value() == other
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -717,6 +717,28 @@ def _is_prime(p: int) -> bool:
         else:
             return False
     return True
+
+
+def _prime_factors(m: int) -> set[int]:
+    """The prime factors of 0 < m < ``_PRIME_BOUND``: the ``_WITNESSES`` by
+    trial division, then Pollard's rho with Floyd's cycle on the rest."""
+    factors = {a for a in _WITNESSES if m % a == 0}
+    m //= math.gcd(m, math.prod(factors) ** 63)  # no exponent of m exceeds 63
+    pending = [m] if m > 1 else []
+    while pending:
+        m = pending.pop()
+        if _is_prime(m):
+            factors.add(m)
+            continue
+        c, d = 0, m
+        while d == m:  # a walk that meets itself retries with the next constant
+            c, x, y, d = c + 1, 2, 2, 1
+            while d == 1:
+                x = (x * x + c) % m
+                y = (((y * y + c) % m) ** 2 + c) % m
+                d = math.gcd(x - y, m)
+        pending += [d, m // d]
+    return factors
 
 
 class PrimeFieldElement:
@@ -1043,8 +1065,8 @@ def quantum_e(q) -> int | float:
     q = -1 (giving e = 2): the only roots of unity in Q and in Q(vars) are
     +-1, and q = 1 sums to e != 0.  Over F_p the sum is e when q = 1, so
     e = p, and (q^e - 1)/(q - 1) otherwise, so e is the multiplicative
-    order of q, found by walking its powers.  That walk takes ord(q) <= p - 1
-    steps: a q of huge order in a huge field still walks that many powers.
+    order of q.  That order divides p - 1, so it is read off the prime
+    factors r of p - 1: from e = p - 1, divide e by r while q^(e/r) = 1.
     """
     if not isinstance(q, (PrimeFieldElement, int, Fraction, RationalFunction)):
         raise CoefficientError(f"unsupported scalar {q!r}")
@@ -1052,13 +1074,11 @@ def quantum_e(q) -> int | float:
         raise CoefficientError("q must be a unit")
     if not isinstance(q, PrimeFieldElement):
         return 2 if q == -1 else math.inf
-    if q == 1:
-        return q.p
-    e, power = 1, q.value
-    while power != 1:
-        power = power * q.value % q.p
-        e += 1
-    return e
+    e = q.p - 1
+    for r in _prime_factors(e):
+        while e % r == 0 and pow(q.value, e // r, q.p) == 1:
+            e //= r
+    return e if e > 1 else q.p  # q = 1 has order 1, but its sums vanish at p
 
 
 # -- parsing ------------------------------------------------------------------

@@ -29,7 +29,9 @@ through it, so the quadratic relation is written down once.  It runs over
 either kind of key, given as ``Keys``: permutations, as in ``HeckeElement``,
 or the ranks of a fixed coordinate order, which the cell modules use so that
 a step is a table lookup (``specht._perm_order``).  A fold is refused once
-its support exceeds ``MAX_SUPPORT``.
+its support exceeds ``MAX_SUPPORT``.  Every coordinate map adds through one
+rule, ``_add_term``, which drops a key whose sum vanishes, so no stored
+coefficient is zero; the fold's split shares the moved term's update.
 
 At (q1, q2) = (1, -1) the quadratic relation collapses to T_i^2 = 1 and the
 algebra becomes the group algebra of the symmetric group; ``to_symmetric_group``
@@ -118,13 +120,8 @@ class HeckeContext:
         """T_i for positive sign, T_i^{-1} for negative."""
         if not 1 <= i <= self.n - 1:
             raise HeckeError(f"generator index {i} out of range for n={self.n}")
-        field = self.field
-        return HeckeElement(
-            self,
-            _multiply_generator(
-                self.identity().terms, i, sign < 0, False, field.q_sum, field.q_prod
-            ),
-        )
+        letter = -i if sign < 0 else i
+        return HeckeElement(self, fold_letter(self.identity().terms, letter, self))
 
 
 class HeckeElement:
@@ -162,12 +159,7 @@ class HeckeElement:
         self._check(other)
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            s = terms.get(w)
-            s = c if s is None else s + c
-            if s:
-                terms[w] = s
-            else:
-                terms.pop(w, None)
+            _add_term(terms, w, c)
         return HeckeElement(self.context, terms)
 
     def __neg__(self) -> HeckeElement:
@@ -255,6 +247,16 @@ def _render_order(terms: Mapping[Permutation, object]) -> list[Permutation]:
     return sorted(terms, key=lambda w: (-w.length(), w.images))
 
 
+def _add_term(terms: dict, key, value) -> None:
+    """terms[key] += value, dropping the key when the sum vanishes."""
+    s = terms.get(key)
+    s = value if s is None else s + value
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
 def _multiply_generator(
     terms: Mapping,
     i: int,
@@ -282,30 +284,10 @@ def _multiply_generator(
     step, ascent = keys.generator(i, left)
     out: dict = {}
     for w, c in terms.items():
-        ws = step(w)
-        if ascent(w) != inverse:
-            s = out.get(ws)
-            s = c if s is None else s + c
-            if s:
-                out[ws] = s
-            else:
-                out.pop(ws, None)
-        else:
-            cs = c * diagonal
-            if cs:
-                s = out.get(w)
-                s = cs if s is None else s + cs
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-            cp = c * swapped
-            s = out.get(ws)
-            s = cp if s is None else s + cp
-            if s:
-                out[ws] = s
-            else:
-                out.pop(ws, None)
+        if ascent(w) == inverse:  # the split keeps c * diagonal at w
+            _add_term(out, w, c * diagonal)
+            c *= swapped
+        _add_term(out, step(w), c)
     if len(out) > MAX_SUPPORT:
         raise HeckeSizeError(
             f"a fold grew to more than {MAX_SUPPORT} terms, the limit on its support"
@@ -352,12 +334,7 @@ def _right_product(left: Mapping, right: Mapping, q_sum, q_prod) -> dict:
     for v, cur in _prefix_products(left, right, q_sum, q_prod):
         d = right[v]
         for u, c in cur.items():
-            s = product.get(u)
-            s = c * d if s is None else s + c * d
-            if s:
-                product[u] = s
-            else:
-                product.pop(u, None)
+            _add_term(product, u, c * d)
     return product
 
 

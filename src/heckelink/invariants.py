@@ -132,16 +132,10 @@ def _loop_powers(max_power: int) -> list[dict[int, int]]:
     """Powers of d = -A^2 - A^{-2} as integer exponent maps."""
     powers = [{0: 1}]
     for _ in range(max_power):
-        prev = powers[-1]
+        negated = {e: -c for e, c in powers[-1].items()}
         nxt: dict[int, int] = {}
-        for e, c in prev.items():
-            for de, dc in ((2, -1), (-2, -1)):
-                e2 = e + de
-                s = nxt.get(e2, 0) + c * dc
-                if s:
-                    nxt[e2] = s
-                else:
-                    del nxt[e2]
+        _bracket_add(nxt, 2, negated)
+        _bracket_add(nxt, -2, negated)
         powers.append(nxt)
     return powers
 

@@ -344,11 +344,12 @@ def _class_polynomial(w: Permutation, field: FieldContext, memo: dict) -> dict:
 
 def decompose_closure(b: BraidWord) -> ClosureDecomposition:
     """Decompose the closure of b over the partition basis: the Hecke image
-    of b over Q(q) at (q1, q2) = (-1, q), summed term by term over class
-    polynomials."""
+    over Q(q) at (q1, q2) = (-1, q) of b cyclically reduced (a class function
+    does not see it), summed term by term over class polynomials."""
     field = generic_one_parameter_context()
-    zero, totals, memo = field.field.zero(), {}, {}
-    for w, c in from_braid_word(b, HeckeContext(b.strands, field)).terms.items():
+    totals, memo = {}, {}
+    word = BraidWord(b.strands, _cyclically_reduced(b.letters))
+    for w, c in from_braid_word(word, HeckeContext(b.strands, field)).terms.items():
         for lam, f in _class_polynomial(w, field, memo).items():
-            totals[lam] = totals.get(lam, zero) + c * f
-    return ClosureDecomposition(b.strands, {lam: c for lam, c in totals.items() if c})
+            hecke._add_term(totals, lam, c * f)
+    return ClosureDecomposition(b.strands, totals)

@@ -82,6 +82,11 @@ class TestLaurentPoly:
             lp("q1") + lp("q", ("q",))
         with pytest.raises(ContextMismatchError, match="variable mismatch"):
             RationalFunction.from_poly(lp("q1")) + RationalFunction.from_poly(lp("q", ("q",)))
+        # foreign operands: no equality, and no sum
+        assert not lp("1") == PrimeField(5).one()
+        assert not RationalFunction.constant(Q12, 1) == PrimeField(5).one()
+        with pytest.raises(TypeError):
+            lp("q1") + "x"
 
 
 class TestGcd:
@@ -513,6 +518,24 @@ class TestQuantumE:
         assert quantum_e(PrimeField(7).from_int(2)) == 3
         assert quantum_e(PrimeField(5).from_int(2)) == 4
         assert quantum_e(PrimeField(2**61 - 1).from_int(-1)) == 2
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            (2**61 - 1, 2),
+            (2**61 - 1, 3),
+            (2**61 - 1, 37),
+            (18446744073709551557, 5),
+            # p - 1 = 2 * 2147483693 * 2147483713, two large primes for rho
+            (9223372509301184219, 37),
+        ],
+    )
+    def test_order_in_a_large_field_matches_sympy(self, p, q):
+        n_order = pytest.importorskip("sympy").ntheory.n_order
+        start = time.perf_counter()
+        e = quantum_e(PrimeField(p).from_int(q))
+        assert time.perf_counter() - start < 1.0
+        assert e == n_order(q, p)
 
 
 class TestFieldContext:

@@ -534,6 +534,22 @@ class TestDecomposeClosure:
                 b
             ).coefficients
 
+    def test_folds_the_cyclically_reduced_word(self, monkeypatch):
+        # a class function: conjugation and free cancellation are dropped
+        # before the fold, which sees only the cyclically reduced word
+        folded, fold = [], trace.from_braid_word
+
+        def recording(b, ctx):
+            folded.append(tuple(b.letters))
+            return fold(b, ctx)
+
+        monkeypatch.setattr(trace, "from_braid_word", recording)
+        for letters, reduced in (([2, 1, 3, 1, -2], (1, 3, 1)), ([1, 2, -2, 3], (1, 3))):
+            folded.clear()
+            dec = decompose_closure(BraidWord(4, letters))
+            assert folded == [reduced]
+            assert dec == decompose_closure(BraidWord(4, list(reduced)))
+
     def test_recombination_matches_direct_trace(self):
         # over the one-parameter field delta = (1-q)/(q-1) = -1
         from heckelink.specht import SpechtContext
