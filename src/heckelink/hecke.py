@@ -33,6 +33,28 @@ its support exceeds ``MAX_SUPPORT``.  Every coordinate map adds through one
 rule, ``_add_term``, which drops a key whose sum vanishes, so no stored
 coefficient is zero; the fold's split shares the moved term's update.
 
+Over a field of rational functions in which q1 and q2 are signed monomials,
+such as Q(q1, q2), Q(q) at (-1, q) and Q(s) at (-s, s^3), ``from_braid_word``
+folds on Python ints through the same loop.  Put q = -q2/q1 and
+T_i = -q1 T'_i.  Then
+
+    (T_i - q1)(T_i - q2) = q1^2 (T'_i + 1)(T'_i - q),
+
+so the T'_i satisfy the quadratic relation at (-1, q), with q_sum = q - 1
+and q_prod = -q, and T_w = (-q1)^l(w) T'_w.  A braid word b with exponent
+sum e(b) maps to (-q1)^e(b) times its image under sigma_i -> T'_i, so the
+coefficient of T_w is (-q1)^(e(b) - l(w)) c'_w(q).  An inverse letter is
+folded as q_prod T'_i^{-1} = q_sum - T'_i, which divides nothing: a word
+with m inverse letters folds to q_prod^m times its image, and every
+coefficient is a polynomial in q over Z.  One letter sends a term c to
+c (q - 1) plus c q or -c, or moves it as c or c q, so it at most triples the
+dict's 1-norm, the sum of the absolute values of all integer coefficients.
+After L letters every integer coefficient is below 3^L in absolute value,
+so with K = bitlength(3^L) + 1 each polynomial is one int, its value at
+q = 2^K (Kronecker substitution; von zur Gathen and Gerhard, Modern
+Computer Algebra, 8.4), read back once at the end by balanced base-2^K
+digits.
+
 At (q1, q2) = (1, -1) the quadratic relation collapses to T_i^2 = 1 and the
 algebra becomes the group algebra of the symmetric group; ``to_symmetric_group``
 exposes the coordinates for comparison against plain permutation composition.
@@ -42,11 +64,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import methodcaller
+from operator import add, methodcaller
 from typing import Callable, Mapping, NamedTuple
 
 from .braid import BraidWord, Permutation
-from .coefficients import FieldContext, Rationals, render_scalar
+from .coefficients import (
+    FieldContext,
+    LaurentPoly,
+    RationalFunction,
+    RationalFunctionField,
+    Rationals,
+    render_scalar,
+)
 
 
 class HeckeError(ValueError):
@@ -121,7 +150,7 @@ class HeckeContext:
         if not 1 <= i <= self.n - 1:
             raise HeckeError(f"generator index {i} out of range for n={self.n}")
         letter = -i if sign < 0 else i
-        return HeckeElement(self, fold_letter(self.identity().terms, letter, self))
+        return HeckeElement(self, fold_letter(self.identity().terms, letter, self.field))
 
 
 class HeckeElement:
@@ -276,17 +305,22 @@ def _multiply_generator(
 
         T_w T_i      = q_sum T_w - q_prod T_{w s_i},
         T_w T_i^{-1} = (q_sum T_w - T_{w s_i}) / q_prod.
+
+    Over the packed ints, where q_prod has no inverse, T_i^{-1} stands for
+    q_prod T_i^{-1} (see ``_inverse_coefficients``).
     """
     if inverse:
-        diagonal, swapped = _inverse_coefficients(q_sum, q_prod)
+        diagonal, swapped, moved = _inverse_coefficients(q_sum, q_prod)
     else:
-        diagonal, swapped = q_sum, -q_prod
+        diagonal, swapped, moved = q_sum, -q_prod, None
     step, ascent = keys.generator(i, left)
     out: dict = {}
     for w, c in terms.items():
         if ascent(w) == inverse:  # the split keeps c * diagonal at w
             _add_term(out, w, c * diagonal)
             c *= swapped
+        elif moved is not None:
+            c *= moved
         _add_term(out, step(w), c)
     if len(out) > MAX_SUPPORT:
         raise HeckeSizeError(
@@ -340,24 +374,112 @@ def _right_product(left: Mapping, right: Mapping, q_sum, q_prod) -> dict:
 
 @lru_cache(maxsize=64, typed=True)
 def _inverse_coefficients(q_sum, q_prod) -> tuple:
-    """(q_sum / q_prod, -1 / q_prod), the two coefficients of T_w T_i^{-1} at
-    an ascent; computed once per parameter pair, not once per letter."""
+    """(diagonal, swapped, moved) for T_i^{-1}: at an ascent T_w goes to
+    diagonal T_w + swapped T_{w s_i}, at a descent to moved T_{w s_i}, None
+    standing for 1.  Over a field they are (q_sum / q_prod, -1 / q_prod,
+    None), computed once per parameter pair, not once per letter.  Over the
+    packed ints, where q_prod = -2^K has no inverse, they are those of
+    q_prod T_i^{-1} = q_sum - T_i: (q_sum, -1, q_prod)."""
+    if type(q_prod) is int:
+        return q_sum, -1, q_prod
     inv_prod = 1 / q_prod
-    return q_sum * inv_prod, -inv_prod
+    return q_sum * inv_prod, -inv_prod, None
 
 
-def fold_letter(
-    terms: Mapping[Permutation, object], letter: int, ctx: HeckeContext
-) -> dict[Permutation, object]:
-    """Right-multiply by the image of a single signed braid letter."""
-    field = ctx.field
+class _Packed:
+    """Z[q] at q = 2^bits: a polynomial whose integer coefficients, its
+    digits, are below 2^(bits-1) in absolute value is the int it takes there.
+    Like a ``FieldContext`` it hands ``fold_letter`` the quadratic relation at
+    (q1, q2) = (-1, q): q_sum = q - 1 and q_prod = -q."""
+
+    __slots__ = ("bits", "q_sum", "q_prod")
+
+    def __init__(self, letters: int):
+        """Slots wide enough for any fold of ``letters`` letters, whose
+        digits stay below 3^letters in absolute value."""
+        self.bits = (3**letters).bit_length() + 1
+        self.q_sum = (1 << self.bits) - 1
+        self.q_prod = -1 << self.bits
+
+    def one(self) -> int:
+        return 1
+
+    def digits(self, value: int) -> list[int]:
+        """The balanced base-2^bits digits of ``value``, lowest first."""
+        bits, mask, half = self.bits, (1 << self.bits) - 1, 1 << (self.bits - 1)
+        out = []
+        while value:
+            d = value & mask
+            value >>= bits
+            if d >= half:
+                d -= mask + 1
+                value += 1
+            out.append(d)
+        return out
+
+
+@lru_cache(maxsize=16)
+def _packing_units(field: FieldContext) -> tuple | None:
+    """The signed monomials -q1 and q = -q2/q1 of ``field``, each as
+    (exponents, sign), when both are and q is not constant; then a braid
+    word folds over ``field`` on packed ints.  None otherwise."""
+    if not isinstance(field.field, RationalFunctionField):
+        return None
+    units = []
+    for x in (-field.q1, -field.q2 / field.q1):
+        if not x.den.is_one() or len(x.num.terms) != 1:
+            return None
+        ((exps, sign),) = x.num.terms.items()
+        if sign not in (1, -1):
+            return None
+        units.append((exps, sign))
+    return tuple(units) if any(units[1][0]) else None
+
+
+def _unpack(
+    terms: Mapping[Permutation, int],
+    field: FieldContext,
+    units: tuple,
+    packed: _Packed,
+    letters,
+) -> dict[Permutation, RationalFunction]:
+    """The image over ``field``, whose ``_packing_units`` are ``units``, of
+    the packed fold of ``letters``: with m inverse letters and exponent sum
+    e, the coefficient of T_w is (-q1)^(e - l(w)) (-q)^(-m) sum_k a_k q^k
+    over the digits a_k of T_w's int."""
+    (eu, su), (eq, sq) = units
+    m = sum(letter < 0 for letter in letters)
+    e = len(letters) - 2 * m
+    graded = any(eu) or su < 0  # whether (-q1)^(e - l(w)) depends on w
+    variables, den = field.field.variables, field.q1.den  # q1's den is 1
+    rows: dict[int, list] = {}  # t -> (exponents, sign) of (-q1)^t (-q)^(-m) q^k
+    out = {}
+    for w, value in terms.items():
+        t = e - w.length() if graded else 0
+        row = rows.get(t)
+        if row is None:
+            sign = (-sq) ** (m % 2) * su ** (t % 2)
+            row = rows[t] = [(tuple(t * a - m * b for a, b in zip(eu, eq)), sign)]
+        digits = packed.digits(value)
+        while len(row) < len(digits):
+            exps, sign = row[-1]
+            row.append((tuple(map(add, exps, eq)), sign * sq))
+        poly = {exps: sign * d for (exps, sign), d in zip(row, digits) if d}
+        out[w] = RationalFunction(LaurentPoly._trusted(variables, poly), den)
+    return out
+
+
+def fold_letter(terms: Mapping, letter: int, ring) -> dict:
+    """Right-multiply by the image of a single signed braid letter, with
+    coefficients in ``ring``: a ``FieldContext``, or ``_Packed`` ints."""
     return _multiply_generator(
-        terms, abs(letter), letter < 0, False, field.q_sum, field.q_prod
+        terms, abs(letter), letter < 0, False, ring.q_sum, ring.q_prod
     )
 
 
 def from_braid_word(b: BraidWord, ctx: HeckeContext) -> HeckeElement:
-    """Image of a braid word under sigma_i -> T_i, extended to inverses.
+    """Image of a braid word under sigma_i -> T_i, extended to inverses,
+    folded on packed ints where ``_packing_units`` allows.
 
     Raises ``HeckeSizeError`` from the first letter whose fold has more than
     ``MAX_SUPPORT`` terms."""
@@ -365,11 +487,13 @@ def from_braid_word(b: BraidWord, ctx: HeckeContext) -> HeckeElement:
         raise HeckeError(
             f"word on {b.strands} strands does not live in H_{ctx.n}"
         )
-    cur: Mapping[Permutation, object] = {
-        Permutation.identity(ctx.n): ctx.field.one()
-    }
+    units = _packing_units(ctx.field)
+    ring = ctx.field if units is None else _Packed(len(b.letters))
+    cur: Mapping = {Permutation.identity(ctx.n): ring.one()}
     for letter in b.letters:
-        cur = fold_letter(cur, letter, ctx)
+        cur = fold_letter(cur, letter, ring)
+    if units is not None:
+        cur = _unpack(cur, ctx.field, units, ring, b.letters)
     return HeckeElement(ctx, cur)
 
 

@@ -12,10 +12,11 @@ and checks that each single rewrite (free cancellation, far commutation, or
 a braid-relation triple) leaves the algebra image unchanged.  Images are
 folded along the depth-first walk: a word's image is its parent's with one
 more letter folded, and a rewrite's is folded onto the image of the longest
-prefix it shares with a word or rewrite already folded.  The image map is
-injectable so a corrupted pipeline can be shown to fail; an injected map is
-called once per word, and ``faulty_braid_image`` provides one with the
-quadratic sign flipped.
+prefix it shares with a word or rewrite already folded.  They are folded on
+packed ints, as ``from_braid_word`` folds over Q(q1, q2), and compared
+packed.  The image map is injectable so a corrupted pipeline can be shown
+to fail; an injected map is called once per word, and
+``faulty_braid_image`` provides one with the quadratic sign flipped.
 """
 
 from __future__ import annotations
@@ -24,7 +25,13 @@ from typing import Callable, Mapping
 
 from .braid import BraidWord, Permutation
 from .coefficients import generic_field_context
-from .hecke import HeckeContext, HeckeElement, _multiply_generator, fold_letter
+from .hecke import (
+    HeckeContext,
+    HeckeElement,
+    _multiply_generator,
+    _Packed,
+    fold_letter,
+)
 
 
 class OracleError(ValueError):
@@ -107,6 +114,14 @@ def exhaustive_word_closure(
     starting images, so every image equals the one it builds.  An injected
     ``image_fn`` is called once per word, visited or rewritten.
 
+    Without one, an image is (D, m): the packed fold D of a word with m
+    inverse letters, which is q_prod^m times its image under
+    sigma_i -> T'_i (see ``hecke``).  A rewrite keeps the exponent sum, so
+    it keeps the image under sigma_i -> T_i exactly when it keeps this one.
+    Slots wide enough for ``max_len`` letters serve every word.  Two images
+    compare after the one with fewer inverse letters is multiplied by the
+    missing power of q_prod = -2^K, a shift and a sign.
+
     Exponential by nature and guarded accordingly; the report carries the
     number of checks and any violating pairs.
     """
@@ -115,20 +130,31 @@ def exhaustive_word_closure(
             f"exhaustive closure is capped at n <= 4, 0 <= max_len <= 8 "
             f"(asked for n={n}, max_len={max_len})"
         )
-    ctx = HeckeContext(n, generic_field_context())
+    packed = _Packed(max_len)
     alphabet = [j for i in range(1, n) for j in (i, -i)]
     checked = 0
     violations: list[dict] = []
     # prefixes[k] is the image of the visited word's first k letters.
-    prefixes = [ctx.identity().terms]
+    prefixes = [({Permutation.identity(n): packed.one()}, 0)]
 
     def image(word: tuple[int, ...], k: int, start):
         """Image of ``word``, given the image ``start`` of its first k letters."""
         if image_fn is not None:
             return image_fn(BraidWord(n, word))
+        terms, m = start
         for letter in word[k:]:
-            start = fold_letter(start, letter, ctx)
-        return start
+            terms = fold_letter(terms, letter, packed)
+            m += letter < 0
+        return terms, m
+
+    def same(a, b) -> bool:
+        if image_fn is not None:
+            return a == b
+        (x, mx), (y, my) = sorted((a, b), key=lambda image: image[1])
+        if mx == my:
+            return x == y
+        scale = packed.q_prod ** (my - mx)
+        return {w: c * scale for w, c in x.items()} == y
 
     def visit(letters: tuple[int, ...], parent_images: dict) -> None:
         """``parent_images`` maps the (move, k) of each rewrite of the parent
@@ -147,7 +173,7 @@ def exhaustive_word_closure(
                 images[move, k] = image(rewritten, k, prefixes[k])
             else:
                 images[move, k] = image(rewritten, len(rewritten) - 1, shared)
-            if images[move, k] != word_image:
+            if not same(images[move, k], word_image):
                 violations.append(
                     {
                         "word": list(letters),

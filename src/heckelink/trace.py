@@ -299,14 +299,16 @@ class ClosureDecomposition:
 
 def _class_polynomial(w: Permutation, field: FieldContext, memo: dict) -> dict:
     """Coordinates of T_w modulo [H, H] in the basis T_{w_lambda}; stores
-    them for every element of the explored shift class of w.
+    them, one dict shared by all, for every element of the explored shift
+    class of w.  A shift already in the memo belongs to the same class, so
+    its value is the class's and the exploration stops there.
 
     Every element of the class has the length of w, and the length of a
     shift y = s_i (x s_i) is read off two ascent tests, of x at i on the
     right and of x s_i at i on the left: O(n) per shift, not O(n^2).
 
     Raises ``HeckeSizeError`` once the memo and the class being explored
-    hold more than ``hecke.MAX_SUPPORT`` permutations."""
+    hold more than ``hecke.MAX_SUPPORT`` permutations, each counted once."""
     if w in memo:
         return memo[w]
     length = w.length()
@@ -324,6 +326,9 @@ def _class_polynomial(w: Permutation, field: FieldContext, memo: dict) -> dict:
                     lam: field.q_sum * sx.get(lam, zero) - field.q_prod * sxs.get(lam, zero)
                     for lam in sx.keys() | sxs.keys()
                 }
+                break
+            if y_length == length and y in memo:
+                value = memo[y]
                 break
             if y_length == length and y not in seen:
                 shift_class.append(y)
@@ -345,11 +350,16 @@ def _class_polynomial(w: Permutation, field: FieldContext, memo: dict) -> dict:
 def decompose_closure(b: BraidWord) -> ClosureDecomposition:
     """Decompose the closure of b over the partition basis: the Hecke image
     over Q(q) at (q1, q2) = (-1, q) of b cyclically reduced (a class function
-    does not see it), summed term by term over class polynomials."""
+    does not see it), its coefficients summed per class polynomial and each
+    sum multiplied by that polynomial once."""
     field = generic_one_parameter_context()
-    totals, memo = {}, {}
+    memo, values, sums, totals = {}, {}, {}, {}
     word = BraidWord(b.strands, _cyclically_reduced(b.letters))
     for w, c in from_braid_word(word, HeckeContext(b.strands, field)).terms.items():
-        for lam, f in _class_polynomial(w, field, memo).items():
+        f = _class_polynomial(w, field, memo)
+        values[id(f)] = f  # the memo shares one dict per explored class
+        hecke._add_term(sums, id(f), c)
+    for key, c in sums.items():
+        for lam, f in values[key].items():
             hecke._add_term(totals, lam, c * f)
     return ClosureDecomposition(b.strands, totals)

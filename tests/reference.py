@@ -211,7 +211,7 @@ def closure_ideal(lam, sctx):
         if strictly_dominates(mu, lam)
         for row in coset_rows(mu, sctx, coset_representatives(mu))
     ]
-    close(basis, seeds, lambda x, i: HeckeElement(ctx, fold_letter(x.terms, i, ctx)))
+    close(basis, seeds, lambda x, i: HeckeElement(ctx, fold_letter(x.terms, i, ctx.field)))
     return basis
 
 

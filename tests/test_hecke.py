@@ -11,11 +11,13 @@ from heckelink.braid import BraidWord, Permutation, random_word
 from heckelink.coefficients import (
     FieldContext,
     PrimeField,
+    RationalFunctionField,
     Rationals,
     generic_field_context,
+    generic_one_parameter_context,
     one_parameter_context,
 )
-from heckelink import hecke
+from heckelink import hecke, invariants
 from heckelink.hecke import (
     HeckeContext,
     HeckeElement,
@@ -259,6 +261,71 @@ class TestSupportBudget:
         monkeypatch.setattr(hecke, "MAX_SUPPORT", 100)
         with pytest.raises(HeckeSizeError, match="more than 100 terms"):
             from_braid_word(FULL_TWIST_6, generic_ctx(6))
+
+
+def field_fold(b, ctx):
+    """The image of b folded letter by letter on the scalars of ctx's field."""
+    terms = ctx.identity().terms
+    for letter in b.letters:
+        terms = hecke.fold_letter(terms, letter, ctx.field)
+    return HeckeElement(ctx, terms)
+
+
+_X = RationalFunctionField(("x",))
+_x = _X.variable("x")
+
+# Fields whose braid images fold on packed ints: -q1 and q = -q2/q1 are
+# signed monomials, with each combination of signs.
+PACKED_FIELDS = {
+    "Q(q1,q2)": generic_field_context(),
+    "Q(q) at (-1,q)": generic_one_parameter_context(),
+    "Q(s) at (-s,s^3)": invariants._S_CONTEXT,
+    "Q(x) at (x^2,-1/x)": FieldContext(_X, _x**2, -_x ** -1),
+    "Q(x) at (-x,-x^2)": FieldContext(_X, -_x, -_x**2),
+    "Q(x) at (1,x)": FieldContext(_X, _X.one(), _x),
+}
+
+
+class TestPackedFold:
+    @pytest.mark.parametrize("name", PACKED_FIELDS)
+    def test_equals_the_field_fold(self, name):
+        field = PACKED_FIELDS[name]
+        assert hecke._packing_units(field) is not None
+        rng = random.Random(40)
+        for k in range(24):
+            n = 2 + k % 6
+            b = random_word(rng, n, rng.randrange(0, 11))
+            ctx = HeckeContext(n, field)
+            assert from_braid_word(b, ctx) == field_fold(b, ctx), b
+
+    def test_other_fields_are_not_packed(self):
+        # Q and F_p, a parameter that is no signed monomial, and a constant
+        # q = -q2/q1, whose powers would share one monomial
+        fields = [
+            one_parameter_context(Rationals(), 2),
+            one_parameter_context(PrimeField(7), 3),
+            FieldContext(_X, _X.from_int(2), _x),
+            FieldContext(_X, _x + 1, _x),
+            FieldContext(_X, _x, -_x),
+        ]
+        for field in fields:
+            assert hecke._packing_units(field) is None
+
+    def test_digits_round_trip(self):
+        rng = random.Random(42)
+        for letters in (0, 1, 5, 56):
+            packed = hecke._Packed(letters)
+            top = (1 << (packed.bits - 1)) - 1
+            assert 3**letters <= top
+            assert packed.digits(0) == []
+            for _ in range(20):
+                digits = [
+                    rng.choice((top, -top, rng.randint(-top, top)))
+                    for _ in range(rng.randrange(1, 12))
+                ]
+                digits[-1] = digits[-1] or top
+                value = sum(d << (packed.bits * k) for k, d in enumerate(digits))
+                assert packed.digits(value) == digits
 
 
 class TestStar:

@@ -87,16 +87,19 @@ class TestExhaustiveClosure:
     def test_walk_finds_a_faulty_fold_like_the_per_word_path(
         self, monkeypatch, n, max_len
     ):
-        def faulty_fold(terms, letter, ctx):
-            field = ctx.field
+        # the packed fold with the sign of the q1*q2 term flipped, every
+        # letter folded as T_i, as faulty_braid_image does over Q(q1, q2)
+        def faulty_fold(terms, letter, ring):
             return _multiply_generator(
-                terms, abs(letter), False, False, field.q_sum, -field.q_prod
+                terms, abs(letter), False, False, ring.q_sum, -ring.q_prod
             )
 
         reference = exhaustive_word_closure(n, max_len, image_fn=faulty_braid_image)
         monkeypatch.setattr("heckelink.oracles.fold_letter", faulty_fold)
         report = exhaustive_word_closure(n, max_len)
         assert report == reference
+        if (n, max_len) == (2, 4):
+            assert len(report["violations"]) == 34
         if (n, max_len) == (3, 3):
             assert report["checked"] == 40
             assert len(report["violations"]) == 36

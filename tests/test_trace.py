@@ -18,7 +18,7 @@ from heckelink.coefficients import (
     render_scalar,
     specialize,
 )
-from heckelink import trace
+from heckelink import hecke, trace
 from heckelink.hecke import (
     HeckeContext, HeckeElement, from_braid_word, left_multiply_generator,
 )
@@ -533,6 +533,35 @@ class TestDecomposeClosure:
             assert decompose_closure(conjugate(b, a)).coefficients == decompose_closure(
                 b
             ).coefficients
+
+    def test_class_polynomials_are_conjugation_invariant(self):
+        # sum c_w f_w over images that are not cyclically reduced, term by
+        # term: it agrees for b and a b a^{-1}, and with the per-class sums
+        # of decompose_closure
+        field = generic_one_parameter_context()
+
+        def closure(b):
+            memo, totals = {}, {}
+            for w, c in from_braid_word(b, HeckeContext(b.strands, field)).terms.items():
+                for lam, f in _class_polynomial(w, field, memo).items():
+                    hecke._add_term(totals, lam, c * f)
+            return totals
+
+        rng = random.Random(30)
+        for _ in range(15):
+            n = rng.randrange(2, 6)
+            b = random_word(rng, n, rng.randrange(0, 6))
+            a = random_word(rng, n, rng.randrange(1, 4))
+            assert closure(conjugate(b, a)) == closure(b)
+            assert decompose_closure(b).coefficients == closure(b)
+
+    def test_budget_counts_each_permutation_once(self, monkeypatch):
+        # S_7 has 7! elements, so a budget of 7! holds every closure on 7
+        # strands once no permutation is counted twice
+        full_twist = BraidWord(7, list(range(1, 7)) * 7)
+        expected = decompose_closure(full_twist)
+        monkeypatch.setattr(hecke, "MAX_SUPPORT", math.factorial(7))
+        assert decompose_closure(full_twist) == expected
 
     def test_folds_the_cyclically_reduced_word(self, monkeypatch):
         # a class function: conjugation and free cancellation are dropped
