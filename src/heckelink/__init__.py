@@ -86,7 +86,6 @@ _CACHES = (
     _specht.specht_module,
     _specht._perm_order,
     _specht._shape,
-    _hecke._inverse_coefficients,
     _hecke._packing_units,
     _hecke._permutation_generator,
 )
@@ -95,9 +94,9 @@ _CACHES = (
 def clear_caches() -> None:
     """Empty the module-level caches, each a bounded lru cache: cell modules
     per (partition, context), coordinate orders with their rank tables, shape
-    combinatorics per partition, T_i^{-1} coefficients, the signed-monomial
-    units per field context and the permutation steps per generator; and drop the one ideal ``specht_module`` holds for
-    its next build."""
+    combinatorics per partition, the signed-monomial units per field context
+    and the permutation steps per generator; and drop the one ideal
+    ``specht_module`` holds for its next build."""
     for cache in _CACHES:
         cache.cache_clear()
     _specht._held_ideal.clear()

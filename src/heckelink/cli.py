@@ -155,13 +155,14 @@ def _parse_word(args, operation: str | None = None) -> BraidWord:
     return parse_braid_word(args.word, args.strands)
 
 
-def _emit(args, data, *lines: str) -> None:
-    """Print ``data`` as one JSON line under --format json, else ``lines``."""
+def _emit(args, data, *lines) -> None:
+    """Print ``data`` as one JSON line under --format json, else ``lines``;
+    each may be a function of no arguments, called only if printed."""
     if args.format == "json":
-        print(json.dumps(data))
+        print(json.dumps(data() if callable(data) else data))
     else:
         for line in lines:
-            print(line)
+            print(line() if callable(line) else line)
 
 
 # -- command handlers ---------------------------------------------------------
@@ -171,7 +172,7 @@ def cmd_reduce(args) -> int:
     word = _parse_word(args)
     field = _resolve_field(args, generic_field_context)
     element = from_braid_word(word, HeckeContext(word.strands, field))
-    _emit(args, element.to_json(), element.render())
+    _emit(args, element.to_json, element.render)
     return EXIT_OK
 
 

@@ -21,7 +21,9 @@ The generators are units:
 
 the unique element with T_i T_i^{-1} = 1 under the quadratic relation, so
 braid words map to units and the assignment sigma_i -> T_i extends to a
-homomorphism from the braid group.
+homomorphism from the braid group.  Every ring folds an inverse letter as
+q_prod T_i^{-1} = q_sum - T_i, which divides nothing: a word with m inverse
+letters folds to q_prod^m times its image, divided once at the end.
 
 One loop, ``_multiply_generator``, applies both rules on either side: braid
 letters, the product walk, generator images and left multiplication all go
@@ -43,17 +45,15 @@ T_i = -q1 T'_i.  Then
 so the T'_i satisfy the quadratic relation at (-1, q), with q_sum = q - 1
 and q_prod = -q, and T_w = (-q1)^l(w) T'_w.  A braid word b with exponent
 sum e(b) maps to (-q1)^e(b) times its image under sigma_i -> T'_i, so the
-coefficient of T_w is (-q1)^(e(b) - l(w)) c'_w(q).  An inverse letter is
-folded as q_prod T'_i^{-1} = q_sum - T'_i, which divides nothing: a word
-with m inverse letters folds to q_prod^m times its image, and every
-coefficient is a polynomial in q over Z.  One letter sends a term c to
-c (q - 1) plus c q or -c, or moves it as c or c q, so it at most triples the
-dict's 1-norm, the sum of the absolute values of all integer coefficients.
-After L letters every integer coefficient is below 3^L in absolute value,
-so with K = bitlength(3^L) + 1 each polynomial is one int, its value at
-q = 2^K (Kronecker substitution; von zur Gathen and Gerhard, Modern
-Computer Algebra, 8.4), read back once at the end by balanced base-2^K
-digits.
+coefficient of T_w is (-q1)^(e(b) - l(w)) c'_w(q), and the inverse rule
+keeps every folded coefficient a polynomial in q over Z.  One letter sends a
+term c to c (q - 1) plus c q or -c, or moves it as c or c q, so it at most
+triples the dict's 1-norm, the sum of the absolute values of all integer
+coefficients.  After L letters every integer coefficient is below 3^L in
+absolute value, so with K = bitlength(3^L) + 1 each polynomial is one int,
+its value at q = 2^K (Kronecker substitution; von zur Gathen and Gerhard,
+Modern Computer Algebra, 8.4), read back once at the end by balanced
+base-2^K digits.
 
 At (q1, q2) = (1, -1) the quadratic relation collapses to T_i^2 = 1 and the
 algebra becomes the group algebra of the symmetric group; ``to_symmetric_group``
@@ -149,8 +149,7 @@ class HeckeContext:
         """T_i for positive sign, T_i^{-1} for negative."""
         if not 1 <= i <= self.n - 1:
             raise HeckeError(f"generator index {i} out of range for n={self.n}")
-        letter = -i if sign < 0 else i
-        return HeckeElement(self, fold_letter(self.identity().terms, letter, self.field))
+        return from_braid_word(BraidWord(self.n, [-i if sign < 0 else i]), self)
 
 
 class HeckeElement:
@@ -252,10 +251,11 @@ class HeckeElement:
         if not self.terms:
             return "0"
         pieces = []
+        one = self.context.field.one()
         for w in _render_order(self.terms):
             c = self.terms[w]
             tw = "T[" + ",".join(str(i) for i in w.images) + "]"
-            if c == self.context.field.one():
+            if c == one:
                 pieces.append(tw)
             else:
                 pieces.append(f"({render_scalar(c)})*{tw}")
@@ -295,32 +295,30 @@ def _multiply_generator(
     q_prod,
     keys: Keys = PERMUTATION_KEYS,
 ) -> dict:
-    """Multiply a coordinate dict by T_i, or T_i^{-1} when ``inverse``, on the
-    right, or on the left when ``left``; terms that cancel are pruned.  The
-    dict's keys are those of ``keys``.
+    """Multiply a coordinate dict by T_i, or by q_prod T_i^{-1} when
+    ``inverse``, on the right, or on the left when ``left``; terms that
+    cancel are pruned.  The dict's keys are those of ``keys``.
 
     T_w moves to T_{w s_i} (T_{s_i w} on the left) when the length goes the
-    generator's way: up for T_i, down for T_i^{-1}.  Otherwise the quadratic
-    relation splits it, with ``q_prod`` as the q1 q2 coefficient:
+    generator's way: up for T_i, and down for q_prod T_i^{-1}, which scales
+    it by q_prod.  Otherwise the quadratic relation splits it, with
+    ``q_prod`` as the q1 q2 coefficient:
 
-        T_w T_i      = q_sum T_w - q_prod T_{w s_i},
-        T_w T_i^{-1} = (q_sum T_w - T_{w s_i}) / q_prod.
+        T_w T_i             = q_sum T_w - q_prod T_{w s_i},
+        T_w q_prod T_i^{-1} = q_sum T_w - T_{w s_i}.
 
-    Over the packed ints, where q_prod has no inverse, T_i^{-1} stands for
-    q_prod T_i^{-1} (see ``_inverse_coefficients``).
+    Nothing is divided, so the packed ints, where q_prod has no inverse,
+    fold alike; the caller divides by q_prod once per inverse letter.
     """
-    if inverse:
-        diagonal, swapped, moved = _inverse_coefficients(q_sum, q_prod)
-    else:
-        diagonal, swapped, moved = q_sum, -q_prod, None
+    swapped = -1 if inverse else -q_prod
     step, ascent = keys.generator(i, left)
     out: dict = {}
     for w, c in terms.items():
-        if ascent(w) == inverse:  # the split keeps c * diagonal at w
-            _add_term(out, w, c * diagonal)
+        if ascent(w) == inverse:  # the split keeps c * q_sum at w
+            _add_term(out, w, c * q_sum)
             c *= swapped
-        elif moved is not None:
-            c *= moved
+        elif inverse:
+            c *= q_prod
         _add_term(out, step(w), c)
     if len(out) > MAX_SUPPORT:
         raise HeckeSizeError(
@@ -370,20 +368,6 @@ def _right_product(left: Mapping, right: Mapping, q_sum, q_prod) -> dict:
         for u, c in cur.items():
             _add_term(product, u, c * d)
     return product
-
-
-@lru_cache(maxsize=64, typed=True)
-def _inverse_coefficients(q_sum, q_prod) -> tuple:
-    """(diagonal, swapped, moved) for T_i^{-1}: at an ascent T_w goes to
-    diagonal T_w + swapped T_{w s_i}, at a descent to moved T_{w s_i}, None
-    standing for 1.  Over a field they are (q_sum / q_prod, -1 / q_prod,
-    None), computed once per parameter pair, not once per letter.  Over the
-    packed ints, where q_prod = -2^K has no inverse, they are those of
-    q_prod T_i^{-1} = q_sum - T_i: (q_sum, -1, q_prod)."""
-    if type(q_prod) is int:
-        return q_sum, -1, q_prod
-    inv_prod = 1 / q_prod
-    return q_sum * inv_prod, -inv_prod, None
 
 
 class _Packed:
@@ -441,15 +425,14 @@ def _unpack(
     field: FieldContext,
     units: tuple,
     packed: _Packed,
-    letters,
+    m: int,
+    e: int,
 ) -> dict[Permutation, RationalFunction]:
     """The image over ``field``, whose ``_packing_units`` are ``units``, of
-    the packed fold of ``letters``: with m inverse letters and exponent sum
-    e, the coefficient of T_w is (-q1)^(e - l(w)) (-q)^(-m) sum_k a_k q^k
-    over the digits a_k of T_w's int."""
+    the packed fold of a word with m inverse letters and exponent sum e:
+    the coefficient of T_w is (-q1)^(e - l(w)) (-q)^(-m) sum_k a_k q^k over
+    the digits a_k of T_w's int."""
     (eu, su), (eq, sq) = units
-    m = sum(letter < 0 for letter in letters)
-    e = len(letters) - 2 * m
     graded = any(eu) or su < 0  # whether (-q1)^(e - l(w)) depends on w
     variables, den = field.field.variables, field.q1.den  # q1's den is 1
     rows: dict[int, list] = {}  # t -> (exponents, sign) of (-q1)^t (-q)^(-m) q^k
@@ -471,7 +454,8 @@ def _unpack(
 
 def fold_letter(terms: Mapping, letter: int, ring) -> dict:
     """Right-multiply by the image of a single signed braid letter, with
-    coefficients in ``ring``: a ``FieldContext``, or ``_Packed`` ints."""
+    coefficients in ``ring``: a ``FieldContext``, or ``_Packed`` ints.  An
+    inverse letter -i multiplies by q_prod T_i^{-1} = q_sum - T_i."""
     return _multiply_generator(
         terms, abs(letter), letter < 0, False, ring.q_sum, ring.q_prod
     )
@@ -479,7 +463,8 @@ def fold_letter(terms: Mapping, letter: int, ring) -> dict:
 
 def from_braid_word(b: BraidWord, ctx: HeckeContext) -> HeckeElement:
     """Image of a braid word under sigma_i -> T_i, extended to inverses,
-    folded on packed ints where ``_packing_units`` allows.
+    folded on packed ints where ``_packing_units`` allows.  The fold of m
+    inverse letters is divided by q_prod^m once, by ``_unpack`` if packed.
 
     Raises ``HeckeSizeError`` from the first letter whose fold has more than
     ``MAX_SUPPORT`` terms."""
@@ -492,8 +477,12 @@ def from_braid_word(b: BraidWord, ctx: HeckeContext) -> HeckeElement:
     cur: Mapping = {Permutation.identity(ctx.n): ring.one()}
     for letter in b.letters:
         cur = fold_letter(cur, letter, ring)
+    m = sum(letter < 0 for letter in b.letters)
     if units is not None:
-        cur = _unpack(cur, ctx.field, units, ring, b.letters)
+        cur = _unpack(cur, ctx.field, units, ring, m, len(b.letters) - 2 * m)
+    elif m:
+        scale = ring.q_prod ** -m
+        cur = {w: c * scale for w, c in cur.items()}
     return HeckeElement(ctx, cur)
 
 

@@ -73,7 +73,7 @@ from .coefficients import (
     render_scalar,
 )
 from . import hecke
-from .hecke import HeckeContext, HeckeElement, from_braid_word, left_multiply_generator
+from .hecke import HeckeContext, HeckeElement, from_braid_word
 
 
 class PartitionError(ValueError):
@@ -174,27 +174,32 @@ def b_lambda(lam: Partition) -> BraidWord:
 # -- the normalized Markov trace -----------------------------------------------
 
 
-def _expectation(h: HeckeElement) -> HeckeElement:
-    """One scaled trace step H_n -> H_{n-1}: tau_n(h) = tau_{n-1} of the result.
+def _expectation(terms: Mapping, n: int, field: FieldContext) -> dict:
+    """One scaled trace step H_n -> H_{n-1} on coordinate dicts: tau_n of
+    ``terms`` is tau_{n-1} of the result.
 
     With p = w^{-1}(n) and x = w with the entry n deleted, T_w goes to
     (1 + q1 q2) T_x when p = n and to (q1 + q2) T_{n-2} ... T_p T_x
     otherwise.  That is (q1 + q2) times the conditional expectation up to a
-    commutator, which the trace does not see.
+    commutator, which the trace does not see.  The Horner chain folds on the
+    left, and one pass scales the chain and the p = n bucket.
     """
-    n, field = h.context.n, h.context.field
     buckets: dict[int, dict[Permutation, object]] = {}
-    for w, c in h.terms.items():
+    for w, c in terms.items():
         p = w.images.index(n) + 1
         buckets.setdefault(p, {})[Permutation(w.images[: p - 1] + w.images[p:])] = c
-    sub_ctx = HeckeContext(n - 1, field)
-    chain = sub_ctx.zero_element()
+    q_sum, q_prod = field.q_sum, field.q_prod
+    chain: dict = {}
     for p in range(1, n):
-        if chain.terms:
-            chain = left_multiply_generator(chain, p - 1)
-        chain = chain + HeckeElement(sub_ctx, buckets.get(p, {}))
-    fixed = HeckeElement(sub_ctx, buckets.get(n, {}))
-    return chain.scalar_mul(field.q_sum) + fixed.scalar_mul(field.one() + field.q_prod)
+        if chain:
+            chain = hecke._multiply_generator(chain, p - 1, False, True, q_sum, q_prod)
+        for x, c in buckets.get(p, {}).items():
+            hecke._add_term(chain, x, c)
+    out: dict = {}
+    for scale, part in ((q_sum, chain), (field.one() + q_prod, buckets.get(n, {}))):
+        for x, c in part.items():
+            hecke._add_term(out, x, c * scale)
+    return out
 
 
 def _q_sum(field: FieldContext) -> object:
@@ -209,9 +214,10 @@ def _q_sum(field: FieldContext) -> object:
 
 def _scaled_trace(h: HeckeElement) -> object:
     """tau_n(h) = (q1 + q2)^(n-1) tr_n(h), by n - 1 expectation steps."""
-    for _ in range(h.context.n - 1):
-        h = _expectation(h)
-    return h.coefficient(Permutation.identity(1))
+    terms, field = h.terms, h.context.field
+    for n in range(h.context.n, 1, -1):
+        terms = _expectation(terms, n, field)
+    return terms.get(Permutation.identity(1), field.zero())
 
 
 def markov_trace(h: HeckeElement) -> object:

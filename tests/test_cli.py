@@ -78,6 +78,23 @@ class TestReduce:
         assert code == 0
         assert out == "T[2,1] + (2)*T[1,2]\n"
 
+    @pytest.mark.parametrize(
+        "fmt, unused, expected",
+        [
+            ("text", "to_json", "(q1+q2)*T[2,1] + (-q1*q2)*T[1,2]\n"),
+            ("json", "render", '[{"perm": [2, 1], "coeff": "q1+q2"}, '
+                               '{"perm": [1, 2], "coeff": "-q1*q2"}]\n'),
+        ],
+        ids=["text", "json"],
+    )
+    def test_builds_only_the_printed_form(self, capsys, monkeypatch, fmt, unused, expected):
+        def refuse(self):
+            raise AssertionError(f"{unused} built for --format {fmt}")
+
+        monkeypatch.setattr(hecke.HeckeElement, unused, refuse)
+        code, out, _ = run(capsys, "--format", fmt, "reduce", "--strands", "2", "1 1")
+        assert (code, out) == (0, expected)
+
 
 @pytest.mark.parametrize("command", ["reduce", "homfly", "jones", "decompose"])
 def test_a_fold_past_the_support_limit_exits_2(capsys, monkeypatch, command):

@@ -33,6 +33,10 @@ from heckelink.hecke import (
 from reference import FIELDS, reference_product
 
 
+_X = RationalFunctionField(("x",))
+_x = _X.variable("x")
+
+
 def generic_ctx(n):
     return HeckeContext(n, generic_field_context())
 
@@ -192,7 +196,39 @@ class TestRightProducts:
         assert _right_product(x.terms, {}, fc.q_sum, fc.q_prod) == {}
 
 
+# Fields whose braid images fold on their own scalars, not on packed ints.
+FIELD_SCALAR_FIELDS = {
+    "Q at q=1/2": one_parameter_context(Rationals(), Fraction(1, 2)),
+    "F_7 at q=3": one_parameter_context(PrimeField(7), 3),
+    "Q(x) at (x+1,x)": FieldContext(_X, _x + 1, _x),
+}
+
+
 class TestGeneratorInverse:
+    @pytest.mark.parametrize("name", FIELD_SCALAR_FIELDS)
+    def test_inverse_rule_on_field_scalars(self, name):
+        # the closed form ((q1 + q2) - T_i) / (q1 q2), built without the fold
+        field = FIELD_SCALAR_FIELDS[name]
+        assert hecke._packing_units(field) is None
+        n = 4
+        ctx = HeckeContext(n, field)
+        images = {}
+        for i in range(1, n):
+            t = ctx.basis_element(Permutation.transposition(n, i))
+            inverse = ctx.generator_image(i, -1)
+            assert t * inverse == ctx.identity() == inverse * t
+            images[i] = t
+            images[-i] = (ctx.identity().scalar_mul(field.q_sum) - t).scalar_mul(
+                field.one() / field.q_prod
+            )
+        rng = random.Random(27)
+        for _ in range(20):
+            b = random_word(rng, n, rng.randrange(0, 9))
+            expected = ctx.identity()
+            for letter in b.letters:
+                expected = expected * images[letter]
+            assert from_braid_word(b, ctx) == expected, b
+
     def test_inverse_cancels(self):
         ctx = generic_ctx(3)
         for i in (1, 2):
@@ -264,15 +300,15 @@ class TestSupportBudget:
 
 
 def field_fold(b, ctx):
-    """The image of b folded letter by letter on the scalars of ctx's field."""
+    """The image of b folded letter by letter on the scalars of ctx's field:
+    an inverse letter folds q_prod T_i^{-1}, so the fold is divided by
+    q_prod^m for its m inverse letters."""
     terms = ctx.identity().terms
     for letter in b.letters:
         terms = hecke.fold_letter(terms, letter, ctx.field)
-    return HeckeElement(ctx, terms)
+    m = sum(letter < 0 for letter in b.letters)
+    return HeckeElement(ctx, terms).scalar_mul(ctx.field.q_prod ** -m)
 
-
-_X = RationalFunctionField(("x",))
-_x = _X.variable("x")
 
 # Fields whose braid images fold on packed ints: -q1 and q = -q2/q1 are
 # signed monomials, with each combination of signs.

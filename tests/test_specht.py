@@ -698,7 +698,7 @@ class TestGramAgainstReferenceProduct:
 
 class TestClearCaches:
     def test_caches_empty_and_modules_rebuild_equal(self):
-        caches = (specht_module, specht._perm_order, hecke._inverse_coefficients)
+        caches = (specht_module, specht._perm_order, hecke._packing_units)
         sctx = SpechtContext.at_value(3, PrimeField(3), 2)
         lam = Partition((2, 1))
         before = specht_module(lam, sctx)
@@ -741,7 +741,7 @@ class TestClearCaches:
         assert {
             "heckelink.specht.specht_module",
             "heckelink.specht._perm_order",
-            "heckelink.hecke._inverse_coefficients",
+            "heckelink.hecke._packing_units",
         } <= set(caches)
         specht_module(Partition((2, 1)), SpechtContext.generic(3))
         clear_caches()

@@ -19,9 +19,7 @@ from heckelink.coefficients import (
     specialize,
 )
 from heckelink import hecke, trace
-from heckelink.hecke import (
-    HeckeContext, HeckeElement, from_braid_word, left_multiply_generator,
-)
+from heckelink.hecke import HeckeContext, HeckeElement, from_braid_word
 from heckelink.trace import (
     ClosureDecomposition,
     Partition,
@@ -298,12 +296,14 @@ class TestAgainstReferenceTrace:
         # n - 2 left folds per step, C(n - 1, 2) in all; one chain per bucket
         # would make C(n, 3).
         folds = []
+        fold = hecke._multiply_generator
 
-        def counting(x, i):
-            folds.append(i)
-            return left_multiply_generator(x, i)
+        def counting(terms, i, inverse, left, *args):
+            if left:
+                folds.append(i)
+            return fold(terms, i, inverse, left, *args)
 
-        monkeypatch.setattr(trace, "left_multiply_generator", counting)
+        monkeypatch.setattr(hecke, "_multiply_generator", counting)
         field = FieldContext(Rationals(), 2, 3)
         for n, expected in ((6, 10), (7, 15)):
             folds.clear()
