@@ -1085,18 +1085,19 @@ def quantum_e(q) -> int | float:
 
 
 def _split_terms(text: str) -> list[str]:
-    """Split a polynomial string into signed terms; a '-' directly after '^'
-    belongs to an exponent, not to a new term."""
+    """Split a polynomial string into terms, each keeping the sign that
+    opens it, with "+-" read as "-"; a sign directly after '^' belongs to an
+    exponent, not to a new term.  A sign with no term after it is left as a
+    term of its own, which ``parse_laurent`` refuses."""
     terms: list[str] = []
     current = ""
     for i, ch in enumerate(text):
-        if ch in "+-" and current and text[i - 1] != "^":
-            terms.append(current)
-            current = ch if ch == "-" else ""
-        elif ch in "+-" and not current:
-            current = ch if ch == "-" else ""
-        else:
+        if ch not in "+-" or current and text[i - 1] == "^":
             current += ch
+            continue
+        if current and (current, ch) != ("+", "-"):
+            terms.append(current)
+        current = ch
     if current:
         terms.append(current)
     return terms
@@ -1112,11 +1113,8 @@ def parse_laurent(text: str, variables: Iterable[str]) -> LaurentPoly:
         return LaurentPoly.zero(vs)
     result = LaurentPoly.zero(vs)
     for term in _split_terms(text):
-        body = term
-        sign = 1
-        if body.startswith("-"):
-            sign = -1
-            body = body[1:]
+        sign = -1 if term[0] == "-" else 1
+        body = term[1:] if term[0] in "+-" else term
         if not body:
             raise CoefficientError(f"dangling sign in {text!r}")
         coeff = Fraction(1)

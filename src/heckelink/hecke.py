@@ -25,9 +25,11 @@ homomorphism from the braid group.  Every ring folds an inverse letter as
 q_prod T_i^{-1} = q_sum - T_i, which divides nothing: a word with m inverse
 letters folds to q_prod^m times its image, divided once at the end.
 
-One loop, ``_multiply_generator``, applies both rules on either side: braid
-letters, the product walk, generator images and left multiplication all go
-through it, so the quadratic relation is written down once.  It runs over
+One loop, ``fold_letter``, applies both rules on either side: braid words,
+the product walk, left multiplication, the Markov trace steps, the cell
+modules and the word-closure oracle all call it as ``hecke.fold_letter``, so
+the quadratic relation is written down once.  Its ``ring``, a
+``FieldContext`` or packed ints, carries q1 + q2 and q1 q2.  It runs over
 either kind of key, given as ``Keys``: permutations, as in ``HeckeElement``,
 or the ranks of a fixed coordinate order, which the cell modules use so that
 a step is a table lookup (``specht._perm_order``).  A fold is refused once
@@ -88,7 +90,7 @@ class HeckeSizeError(HeckeError):
 
 
 MAX_SUPPORT = 40_320
-"""The most terms any fold may leave (``_multiply_generator`` checks it), so
+"""The most terms any fold may leave (``fold_letter`` checks it), so
 braid letters, products, left multiplications and the Markov trace steps are
 all bounded.  It is 8!, which no fold on 8 strands or fewer reaches; on more
 strands the full twist and the trace steps of w0 pass it and are refused.
@@ -211,8 +213,7 @@ class HeckeElement:
         if not isinstance(other, HeckeElement):
             return NotImplemented
         self._check(other)
-        field = self.context.field
-        product = _right_product(self.terms, other.terms, field.q_sum, field.q_prod)
+        product = _right_product(self.terms, other.terms, self.context.field)
         return HeckeElement(self.context, product)
 
     def is_zero(self) -> bool:
@@ -286,23 +287,22 @@ def _add_term(terms: dict, key, value) -> None:
         terms.pop(key, None)
 
 
-def _multiply_generator(
+def fold_letter(
     terms: Mapping,
-    i: int,
-    inverse: bool,
-    left: bool,
-    q_sum,
-    q_prod,
+    letter: int,
+    ring,
     keys: Keys = PERMUTATION_KEYS,
+    left: bool = False,
 ) -> dict:
-    """Multiply a coordinate dict by T_i, or by q_prod T_i^{-1} when
-    ``inverse``, on the right, or on the left when ``left``; terms that
-    cancel are pruned.  The dict's keys are those of ``keys``.
+    """Multiply a coordinate dict by the image of one signed braid letter:
+    T_i for a letter i, q_prod T_i^{-1} for -i, on the right, or on the left
+    when ``left``; terms that cancel are pruned.  ``ring``, a
+    ``FieldContext`` or ``_Packed`` ints, carries q_sum and q_prod, and the
+    dict's keys are those of ``keys``.
 
     T_w moves to T_{w s_i} (T_{s_i w} on the left) when the length goes the
-    generator's way: up for T_i, and down for q_prod T_i^{-1}, which scales
-    it by q_prod.  Otherwise the quadratic relation splits it, with
-    ``q_prod`` as the q1 q2 coefficient:
+    letter's way: up for T_i, and down for q_prod T_i^{-1}, which scales it
+    by q_prod.  Otherwise the quadratic relation splits it:
 
         T_w T_i             = q_sum T_w - q_prod T_{w s_i},
         T_w q_prod T_i^{-1} = q_sum T_w - T_{w s_i}.
@@ -310,8 +310,10 @@ def _multiply_generator(
     Nothing is divided, so the packed ints, where q_prod has no inverse,
     fold alike; the caller divides by q_prod once per inverse letter.
     """
+    q_sum, q_prod = ring.q_sum, ring.q_prod
+    inverse = letter < 0
     swapped = -1 if inverse else -q_prod
-    step, ascent = keys.generator(i, left)
+    step, ascent = keys.generator(abs(letter), left)
     out: dict = {}
     for w, c in terms.items():
         if ascent(w) == inverse:  # the split keeps c * q_sum at w
@@ -327,9 +329,7 @@ def _multiply_generator(
     return out
 
 
-def _prefix_products(
-    left: Mapping, support, q_sum, q_prod, keys: Keys = PERMUTATION_KEYS
-):
+def _prefix_products(left: Mapping, support, ring, keys: Keys = PERMUTATION_KEYS):
     """Yield (v, left * T_v), a dict not to be mutated, for each v in
     ``support``, a collection of ``keys``.  Each v hangs off v s_i, i the
     last letter of its reduced word, down to the identity, the one key
@@ -354,16 +354,17 @@ def _prefix_products(
     while stack:
         v, i, cur = stack.pop()
         if i:
-            cur = _multiply_generator(cur, i, False, False, q_sum, q_prod, keys)
+            cur = fold_letter(cur, i, ring, keys)
         if v in support:
             yield v, cur
         stack.extend((child, j, cur) for j, child in children.get(v, ()))
 
 
-def _right_product(left: Mapping, right: Mapping, q_sum, q_prod) -> dict:
-    """left * right: the sum of d (left * T_v) over the terms d T_v of right."""
+def _right_product(left: Mapping, right: Mapping, ring) -> dict:
+    """left * right over ``ring``: the sum of d (left * T_v) over the terms
+    d T_v of right."""
     product: dict[Permutation, object] = {}
-    for v, cur in _prefix_products(left, right, q_sum, q_prod):
+    for v, cur in _prefix_products(left, right, ring):
         d = right[v]
         for u, c in cur.items():
             _add_term(product, u, c * d)
@@ -452,15 +453,6 @@ def _unpack(
     return out
 
 
-def fold_letter(terms: Mapping, letter: int, ring) -> dict:
-    """Right-multiply by the image of a single signed braid letter, with
-    coefficients in ``ring``: a ``FieldContext``, or ``_Packed`` ints.  An
-    inverse letter -i multiplies by q_prod T_i^{-1} = q_sum - T_i."""
-    return _multiply_generator(
-        terms, abs(letter), letter < 0, False, ring.q_sum, ring.q_prod
-    )
-
-
 def from_braid_word(b: BraidWord, ctx: HeckeContext) -> HeckeElement:
     """Image of a braid word under sigma_i -> T_i, extended to inverses,
     folded on packed ints where ``_packing_units`` allows.  The fold of m
@@ -491,10 +483,7 @@ def left_multiply_generator(x: HeckeElement, i: int) -> HeckeElement:
     ctx = x.context
     if not 1 <= i <= ctx.n - 1:
         raise HeckeError(f"generator index {i} out of range for n={ctx.n}")
-    field = ctx.field
-    return HeckeElement(
-        ctx, _multiply_generator(x.terms, i, False, True, field.q_sum, field.q_prod)
-    )
+    return HeckeElement(ctx, fold_letter(x.terms, i, ctx.field, left=True))
 
 
 def to_symmetric_group(x: HeckeElement) -> dict[Permutation, object]:

@@ -21,17 +21,13 @@ to fail; an injected map is called once per word, and
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Callable, Mapping
 
 from .braid import BraidWord, Permutation
 from .coefficients import generic_field_context
-from .hecke import (
-    HeckeContext,
-    HeckeElement,
-    _multiply_generator,
-    _Packed,
-    fold_letter,
-)
+from . import hecke
+from .hecke import HeckeContext, HeckeElement, _Packed
 
 
 class OracleError(ValueError):
@@ -125,9 +121,9 @@ def exhaustive_word_closure(
     Exponential by nature and guarded accordingly; the report carries the
     number of checks and any violating pairs.
     """
-    if n > 4 or not 0 <= max_len <= 8:
+    if not 1 <= n <= 4 or not 0 <= max_len <= 8:
         raise OracleError(
-            f"exhaustive closure is capped at n <= 4, 0 <= max_len <= 8 "
+            f"exhaustive closure is capped at 1 <= n <= 4, 0 <= max_len <= 8 "
             f"(asked for n={n}, max_len={max_len})"
         )
     packed = _Packed(max_len)
@@ -143,7 +139,7 @@ def exhaustive_word_closure(
             return image_fn(BraidWord(n, word))
         terms, m = start
         for letter in word[k:]:
-            terms = fold_letter(terms, letter, packed)
+            terms = hecke.fold_letter(terms, letter, packed)
             m += letter < 0
         return terms, m
 
@@ -196,14 +192,13 @@ def exhaustive_word_closure(
 
 def faulty_braid_image(b: BraidWord) -> HeckeElement:
     """A deliberately corrupted braid image: every letter, inverse or not,
-    is folded as T_i with the sign of the q1*q2 term in the quadratic rewrite
-    flipped.  Exists so the exhaustive checker can demonstrate that it
-    detects a broken pipeline.  (Flipping the sign for T_i^{-1} as well would
-    give the image in another Hecke algebra, which no rewrite can tell
-    apart.)"""
+    is folded as T_i over a ring whose q1*q2 has the wrong sign.  Exists so
+    the exhaustive checker can demonstrate that it detects a broken
+    pipeline.  (Flipping the sign for T_i^{-1} as well would give the image
+    in another Hecke algebra, which no rewrite can tell apart.)"""
     field = generic_field_context()
-    q_sum, flipped = field.q_sum, -field.q_prod
+    flipped = SimpleNamespace(q_sum=field.q_sum, q_prod=-field.q_prod)
     cur = {Permutation.identity(b.strands): field.one()}
     for letter in b.letters:
-        cur = _multiply_generator(cur, abs(letter), False, False, q_sum, flipped)
+        cur = hecke.fold_letter(cur, abs(letter), flipped)
     return HeckeElement(HeckeContext(b.strands, field), cur)

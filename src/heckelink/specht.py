@@ -75,14 +75,8 @@ from .coefficients import (
     generic_one_parameter_context,
     one_parameter_context,
 )
-from .hecke import (
-    PERMUTATION_KEYS,
-    HeckeContext,
-    HeckeElement,
-    Keys,
-    _multiply_generator,
-    _prefix_products,
-)
+from . import hecke
+from .hecke import PERMUTATION_KEYS, HeckeContext, HeckeElement, Keys
 from .linalg import EchelonBasis, triangulate
 from .trace import Partition, partitions_of, strictly_dominates
 
@@ -285,10 +279,9 @@ def _insert_murphy(basis: SubspaceBasis, shapes: Sequence[Partition]) -> None:
         rows, inverses = _shape(mu)
         support = dict.fromkeys(inverses)
         for row in rows:
-            walk = _prefix_products(
-                dict.fromkeys(row, one), support, fc.q_sum, fc.q_prod, keys
+            products = dict(
+                hecke._prefix_products(dict.fromkeys(row, one), support, fc, keys)
             )
-            products = dict(walk)
             for v in inverses:
                 basis.echelon.insert(products[v])
 
@@ -549,9 +542,7 @@ def specht_module(lam: Partition, sctx: SpechtContext) -> SpechtModule:
     for i in range(1, sctx.n):
         columns = [
             quotient.coordinates(
-                ideal.echelon.reduce(
-                    _multiply_generator(b, i, False, True, fc.q_sum, fc.q_prod, keys)
-                )
+                ideal.echelon.reduce(hecke.fold_letter(b, i, fc, keys, left=True))
             )
             for b in rows
         ]

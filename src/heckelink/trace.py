@@ -192,7 +192,7 @@ def _expectation(terms: Mapping, n: int, field: FieldContext) -> dict:
     chain: dict = {}
     for p in range(1, n):
         if chain:
-            chain = hecke._multiply_generator(chain, p - 1, False, True, q_sum, q_prod)
+            chain = hecke.fold_letter(chain, p - 1, field, left=True)
         for x, c in buckets.get(p, {}).items():
             hecke._add_term(chain, x, c)
     out: dict = {}

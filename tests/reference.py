@@ -13,9 +13,7 @@ from heckelink.braid import Permutation
 from heckelink.coefficients import (
     LaurentPoly, PrimeField, Rationals, generic_field_context, one_parameter_context,
 )
-from heckelink.hecke import (
-    HeckeElement, _multiply_generator, fold_letter, left_multiply_generator,
-)
+from heckelink.hecke import HeckeElement, fold_letter, left_multiply_generator
 from heckelink.linalg import EchelonBasis
 from heckelink.specht import (
     ProportionalityError, SpechtError, SubspaceBasis, ideal_I, young_subgroup,
@@ -38,7 +36,7 @@ def reference_product(x, y):
     for v, d in y.terms.items():
         cur = x.terms
         for i in v.reduced_word():
-            cur = _multiply_generator(cur, i, False, False, field.q_sum, field.q_prod)
+            cur = fold_letter(cur, i, field)
         for u, c in cur.items():
             s = result.get(u)
             s = c * d if s is None else s + c * d

@@ -355,6 +355,9 @@ class TestMalformedFieldSpec:
             (None, ["verify", "--quick", "--n", "9"]),
             (None, ["verify", "--max-len", "4"]),
             (None, ["verify", "--quick", "--exhaustive"]),
+            # an exhaustive run on fewer than one strand
+            (None, ["verify", "--exhaustive", "--n", "0"]),
+            (None, ["verify", "--exhaustive", "--n", "-3"]),
         ],
     )
     def test_exits_2_with_one_line(self, capsys, monkeypatch, env, argv):

@@ -174,6 +174,11 @@ class TestRationalFunction:
         with pytest.raises(ZeroDivisionError):
             RationalFunction.constant(Q12, 0).invert()
 
+    def test_scalar_divided_by_rational_function(self):
+        x = rf("q1+q2 / q1")
+        assert 1 / x == x.invert()
+        assert Fraction(1, 2) / x == rf("q1 / 2*q1+2*q2")
+
     def test_power_matches_repeated_product(self):
         # the k-fold product canonicalizes after every step; ** does not
         rng = random.Random(18)
@@ -482,6 +487,14 @@ class TestSpecialize:
         with pytest.raises(SpecializationError):
             specialize(value, {"q1": Fraction(1), "q2": Fraction(-1)}, Rationals())
 
+    def test_constants(self):
+        f7 = PrimeField(7)
+        assert specialize(3, {}, Rationals()) == Fraction(3)
+        assert specialize(Fraction(1, 2), {}, f7) == f7.from_int(4)
+        assert specialize(f7.from_int(3), {}, f7) == f7.from_int(3)
+        with pytest.raises(CoefficientError):
+            specialize("q1", {}, Rationals())
+
 
 class TestQuantumE:
     def test_minus_one_over_rationals(self):
@@ -576,6 +589,28 @@ class TestRendering:
     def test_prime_field_round_trip(self):
         f7 = PrimeField(7)
         assert f7.parse(render_scalar(f7.from_int(12))) == f7.from_int(5)
+
+    def test_leading_and_separating_plus_accepted(self):
+        assert lp("+q1") == lp("q1")
+        assert lp("q1+-q2") == lp("q1-q2")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty polynomial"),
+            ("-", "dangling sign"),
+            ("q1+", "dangling sign"),
+            ("+", "dangling sign"),
+            ("q1++q2", "dangling sign"),
+            ("q1**q2", "empty factor"),
+            ("1/0*q1", "bad coefficient"),
+            ("x", "unknown variable"),
+            ("q1^a", "bad exponent"),
+        ],
+    )
+    def test_parse_errors(self, text, message):
+        with pytest.raises(CoefficientError, match=message):
+            lp(text)
 
 
 def _random_poly(rng, variables=Q12, ordinary=False):

@@ -23,7 +23,6 @@ from heckelink.hecke import (
     HeckeElement,
     HeckeError,
     HeckeSizeError,
-    _multiply_generator,
     _prefix_products,
     _right_product,
     from_braid_word,
@@ -172,7 +171,7 @@ class TestRightProducts:
     def test_shared_walk_matches_reference(self, name):
         for lhs, r in self._walk_cases(name):
             fc = lhs.context.field
-            product = _right_product(lhs.terms, r.terms, fc.q_sum, fc.q_prod)
+            product = _right_product(lhs.terms, r.terms, fc)
             assert HeckeElement(lhs.context, product) == reference_product(lhs, r)
 
     @pytest.mark.parametrize("name", FIELDS)
@@ -182,7 +181,7 @@ class TestRightProducts:
             ctx = lhs.context
             fc = ctx.field
             support = set(r.terms)
-            walked = dict(_prefix_products(lhs.terms, support, fc.q_sum, fc.q_prod))
+            walked = dict(_prefix_products(lhs.terms, support, fc))
             assert walked.keys() == support
             for v, terms in walked.items():
                 basis = HeckeElement(ctx, {v: fc.one()})
@@ -193,7 +192,7 @@ class TestRightProducts:
         ctx = generic_ctx(3)
         fc = ctx.field
         x = ctx.generator_image(1)
-        assert _right_product(x.terms, {}, fc.q_sum, fc.q_prod) == {}
+        assert _right_product(x.terms, {}, fc) == {}
 
 
 # Fields whose braid images fold on their own scalars, not on packed ints.

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,7 +11,7 @@ from heckelink.braid import BraidWord, Permutation, random_word
 from heckelink.coefficients import FieldContext, Rationals, generic_field_context
 from heckelink.hecke import (
     HeckeContext,
-    _multiply_generator,
+    fold_letter,
     from_braid_word,
     to_symmetric_group,
 )
@@ -90,12 +91,11 @@ class TestExhaustiveClosure:
         # the packed fold with the sign of the q1*q2 term flipped, every
         # letter folded as T_i, as faulty_braid_image does over Q(q1, q2)
         def faulty_fold(terms, letter, ring):
-            return _multiply_generator(
-                terms, abs(letter), False, False, ring.q_sum, -ring.q_prod
-            )
+            flipped = SimpleNamespace(q_sum=ring.q_sum, q_prod=-ring.q_prod)
+            return fold_letter(terms, abs(letter), flipped)
 
         reference = exhaustive_word_closure(n, max_len, image_fn=faulty_braid_image)
-        monkeypatch.setattr("heckelink.oracles.fold_letter", faulty_fold)
+        monkeypatch.setattr(hecke, "fold_letter", faulty_fold)
         report = exhaustive_word_closure(n, max_len)
         assert report == reference
         if (n, max_len) == (2, 4):
@@ -107,11 +107,11 @@ class TestExhaustiveClosure:
     def test_walk_folds_each_shared_prefix_once(self, monkeypatch):
         calls = []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args[1])
-            return _multiply_generator(*args)
+            return fold_letter(*args, **kwargs)
 
-        monkeypatch.setattr(hecke, "_multiply_generator", counted)
+        monkeypatch.setattr(hecke, "fold_letter", counted)
         exhaustive_word_closure(3, 4)
         # 340 folds for the nonempty words and 220 for the 264 rewrites: one
         # for each of the 160 inherited from the parent word, none for the 84
@@ -122,6 +122,10 @@ class TestExhaustiveClosure:
     def test_guard(self):
         with pytest.raises(OracleError):
             exhaustive_word_closure(5, 3)
+        for n in (0, -1):
+            with pytest.raises(OracleError):
+                exhaustive_word_closure(n, 3)
+        assert exhaustive_word_closure(1, 3)["checked"] == 0
         with pytest.raises(OracleError):
             exhaustive_word_closure(3, 9)
         with pytest.raises(OracleError):

@@ -214,21 +214,36 @@ class TestSubspaces:
         assert ideal_I(lam, sctx).dimension == ideal_dim
         assert module_basis_M(lam, sctx).dimension == module_dim
 
-    def test_murphy_vectors_share_prefix_folds(self, monkeypatch):
+    @pytest.fixture
+    def folds(self, monkeypatch):
+        """The letters of every fold, recorded by a patch of hecke.fold_letter."""
+        letters = []
+        fold = hecke.fold_letter
+
+        def counting_fold(*args, **kwargs):
+            letters.append(args[1])
+            return fold(*args, **kwargs)
+
+        monkeypatch.setattr(hecke, "fold_letter", counting_fold)
+        return letters
+
+    def test_murphy_vectors_share_prefix_folds(self, folds):
         # one prefix-tree walk per coset row: 282 generator folds over the
         # partitions of 5, where folding each d(t)^{-1} on its own takes 590
-        folds = []
-        multiply = hecke._multiply_generator
-
-        def counting_multiply(*args):
-            folds.append(args[1])
-            return multiply(*args)
-
-        monkeypatch.setattr(hecke, "_multiply_generator", counting_multiply)
         sctx = SpechtContext.at_value(5, PrimeField(3), 2)
         for lam in partitions_of(5):
             ideal_I(lam, sctx)
         assert len(folds) == 282
+
+    def test_one_patch_sees_every_fold(self, folds, request):
+        # the Murphy walks of the ideal and the generator action on the cell
+        # module both reach the kernel as hecke.fold_letter: 32 folds in the
+        # walks and 24 for the four generators on the six basis vectors
+        clear_caches()
+        request.addfinalizer(clear_caches)
+        sctx = SpechtContext.at_value(5, PrimeField(3), 2)
+        specht_module(Partition((3, 1, 1)), sctx)
+        assert len(folds) == 56
 
     def test_echelon_pivots_increase(self):
         sctx = SpechtContext.generic(4)
@@ -325,23 +340,20 @@ class TestRankKeys:
                     dict.fromkeys(ranks, one) for ranks in rows
                 ]
                 for row, ranks in zip(standard_rows, rows):
-                    walked = hecke._prefix_products(
-                        row.terms, inverses, fc.q_sum, fc.q_prod
-                    )
+                    walked = hecke._prefix_products(row.terms, inverses, fc)
                     expected = {
                         index[v]: {index[w]: c for w, c in cur.items()}
                         for v, cur in walked
                     }
                     ranked = dict(hecke._prefix_products(
-                        dict.fromkeys(ranks, one), dict.fromkeys(inverse_ranks),
-                        fc.q_sum, fc.q_prod, keys,
+                        dict.fromkeys(ranks, one), dict.fromkeys(inverse_ranks), fc, keys
                     ))
                     assert ranked == expected
                     for v, cur in ranked.items():
                         x = specht._from_sparse(cur, sctx)
                         for i in range(1, n):
-                            assert hecke._multiply_generator(
-                                cur, i, False, True, fc.q_sum, fc.q_prod, keys
+                            assert hecke.fold_letter(
+                                cur, i, fc, keys, left=True
                             ) == to_sparse(left_multiply_generator(x, i), sctx)
 
 
@@ -598,18 +610,18 @@ class TestGram:
         mod = specht_module(Partition((3, 1, 1)), sctx)
         folds = []
         lengths = []
-        multiply = hecke._multiply_generator
+        fold = hecke.fold_letter
         insert = EchelonBasis.insert
 
-        def counting_multiply(*args):
+        def counting_fold(*args, **kwargs):
             folds.append(args[1])
-            return multiply(*args)
+            return fold(*args, **kwargs)
 
         def recording_insert(basis, vector):
             lengths.append(len(vector))
             return insert(basis, vector)
 
-        monkeypatch.setattr(hecke, "_multiply_generator", counting_multiply)
+        monkeypatch.setattr(hecke, "fold_letter", counting_fold)
         monkeypatch.setattr(EchelonBasis, "insert", recording_insert)
         assert len(mod.gram) == mod.dimension == 6
         assert folds == []

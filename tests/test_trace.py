@@ -296,14 +296,14 @@ class TestAgainstReferenceTrace:
         # n - 2 left folds per step, C(n - 1, 2) in all; one chain per bucket
         # would make C(n, 3).
         folds = []
-        fold = hecke._multiply_generator
+        fold = hecke.fold_letter
 
-        def counting(terms, i, inverse, left, *args):
+        def counting(terms, letter, ring, keys=hecke.PERMUTATION_KEYS, left=False):
             if left:
-                folds.append(i)
-            return fold(terms, i, inverse, left, *args)
+                folds.append(letter)
+            return fold(terms, letter, ring, keys, left)
 
-        monkeypatch.setattr(hecke, "_multiply_generator", counting)
+        monkeypatch.setattr(hecke, "fold_letter", counting)
         field = FieldContext(Rationals(), 2, 3)
         for n, expected in ((6, 10), (7, 15)):
             folds.clear()
