@@ -380,8 +380,8 @@ class _Packed:
     __slots__ = ("bits", "q_sum", "q_prod")
 
     def __init__(self, letters: int):
-        """Slots wide enough for any fold of ``letters`` letters, whose
-        digits stay below 3^letters in absolute value."""
+        """Slots for any polynomial of 1-norm at most 3^letters, the sum
+        of its digits' absolute values, as a fold of ``letters`` letters is."""
         self.bits = (3**letters).bit_length() + 1
         self.q_sum = (1 << self.bits) - 1
         self.q_prod = -1 << self.bits
@@ -422,17 +422,18 @@ def _packing_units(field: FieldContext) -> tuple | None:
 
 
 def _unpack(
-    terms: Mapping[Permutation, int],
+    terms: Mapping,
     field: FieldContext,
     units: tuple,
     packed: _Packed,
     m: int,
     e: int,
-) -> dict[Permutation, RationalFunction]:
+) -> dict:
     """The image over ``field``, whose ``_packing_units`` are ``units``, of
     the packed fold of a word with m inverse letters and exponent sum e:
     the coefficient of T_w is (-q1)^(e - l(w)) (-q)^(-m) sum_k a_k q^k over
-    the digits a_k of T_w's int."""
+    the digits a_k of T_w's int.  When -q1 = 1 no key is read, so the keys
+    may be partitions."""
     (eu, su), (eq, sq) = units
     graded = any(eu) or su < 0  # whether (-q1)^(e - l(w)) depends on w
     variables, den = field.field.variables, field.q1.den  # q1's den is 1

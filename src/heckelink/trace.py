@@ -55,6 +55,8 @@ Thm 3.2.9 and 8.2).  Equal-length cyclic shifts x -> s x s keep them; a
 shift that lowers the length gives T_x = T_s T_{sxs} T_s, hence
 f_x = (q1 + q2) f_{sx} - q1 q2 f_{sxs}; and an element with neither has
 minimal length in its class, where f is the unit vector at its cycle type.
+``decompose_closure`` runs this on the fold's packed ints at (-1, q), sums
+c_w f_w there into one int per partition, and decodes each sum once.
 """
 
 from __future__ import annotations
@@ -303,11 +305,14 @@ class ClosureDecomposition:
         return {lam.render(): render_scalar(c) for lam, c in self.items()}
 
 
-def _class_polynomial(w: Permutation, field: FieldContext, memo: dict) -> dict:
+def _class_polynomial(w: Permutation, ring, memo: dict) -> dict:
     """Coordinates of T_w modulo [H, H] in the basis T_{w_lambda}; stores
     them, one dict shared by all, for every element of the explored shift
     class of w.  A shift already in the memo belongs to the same class, so
-    its value is the class's and the exploration stops there.
+    its value is the class's and the exploration stops there.  ``ring``, a
+    ``FieldContext`` or ``hecke._Packed``, carries q_sum, q_prod and one(),
+    as in ``hecke.fold_letter``; a missing key counts as 0.  Over packed
+    ints the 1-norm |f_x| <= 2 |f_sx| + |f_sxs| is at most 3^l(x).
 
     Every element of the class has the length of w, and the length of a
     shift y = s_i (x s_i) is read off two ascent tests, of x at i on the
@@ -325,11 +330,10 @@ def _class_polynomial(w: Permutation, field: FieldContext, memo: dict) -> dict:
             y = xs.transposition_times(i)
             y_length = length - 2 + 2 * (x.right_ascent(i) + xs.left_ascent(i))
             if y_length < length:
-                sx = _class_polynomial(x.transposition_times(i), field, memo)
-                sxs = _class_polynomial(y, field, memo)
-                zero = field.field.zero()
+                sx = _class_polynomial(x.transposition_times(i), ring, memo)
+                sxs = _class_polynomial(y, ring, memo)
                 value = {
-                    lam: field.q_sum * sx.get(lam, zero) - field.q_prod * sxs.get(lam, zero)
+                    lam: ring.q_sum * sx.get(lam, 0) - ring.q_prod * sxs.get(lam, 0)
                     for lam in sx.keys() | sxs.keys()
                 }
                 break
@@ -347,25 +351,30 @@ def _class_polynomial(w: Permutation, field: FieldContext, memo: dict) -> dict:
         if value is not None:
             break
     else:
-        value = {Partition(sorted(map(len, w.cycles()), reverse=True)): field.field.one()}
+        value = {Partition(sorted(map(len, w.cycles()), reverse=True)): ring.one()}
     for x in shift_class:
         memo[x] = value
     return value
 
 
 def decompose_closure(b: BraidWord) -> ClosureDecomposition:
-    """Decompose the closure of b over the partition basis: the Hecke image
-    over Q(q) at (q1, q2) = (-1, q) of b cyclically reduced (a class function
-    does not see it), its coefficients summed per class polynomial and each
-    sum multiplied by that polynomial once."""
+    """Decompose the closure of b over the partition basis at (-1, q) over
+    Q(q): fold the cyclically reduced word (a class function does not see
+    the rest), add the c_w f_w on packed ints, one int per partition, and
+    decode each once.  The fold of L letters has 1-norm at most 3^L and
+    l(w) <= min(L, n(n-1)/2) =: M, so sum_w c_w f_w has 1-norm at most
+    3^(L+M), the bound ``_Packed(L + M)`` holds."""
     field = generic_one_parameter_context()
-    memo, values, sums, totals = {}, {}, {}, {}
-    word = BraidWord(b.strands, _cyclically_reduced(b.letters))
-    for w, c in from_braid_word(word, HeckeContext(b.strands, field)).terms.items():
-        f = _class_polynomial(w, field, memo)
-        values[id(f)] = f  # the memo shares one dict per explored class
-        hecke._add_term(sums, id(f), c)
-    for key, c in sums.items():
-        for lam, f in values[key].items():
+    word = _cyclically_reduced(b.letters)
+    ring = hecke._Packed(len(word) + min(len(word), b.strands * (b.strands - 1) // 2))
+    terms = {Permutation.identity(b.strands): ring.one()}
+    for letter in word:
+        terms = hecke.fold_letter(terms, letter, ring)
+    memo, totals = {}, {}
+    for w, c in terms.items():
+        for lam, f in _class_polynomial(w, ring, memo).items():
             hecke._add_term(totals, lam, c * f)
+    m = sum(letter < 0 for letter in word)
+    units = hecke._packing_units(field)
+    totals = hecke._unpack(totals, field, units, ring, m, len(word) - 2 * m)
     return ClosureDecomposition(b.strands, totals)

@@ -466,6 +466,17 @@ class TestWholeBraidMarkovAxioms:
                 assert whole_trace(cut) == product
 
 
+def _field_closure(b):
+    """sum_w c_w f_w over Q(q) at (-1, q), term by term, from the image of b
+    and the class polynomials computed over that field."""
+    field = generic_one_parameter_context()
+    memo, totals = {}, {}
+    for w, c in from_braid_word(b, HeckeContext(b.strands, field)).terms.items():
+        for lam, f in _class_polynomial(w, field, memo).items():
+            hecke._add_term(totals, lam, c * f)
+    return totals
+
+
 class TestDecomposeClosure:
     def test_basis_braids_are_unit_vectors(self):
         for n in range(1, 8):
@@ -536,24 +547,33 @@ class TestDecomposeClosure:
 
     def test_class_polynomials_are_conjugation_invariant(self):
         # sum c_w f_w over images that are not cyclically reduced, term by
-        # term: it agrees for b and a b a^{-1}, and with the per-class sums
-        # of decompose_closure
-        field = generic_one_parameter_context()
-
-        def closure(b):
-            memo, totals = {}, {}
-            for w, c in from_braid_word(b, HeckeContext(b.strands, field)).terms.items():
-                for lam, f in _class_polynomial(w, field, memo).items():
-                    hecke._add_term(totals, lam, c * f)
-            return totals
-
+        # term over Q(q): it agrees for b and a b a^{-1}, and with the
+        # packed-int totals of decompose_closure
         rng = random.Random(30)
         for _ in range(15):
             n = rng.randrange(2, 6)
             b = random_word(rng, n, rng.randrange(0, 6))
             a = random_word(rng, n, rng.randrange(1, 4))
-            assert closure(conjugate(b, a)) == closure(b)
-            assert decompose_closure(b).coefficients == closure(b)
+            assert _field_closure(conjugate(b, a)) == _field_closure(b)
+            assert decompose_closure(b).coefficients == _field_closure(b)
+
+    def test_packed_route_equals_the_field_route(self):
+        # decompose_closure sums c_w f_w on packed ints and decodes once per
+        # partition; the field route sums the same products over Q(q)
+        rng = random.Random(37)
+        braids = [
+            BraidWord(n, [rng.randrange(1, n) for _ in range(rng.randrange(20, 41))])
+            for n in (2, 2, 3, 3, 3)
+        ]
+        braids += [BraidWord(n, list(range(1, n)) * n) for n in (4, 5, 6)]
+        braids += [
+            BraidWord(n, [-rng.randrange(1, n) for _ in range(rng.randrange(6, 11))])
+            for n in (5, 6)
+        ]
+        braids += [random_word(rng, n, rng.randrange(6, 11)) for n in (5, 5, 6, 6)]
+        braids += [BraidWord(3, []), BraidWord(3, [1, 2, -2, 1, -1, -1])]
+        for b in braids:
+            assert decompose_closure(b).coefficients == _field_closure(b), b
 
     def test_budget_counts_each_permutation_once(self, monkeypatch):
         # S_7 has 7! elements, so a budget of 7! holds every closure on 7
@@ -566,17 +586,17 @@ class TestDecomposeClosure:
     def test_folds_the_cyclically_reduced_word(self, monkeypatch):
         # a class function: conjugation and free cancellation are dropped
         # before the fold, which sees only the cyclically reduced word
-        folded, fold = [], trace.from_braid_word
+        folded, fold = [], hecke.fold_letter
 
-        def recording(b, ctx):
-            folded.append(tuple(b.letters))
-            return fold(b, ctx)
+        def recording(terms, letter, *args, **kwargs):
+            folded.append(letter)
+            return fold(terms, letter, *args, **kwargs)
 
-        monkeypatch.setattr(trace, "from_braid_word", recording)
+        monkeypatch.setattr(hecke, "fold_letter", recording)
         for letters, reduced in (([2, 1, 3, 1, -2], (1, 3, 1)), ([1, 2, -2, 3], (1, 3))):
             folded.clear()
             dec = decompose_closure(BraidWord(4, letters))
-            assert folded == [reduced]
+            assert tuple(folded) == reduced
             assert dec == decompose_closure(BraidWord(4, list(reduced)))
 
     def test_recombination_matches_direct_trace(self):
