@@ -84,8 +84,8 @@ from . import hecke as _hecke, specht as _specht
 # module attributes (a tracer, a test double) still has its caches cleared.
 _CACHES = (
     _specht.specht_module,
-    _specht._perm_order,
     _specht._shape,
+    _hecke._rank_keys,
     _hecke._packing_units,
     _hecke._permutation_generator,
 )
@@ -93,10 +93,12 @@ _CACHES = (
 
 def clear_caches() -> None:
     """Empty the module-level caches, each a bounded lru cache: cell modules
-    per (partition, context), coordinate orders with their rank tables, shape
-    combinatorics per partition, the signed-monomial units per field context
-    and the permutation steps per generator; and drop the one ideal
-    ``specht_module`` holds for its next build."""
+    per (partition, context), shape combinatorics per partition, the
+    coordinate orders of ``hecke._rank_keys`` with the rank tables built on
+    them, which the cell modules and the word-closure oracle share, the
+    signed-monomial units per field context and the permutation steps per
+    generator; and drop the one ideal ``specht_module`` holds for its next
+    build."""
     for cache in _CACHES:
         cache.cache_clear()
     _specht._held_ideal.clear()

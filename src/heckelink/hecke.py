@@ -31,10 +31,12 @@ modules and the word-closure oracle all call it as ``hecke.fold_letter``, so
 the quadratic relation is written down once.  Its ``ring``, a
 ``FieldContext`` or packed ints, carries q1 + q2 and q1 q2.  It runs over
 either kind of key, given as ``Keys``: permutations, as in ``HeckeElement``,
-or the ranks of a fixed coordinate order, which the cell modules use so that
-a step is a table lookup (``specht._perm_order``).  A fold is refused once
-its support exceeds ``MAX_SUPPORT``.  Every coordinate map adds through one
-rule, ``_add_term``, which drops a key whose sum vanishes, so no stored
+or the ranks of a fixed coordinate order (``_rank_keys``), on which a step
+is a list lookup.  The cell modules and the word-closure oracle fold on
+ranks; each rank table is built from the permutation steps on first use, so
+the step rule is written once.  A fold is refused once its support exceeds
+``MAX_SUPPORT``.  Every coordinate map adds through one rule,
+``_add_term``, which drops a key whose sum vanishes, so no stored
 coefficient is zero; the fold's split shares the moved term's update.
 
 Over a field of rational functions in which q1 and q2 are signed monomials,
@@ -64,9 +66,10 @@ exposes the coordinates for comparison against plain permutation composition.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, methodcaller
+from operator import add, attrgetter, gt, methodcaller
 from typing import Callable, Mapping, NamedTuple
 
 from .braid import BraidWord, Permutation
@@ -125,6 +128,59 @@ def _permutation_last_letter(w: Permutation) -> int:
 
 PERMUTATION_KEYS = Keys(_permutation_generator, _permutation_last_letter)
 """Keys that are the permutations themselves, as in ``HeckeElement``."""
+
+
+_images = attrgetter("images")
+
+
+class _RankTables:
+    """The lookups of the rank keys, each a list built on first use from
+    ``PERMUTATION_KEYS``: per generator and side, the ranks of the steps and
+    the ascent bits (``steps``), and the last letter of each rank's reduced
+    word (``last_letters``).  Ranks run by length and a step changes it by
+    one, so a step is an ascent exactly when it raises the rank.  Steps find
+    their ranks by one-line notation (``ranks``).  Two threads may both
+    build a missing table; they build equal lists, and either is kept."""
+
+    __slots__ = ("perms", "ranks", "steps", "last_letters")
+
+    def __init__(self, perms: tuple):
+        self.perms = perms
+        self.ranks = dict(zip(map(_images, perms), range(len(perms))))
+        self.steps: dict = {}
+        self.last_letters: list | None = None
+
+    def generator(self, i: int, left: bool) -> tuple:
+        table = self.steps.get((i, left))
+        if table is None:
+            step = PERMUTATION_KEYS.generator(i, left)[0]
+            images = map(_images, map(step, self.perms))
+            steps = list(map(self.ranks.__getitem__, images))
+            ascents = list(map(gt, steps, range(len(steps))))
+            table = self.steps[i, left] = (steps.__getitem__, ascents.__getitem__)
+        return table
+
+    def last_letter(self, r: int) -> int:
+        if self.last_letters is None:
+            self.last_letters = [PERMUTATION_KEYS.last_letter(w) for w in self.perms]
+        return self.last_letters[r]
+
+
+@lru_cache(maxsize=8)
+def _rank_keys(n: int) -> tuple[tuple[Permutation, ...], dict[Permutation, int], Keys]:
+    """All permutations of n sorted by (length, one-line), the coordinate
+    order, so that rank 0 is the identity; the rank of each; and the rank
+    keys, the permutation keys read through that order, whose tables
+    (``_RankTables``) are built per generator and side on first use."""
+    # Lehmer codes, the counts of smaller values right of each position, list
+    # in the same lexicographic order as the permutations, and the length of
+    # a permutation is the sum of its code
+    lengths = map(sum, itertools.product(*map(range, range(n, 0, -1))))
+    ordered = sorted(zip(lengths, itertools.permutations(range(1, n + 1))))
+    perms = tuple(Permutation._trusted(images) for _, images in ordered)
+    tables = _RankTables(perms)
+    index = dict(zip(perms, range(len(perms))))
+    return perms, index, Keys(tables.generator, tables.last_letter)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ a braid-relation triple) leaves the algebra image unchanged.  Images are
 folded along the depth-first walk: a word's image is its parent's with one
 more letter folded, and a rewrite's is folded onto the image of the longest
 prefix it shares with a word or rewrite already folded.  They are folded on
-packed ints, as ``from_braid_word`` folds over Q(q1, q2), and compared
-packed.  The image map is injectable so a corrupted pipeline can be shown
-to fail; an injected map is called once per word, and
+packed ints, as ``from_braid_word`` folds over Q(q1, q2), on the rank keys
+that the cell modules use (``hecke._rank_keys``), so a step is a list
+lookup, and compared packed.  The image map is injectable so a corrupted
+pipeline can be shown to fail; an injected map is called once per word, and
 ``faulty_braid_image`` provides one with the quadratic sign flipped.
 """
 
@@ -114,7 +115,9 @@ def exhaustive_word_closure(
     inverse letters, which is q_prod^m times its image under
     sigma_i -> T'_i (see ``hecke``).  A rewrite keeps the exponent sum, so
     it keeps the image under sigma_i -> T_i exactly when it keeps this one.
-    Slots wide enough for ``max_len`` letters serve every word.  Two images
+    Slots wide enough for ``max_len`` letters serve every word, and D is
+    keyed by the ranks of ``hecke._rank_keys``, whose tables the first fold
+    builds; a walk that folds no letter builds none.  Two images
     compare after the one with fewer inverse letters is multiplied by the
     missing power of q_prod = -2^K, a shift and a sign.
 
@@ -130,8 +133,11 @@ def exhaustive_word_closure(
     alphabet = [j for i in range(1, n) for j in (i, -i)]
     checked = 0
     violations: list[dict] = []
-    # prefixes[k] is the image of the visited word's first k letters.
-    prefixes = [({Permutation.identity(n): packed.one()}, 0)]
+    # rank keys only for a walk that folds a packed letter
+    keys = hecke._rank_keys(n)[2] if image_fn is None and n > 1 and max_len else None
+    # prefixes[k] is the image of the visited word's first k letters; rank 0
+    # is the identity.
+    prefixes = [({0: packed.one()}, 0)]
 
     def image(word: tuple[int, ...], k: int, start):
         """Image of ``word``, given the image ``start`` of its first k letters."""
@@ -139,7 +145,7 @@ def exhaustive_word_closure(
             return image_fn(BraidWord(n, word))
         terms, m = start
         for letter in word[k:]:
-            terms = hecke.fold_letter(terms, letter, packed)
+            terms = hecke.fold_letter(terms, letter, packed, keys)
             m += letter < 0
         return terms, m
 

@@ -35,9 +35,10 @@ be the generic variable or any specialized field value.  For a partition
   acts on the head by P A(w) E, with no basis of the radical.
 
 A build computes in ranks: its vectors are ``{rank: scalar}`` dicts over
-the coordinate order of ``_perm_order``, the sparse rows ``EchelonBasis``
-stores, and the fold runs on them with rank keys, per-n tables of the
-generator steps, ascent bits and last letters, so a step is a list lookup.
+the coordinate order of ``hecke._rank_keys``, the sparse rows
+``EchelonBasis`` stores, and the fold runs on them with its rank keys,
+per-n tables of the generator steps, ascent bits and last letters, so a
+step is a list lookup.
 What depends on the shape alone, the supports of the coset rows and the
 d(s)^{-1}, is built once per partition by ``_shape`` and shared by every
 field, the d(s) by one filter of the n! permutations.  Permutations appear
@@ -76,7 +77,7 @@ from .coefficients import (
     one_parameter_context,
 )
 from . import hecke
-from .hecke import PERMUTATION_KEYS, HeckeContext, HeckeElement, Keys
+from .hecke import HeckeContext, HeckeElement
 from .linalg import EchelonBasis, triangulate
 from .trace import Partition, partitions_of, strictly_dominates
 
@@ -160,30 +161,8 @@ class SpechtContext:
 # -- coordinates ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _perm_order(n: int) -> tuple[tuple[Permutation, ...], dict[Permutation, int], Keys]:
-    """All permutations sorted by (length, one-line), the coordinate order;
-    the rank of each; and the rank keys, the permutation keys read through
-    that order: per generator and side, the ranks of the steps and the ascent
-    bits, and the last letter of each rank's reduced word, all as list
-    lookups."""
-    perms = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
-    perms.sort(key=lambda w: (w.length(), w.images))
-    index = {w: r for r, w in enumerate(perms)}
-    generators = {}
-    for i in range(1, n):
-        for left in (False, True):
-            step, ascent = PERMUTATION_KEYS.generator(i, left)
-            steps = [index[step(w)] for w in perms]
-            ascents = [ascent(w) for w in perms]
-            generators[i, left] = (steps.__getitem__, ascents.__getitem__)
-    last_letters = [PERMUTATION_KEYS.last_letter(w) for w in perms]
-    keys = Keys(lambda i, left: generators[i, left], last_letters.__getitem__)
-    return tuple(perms), index, keys
-
-
 def _from_sparse(vec: dict[int, object], sctx: SpechtContext) -> HeckeElement:
-    order = _perm_order(sctx.n)[0]
+    order = hecke._rank_keys(sctx.n)[0]
     return HeckeElement(sctx.hecke_context(), {order[j]: c for j, c in vec.items()})
 
 
@@ -213,8 +192,9 @@ def young_subgroup(lam: Partition) -> list[Permutation]:
 
 class SubspaceBasis:
     """An echelonized subspace of the algebra: ``echelon`` holds its rows as
-    ``{rank: scalar}`` dicts over the coordinate order of ``_perm_order``,
-    and ``dimension`` is their number, not the n! of the ambient space.
+    ``{rank: scalar}`` dicts over the coordinate order of
+    ``hecke._rank_keys``, and ``dimension`` is their number, not the n! of
+    the ambient space.
     """
 
     def __init__(self, sctx: SpechtContext):
@@ -255,7 +235,7 @@ def _shape(lam: Partition) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]
     """The combinatorics of lam that every field shares, in ranks: the
     support of each standard coset row T_{d(s)} m_lam, d = 1 first, and each
     d(s)^{-1}, both in the order of ``_standard_representatives``."""
-    index = _perm_order(lam.n)[1]
+    index = hecke._rank_keys(lam.n)[1]
     standard = _standard_representatives(lam)
     subgroup = young_subgroup(lam)
     rows = tuple(tuple(index[d * u] for u in subgroup) for d in standard)
@@ -272,7 +252,7 @@ def _insert_murphy(basis: SubspaceBasis, shapes: Sequence[Partition]) -> None:
     sparse: at n = 6 over F_3, reversed or sorted insertion orders took 2 to
     11 times as long for the same RREF."""
     sctx = basis.sctx
-    keys = _perm_order(sctx.n)[2]
+    keys = hecke._rank_keys(sctx.n)[2]
     fc = sctx.field_context
     one = fc.field.one()
     for mu in shapes:
@@ -536,7 +516,7 @@ def specht_module(lam: Partition, sctx: SpechtContext) -> SpechtModule:
         f"the cell module {lam.render()}", len(quotient), count_standard_tableaux(lam)
     )
     seed = tuple(quotient.coordinates(reduced[0]))  # m_lam: d = 1 is first
-    keys = _perm_order(sctx.n)[2]
+    keys = hecke._rank_keys(sctx.n)[2]
     rows = quotient.sparse_rows()
     action = []
     for i in range(1, sctx.n):

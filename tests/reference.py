@@ -4,11 +4,11 @@ cell module as closures under the generators, products folded one term at a
 time, ranks, kernels and determinants without ``triangulate``, and the Jones
 polynomial of a torus knot in closed form.  Elements meet a
 ``SubspaceBasis`` through ``to_sparse``, in the ranks of
-``specht._perm_order``."""
+``hecke._rank_keys``."""
 
 import itertools
 
-from heckelink import specht
+from heckelink import hecke, specht
 from heckelink.braid import Permutation
 from heckelink.coefficients import (
     LaurentPoly, PrimeField, Rationals, generic_field_context, one_parameter_context,
@@ -88,7 +88,7 @@ def kernel_basis(matrix, zero, one):
 
 
 def to_sparse(x, sctx):
-    index = specht._perm_order(sctx.n)[1]
+    index = hecke._rank_keys(sctx.n)[1]
     return {index[w]: c for w, c in x.terms.items()}
 
 

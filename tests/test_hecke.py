@@ -333,6 +333,27 @@ class TestPackedFold:
             ctx = HeckeContext(n, field)
             assert from_braid_word(b, ctx) == field_fold(b, ctx), b
 
+    @pytest.mark.parametrize("left", [False, True], ids=["right", "left"])
+    def test_rank_keys_fold_like_permutation_keys(self, left):
+        # every prefix of random signed words on 1-5 strands, folded on
+        # packed ints from the identity with both kinds of key
+        rng = random.Random(44)
+        for n in range(1, 6):
+            order, index, keys = hecke._rank_keys(n)
+            assert order[0] == Permutation.identity(n)
+            for _ in range(12):
+                b = random_word(rng, n, rng.randrange(0, 13))
+                packed = hecke._Packed(len(b.letters))
+                ranked = {0: packed.one()}
+                permuted = {Permutation.identity(n): packed.one()}
+                for letter in b.letters:
+                    ranked = hecke.fold_letter(ranked, letter, packed, keys, left)
+                    permuted = hecke.fold_letter(
+                        permuted, letter, packed, hecke.PERMUTATION_KEYS, left
+                    )
+                    assert {order[r]: c for r, c in ranked.items()} == permuted, b
+                    assert ranked == {index[w]: c for w, c in permuted.items()}, b
+
     def test_other_fields_are_not_packed(self):
         # Q and F_p, a parameter that is no signed monomial, and a constant
         # q = -q2/q1, whose powers would share one monomial

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 import heckelink.hecke as hecke
+from heckelink import clear_caches
 from heckelink.braid import BraidWord, Permutation, random_word
 from heckelink.coefficients import FieldContext, Rationals, generic_field_context
 from heckelink.hecke import (
@@ -90,9 +91,9 @@ class TestExhaustiveClosure:
     ):
         # the packed fold with the sign of the q1*q2 term flipped, every
         # letter folded as T_i, as faulty_braid_image does over Q(q1, q2)
-        def faulty_fold(terms, letter, ring):
+        def faulty_fold(terms, letter, ring, keys):
             flipped = SimpleNamespace(q_sum=ring.q_sum, q_prod=-ring.q_prod)
-            return fold_letter(terms, abs(letter), flipped)
+            return fold_letter(terms, abs(letter), flipped, keys)
 
         reference = exhaustive_word_closure(n, max_len, image_fn=faulty_braid_image)
         monkeypatch.setattr(hecke, "fold_letter", faulty_fold)
@@ -118,6 +119,21 @@ class TestExhaustiveClosure:
         # cancellations at the end, three for each of the 20 braid triples at
         # the end.  Folding every word from the identity takes 1,808.
         assert len(calls) == 560
+
+    def test_a_walk_without_folds_builds_no_rank_table(self):
+        clear_caches()
+        assert exhaustive_word_closure(4, 0)["checked"] == 0
+        assert exhaustive_word_closure(1, 3)["checked"] == 0
+        exhaustive_word_closure(3, 3, image_fn=faulty_braid_image)
+        assert hecke._rank_keys.cache_info().currsize == 0
+
+    def test_a_walk_builds_only_the_right_side_tables(self):
+        clear_caches()
+        exhaustive_word_closure(3, 3)
+        assert hecke._rank_keys.cache_info().currsize == 1
+        tables = hecke._rank_keys(3)[2].generator.__self__
+        assert set(tables.steps) == {(1, False), (2, False)}
+        assert tables.last_letters is None
 
     def test_guard(self):
         with pytest.raises(OracleError):

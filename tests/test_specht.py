@@ -78,7 +78,7 @@ class TestSizeBudget:
         def refuse(*args):
             raise CoordinatesBuilt
 
-        monkeypatch.setattr(specht, "_perm_order", refuse)
+        monkeypatch.setattr(hecke, "_rank_keys", refuse)
         sctx = SpechtContext.at_value(8, PrimeField(3), 2)
         one = sctx.hecke_context().identity()
         builders = (ideal_I, module_basis_M, lambda *a: gram_entry(one, one, *a))
@@ -301,7 +301,10 @@ class TestMurphyAgainstClosure:
 class TestRankKeys:
     def test_tables_equal_the_permutation_methods(self):
         for n in range(1, 7):
-            order, index, keys = specht._perm_order(n)
+            order, index, keys = hecke._rank_keys(n)
+            perms = map(Permutation, itertools.permutations(range(1, n + 1)))
+            assert order == tuple(sorted(perms, key=lambda w: (w.length(), w.images)))
+            assert index == {w: r for r, w in enumerate(order)}
             for r, w in enumerate(order):
                 word = w.reduced_word()
                 assert keys.last_letter(r) == (word[-1] if word else 0)
@@ -329,7 +332,7 @@ class TestRankKeys:
             sctx = make(n)
             fc = sctx.field_context
             one = fc.field.one()
-            _, index, keys = specht._perm_order(n)
+            _, index, keys = hecke._rank_keys(n)
             for lam in partitions_of(n):
                 standard = specht._standard_representatives(lam)
                 inverses = dict.fromkeys(d.inverse() for d in standard)
@@ -710,7 +713,7 @@ class TestGramAgainstReferenceProduct:
 
 class TestClearCaches:
     def test_caches_empty_and_modules_rebuild_equal(self):
-        caches = (specht_module, specht._perm_order, hecke._packing_units)
+        caches = (specht_module, hecke._rank_keys, hecke._packing_units)
         sctx = SpechtContext.at_value(3, PrimeField(3), 2)
         lam = Partition((2, 1))
         before = specht_module(lam, sctx)
@@ -739,7 +742,7 @@ class TestClearCaches:
         assert cached.cache_info().currsize == 0
 
     def test_coordinate_order_cache_is_bounded(self):
-        assert specht._perm_order.cache_info().maxsize is not None
+        assert hecke._rank_keys.cache_info().maxsize is not None
 
     def test_every_cache_is_bounded_and_cleared(self):
         caches = {}
@@ -752,7 +755,7 @@ class TestClearCaches:
                         caches[f"{info.name}.{name}"] = value
         assert {
             "heckelink.specht.specht_module",
-            "heckelink.specht._perm_order",
+            "heckelink.hecke._rank_keys",
             "heckelink.hecke._packing_units",
         } <= set(caches)
         specht_module(Partition((2, 1)), SpechtContext.generic(3))
