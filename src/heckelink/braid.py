@@ -97,13 +97,16 @@ class Permutation:
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images, start=1):
             inv[j - 1] = i
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def length(self) -> int:
-        """Coxeter length: the number of inversions."""
-        imgs = self.images
-        n = len(imgs)
-        return sum(1 for i in range(n) for j in range(i + 1, n) if imgs[i] > imgs[j])
+        """Coxeter length: the number of inversions, counted value by value."""
+        unseen = list(range(1, len(self.images) + 1))
+        count = 0
+        for v in self.images:
+            count += unseen.index(v)  # the smaller values still to come
+            unseen.remove(v)
+        return count
 
     def reduced_word(self) -> tuple[int, ...]:
         """Canonical reduced word (selection-sort form).

@@ -27,14 +27,15 @@ letters folds to q_prod^m times its image, divided once at the end.
 
 One loop, ``fold_letter``, applies both rules on either side: braid words,
 the product walk, left multiplication, the Markov trace steps, the cell
-modules and the word-closure oracle all call it as ``hecke.fold_letter``, so
-the quadratic relation is written down once.  Its ``ring``, a
-``FieldContext`` or packed ints, carries q1 + q2 and q1 q2.  It runs over
-either kind of key, given as ``Keys``: permutations, as in ``HeckeElement``,
-or the ranks of a fixed coordinate order (``_rank_keys``), on which a step
-is a list lookup.  The cell modules and the word-closure oracle fold on
-ranks; each rank table is built from the permutation steps on first use, so
-the step rule is written once.  A fold is refused once its support exceeds
+modules, the word-closure oracle and the closure decomposition all call it
+as ``hecke.fold_letter``, so the quadratic relation is written down once.
+Its ``ring``, a ``FieldContext`` or packed ints, carries q1 + q2 and q1 q2.
+It runs over either kind of key, given as ``Keys``: permutations, as in
+``HeckeElement``, or the ranks of a fixed coordinate order (``_rank_keys``),
+on which a step is a list lookup.  The cell modules, the word-closure oracle
+and the closure decomposition on up to 8 strands fold on ranks; each rank
+table is built from the permutation steps on first use, so the step rule is
+written once.  A fold is refused once its support exceeds
 ``MAX_SUPPORT``.  Every coordinate map adds through one rule,
 ``_add_term``, which drops a key whose sum vanishes, so no stored
 coefficient is zero; the fold's split shares the moved term's update.
@@ -107,10 +108,12 @@ class Keys(NamedTuple):
     lookups for the generator i on the right (w -> w s_i) or on the left
     (w -> s_i w), the ascent being whether that step raises the length;
     ``last_letter(w)`` is the last letter of the canonical reduced word of w,
-    0 for the identity alone."""
+    0 for the identity alone; ``permutation(w)`` is the permutation w
+    stands for."""
 
     generator: Callable
     last_letter: Callable
+    permutation: Callable
 
 
 @lru_cache(maxsize=128)
@@ -126,7 +129,7 @@ def _permutation_last_letter(w: Permutation) -> int:
     return word[-1] if word else 0
 
 
-PERMUTATION_KEYS = Keys(_permutation_generator, _permutation_last_letter)
+PERMUTATION_KEYS = Keys(_permutation_generator, _permutation_last_letter, lambda w: w)
 """Keys that are the permutations themselves, as in ``HeckeElement``."""
 
 
@@ -138,24 +141,32 @@ class _RankTables:
     ``PERMUTATION_KEYS``: per generator and side, the ranks of the steps and
     the ascent bits (``steps``), and the last letter of each rank's reduced
     word (``last_letters``).  Ranks run by length and a step changes it by
-    one, so a step is an ascent exactly when it raises the rank.  Steps find
-    their ranks by one-line notation (``ranks``).  Two threads may both
-    build a missing table; they build equal lists, and either is kept."""
+    one, so a step is an ascent exactly when it raises the rank.  Right
+    steps find their ranks by one-line notation (``ranks``); a left step is
+    read off the right one through the rank of each inverse (``inverses``),
+    as s_i w = (w^{-1} s_i)^{-1}.  Two threads may both build a missing
+    table; they build equal lists, and either is kept."""
 
-    __slots__ = ("perms", "ranks", "steps", "last_letters")
+    __slots__ = ("perms", "ranks", "steps", "last_letters", "inverses")
 
     def __init__(self, perms: tuple):
         self.perms = perms
         self.ranks = dict(zip(map(_images, perms), range(len(perms))))
         self.steps: dict = {}
         self.last_letters: list | None = None
+        self.inverses: list | None = None
 
     def generator(self, i: int, left: bool) -> tuple:
         table = self.steps.get((i, left))
         if table is None:
-            step = PERMUTATION_KEYS.generator(i, left)[0]
-            images = map(_images, map(step, self.perms))
-            steps = list(map(self.ranks.__getitem__, images))
+            if not left:
+                step = PERMUTATION_KEYS.generator(i, False)[0]
+                steps = list(map(self.ranks.__getitem__, map(_images, map(step, self.perms))))
+            else:
+                if self.inverses is None:
+                    self.inverses = [self.ranks[w.inverse().images] for w in self.perms]
+                right, inverses = self.generator(i, False)[0], self.inverses
+                steps = [inverses[right(r)] for r in inverses]
             ascents = list(map(gt, steps, range(len(steps))))
             table = self.steps[i, left] = (steps.__getitem__, ascents.__getitem__)
         return table
@@ -180,7 +191,7 @@ def _rank_keys(n: int) -> tuple[tuple[Permutation, ...], dict[Permutation, int],
     perms = tuple(Permutation._trusted(images) for _, images in ordered)
     tables = _RankTables(perms)
     index = dict(zip(perms, range(len(perms))))
-    return perms, index, Keys(tables.generator, tables.last_letter)
+    return perms, index, Keys(tables.generator, tables.last_letter, perms.__getitem__)
 
 
 @dataclass(frozen=True)

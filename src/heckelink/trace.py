@@ -55,8 +55,11 @@ Thm 3.2.9 and 8.2).  Equal-length cyclic shifts x -> s x s keep them; a
 shift that lowers the length gives T_x = T_s T_{sxs} T_s, hence
 f_x = (q1 + q2) f_{sx} - q1 q2 f_{sxs}; and an element with neither has
 minimal length in its class, where f is the unit vector at its cycle type.
-``decompose_closure`` runs this on the fold's packed ints at (-1, q), sums
-c_w f_w there into one int per partition, and decodes each sum once.
+``decompose_closure`` runs this on the fold's packed ints at (-1, q), on the
+rank keys of ``hecke._rank_keys`` when all of S_n fits the fold budget,
+n! <= ``hecke.MAX_SUPPORT`` (n <= 8), and on permutations above.  It sums
+the c_w of each class, adds each sum times the class polynomial into one
+int per partition, and decodes each sum once.
 """
 
 from __future__ import annotations
@@ -76,6 +79,11 @@ from .coefficients import (
 )
 from . import hecke
 from .hecke import HeckeContext, HeckeElement, from_braid_word
+
+
+# the default contexts of trace_of_braid and decompose_closure, built once
+_GENERIC = generic_field_context()
+_ONE_PARAMETER = generic_one_parameter_context()
 
 
 class PartitionError(ValueError):
@@ -262,7 +270,7 @@ def trace_of_braid(b: BraidWord, field: FieldContext | None = None) -> object:
     """Trace of the Hecke image of a braid word, generic field by default,
     from the scaled traces of the pieces its closure factors into."""
     if field is None:
-        field = generic_field_context()
+        field = _GENERIC
     q_sum = _q_sum(field)
     k, pieces = _closure_factors(b.strands, b.letters)
     value, power = (field.one() + field.q_prod) ** k, k
@@ -305,76 +313,93 @@ class ClosureDecomposition:
         return {lam.render(): render_scalar(c) for lam, c in self.items()}
 
 
-def _class_polynomial(w: Permutation, ring, memo: dict) -> dict:
-    """Coordinates of T_w modulo [H, H] in the basis T_{w_lambda}; stores
-    them, one dict shared by all, for every element of the explored shift
-    class of w.  A shift already in the memo belongs to the same class, so
-    its value is the class's and the exploration stops there.  ``ring``, a
-    ``FieldContext`` or ``hecke._Packed``, carries q_sum, q_prod and one(),
-    as in ``hecke.fold_letter``; a missing key counts as 0.  Over packed
-    ints the 1-norm |f_x| <= 2 |f_sx| + |f_sxs| is at most 3^l(x).
+def _class_polynomial(w, ring, memo: dict, keys: hecke.Keys = hecke.PERMUTATION_KEYS) -> dict:
+    """Coordinates of T_w modulo [H, H] in the basis T_{w_lambda}, w one of
+    ``keys``.  Stores (representative, value), one tuple shared by all, for
+    every key of the explored shift class of w.  A shift already in the memo
+    belongs to the same class, so its entry is the class's and the
+    exploration stops there.  ``ring``, a ``FieldContext`` or
+    ``hecke._Packed``, carries q_sum, q_prod and one(), as in
+    ``hecke.fold_letter``; a missing key counts as 0.  Over packed ints the
+    1-norm |f_x| <= 2 |f_sx| + |f_sxs| is at most 3^l(x).
 
-    Every element of the class has the length of w, and the length of a
-    shift y = s_i (x s_i) is read off two ascent tests, of x at i on the
-    right and of x s_i at i on the left: O(n) per shift, not O(n^2).
+    The shift y = s_i (x s_i) has length l(x) - 2 + 2 a, a the number of
+    ascents among x at i on the right and x s_i at i on the left, so no
+    length is computed.  The steps and ascents are looked up once per call,
+    and a key's permutation is read for n and, at a leaf, its cycle type.
 
     Raises ``HeckeSizeError`` once the memo and the class being explored
-    hold more than ``hecke.MAX_SUPPORT`` permutations, each counted once."""
+    hold more than ``hecke.MAX_SUPPORT`` keys, each counted once."""
     if w in memo:
-        return memo[w]
-    length = w.length()
-    shift_class, seen, value = [w], {w}, None
-    for x in shift_class:  # the list grows as the class is explored
-        for i in range(1, w.degree):
-            xs = x.times_transposition(i)
-            y = xs.transposition_times(i)
-            y_length = length - 2 + 2 * (x.right_ascent(i) + xs.left_ascent(i))
-            if y_length < length:
-                sx = _class_polynomial(x.transposition_times(i), ring, memo)
-                sxs = _class_polynomial(y, ring, memo)
-                value = {
-                    lam: ring.q_sum * sx.get(lam, 0) - ring.q_prod * sxs.get(lam, 0)
-                    for lam in sx.keys() | sxs.keys()
-                }
+        return memo[w][1]
+    n = keys.permutation(w).degree
+    generators = [(keys.generator(i, False), keys.generator(i, True)) for i in range(1, n)]
+
+    def explore(w) -> dict:
+        if w in memo:
+            return memo[w][1]
+        shift_class, seen, entry = [w], {w}, None
+        for x in shift_class:  # the list grows as the class is explored
+            for (right, right_ascent), (left, left_ascent) in generators:
+                xs = right(x)
+                y = left(xs)
+                ascents = right_ascent(x) + left_ascent(xs)
+                if not ascents:
+                    sx, sxs = explore(left(x)), explore(y)
+                    entry = w, {
+                        lam: ring.q_sum * sx.get(lam, 0) - ring.q_prod * sxs.get(lam, 0)
+                        for lam in sx.keys() | sxs.keys()
+                    }
+                    break
+                if ascents == 1 and y not in seen:
+                    if y in memo:
+                        entry = memo[y]
+                        break
+                    shift_class.append(y)
+                    seen.add(y)
+                    if len(memo) + len(shift_class) > hecke.MAX_SUPPORT:
+                        raise hecke.HeckeSizeError(
+                            "the class polynomials of this closure need more than "
+                            f"{hecke.MAX_SUPPORT} permutations, the limit on a fold's support"
+                        )
+            if entry is not None:
                 break
-            if y_length == length and y in memo:
-                value = memo[y]
-                break
-            if y_length == length and y not in seen:
-                shift_class.append(y)
-                seen.add(y)
-                if len(memo) + len(shift_class) > hecke.MAX_SUPPORT:
-                    raise hecke.HeckeSizeError(
-                        "the class polynomials of this closure need more than "
-                        f"{hecke.MAX_SUPPORT} permutations, the limit on a fold's support"
-                    )
-        if value is not None:
-            break
-    else:
-        value = {Partition(sorted(map(len, w.cycles()), reverse=True)): ring.one()}
-    for x in shift_class:
-        memo[x] = value
-    return value
+        else:
+            cycle_type = sorted(map(len, keys.permutation(w).cycles()), reverse=True)
+            entry = w, {Partition(cycle_type): ring.one()}
+        for x in shift_class:
+            memo[x] = entry
+        return entry[1]
+
+    return explore(w)
 
 
 def decompose_closure(b: BraidWord) -> ClosureDecomposition:
     """Decompose the closure of b over the partition basis at (-1, q) over
     Q(q): fold the cyclically reduced word (a class function does not see
-    the rest), add the c_w f_w on packed ints, one int per partition, and
-    decode each once.  The fold of L letters has 1-norm at most 3^L and
-    l(w) <= min(L, n(n-1)/2) =: M, so sum_w c_w f_w has 1-norm at most
-    3^(L+M), the bound ``_Packed(L + M)`` holds."""
-    field = generic_one_parameter_context()
+    the rest) on packed ints, on rank keys when n! <= ``hecke.MAX_SUPPORT``,
+    sum the c_w of each class, add each sum times its class polynomial into
+    one int per partition, and decode each once.  The fold of L letters has
+    1-norm at most 3^L and l(w) <= min(L, n(n-1)/2) =: M, so sum_w c_w f_w
+    has 1-norm at most 3^(L+M), the bound ``_Packed(L + M)`` holds."""
+    n = b.strands
     word = _cyclically_reduced(b.letters)
-    ring = hecke._Packed(len(word) + min(len(word), b.strands * (b.strands - 1) // 2))
-    terms = {Permutation.identity(b.strands): ring.one()}
+    ring = hecke._Packed(len(word) + min(len(word), n * (n - 1) // 2))
+    if math.factorial(n) <= hecke.MAX_SUPPORT:
+        keys, identity = hecke._rank_keys(n)[2], 0
+    else:
+        keys, identity = hecke.PERMUTATION_KEYS, Permutation.identity(n)
+    terms = {identity: ring.one()}
     for letter in word:
-        terms = hecke.fold_letter(terms, letter, ring)
-    memo, totals = {}, {}
+        terms = hecke.fold_letter(terms, letter, ring, keys)
+    memo, sums, totals = {}, {}, {}
     for w, c in terms.items():
-        for lam, f in _class_polynomial(w, ring, memo).items():
+        _class_polynomial(w, ring, memo, keys)
+        hecke._add_term(sums, memo[w][0], c)
+    for representative, c in sums.items():
+        for lam, f in memo[representative][1].items():
             hecke._add_term(totals, lam, c * f)
     m = sum(letter < 0 for letter in word)
-    units = hecke._packing_units(field)
-    totals = hecke._unpack(totals, field, units, ring, m, len(word) - 2 * m)
-    return ClosureDecomposition(b.strands, totals)
+    units = hecke._packing_units(_ONE_PARAMETER)
+    totals = hecke._unpack(totals, _ONE_PARAMETER, units, ring, m, len(word) - 2 * m)
+    return ClosureDecomposition(n, totals)

@@ -104,6 +104,11 @@ class TestPermutation:
         )
         assert inversions == 2
         assert w.length() == 2
+        # every permutation on up to 7 points against the pair count
+        for n in range(8):
+            for imgs in itertools.permutations(range(1, n + 1)):
+                pairs = sum(imgs[i] > imgs[j] for i in range(n) for j in range(i + 1, n))
+                assert Permutation(imgs).length() == pairs, imgs
 
     def test_reduced_word_simple(self):
         assert Permutation([2, 1]).reduced_word() == (1,)

@@ -466,6 +466,10 @@ class TestWholeBraidMarkovAxioms:
                 assert whole_trace(cut) == product
 
 
+# a mixed-sign word on 9 strands, past the rank keys since 9! > 8!
+NINE_STRAND_WORD = [1, -2, 3, -4, 5, -6, 7, -8, 1, 2, -3, 4, -5, 6, -7, 8]
+
+
 def _field_closure(b):
     """sum_w c_w f_w over Q(q) at (-1, q), term by term, from the image of b
     and the class polynomials computed over that field."""
@@ -498,8 +502,9 @@ class TestDecomposeClosure:
         assert dec.to_json() == {lam.render(): "1"}
 
     def test_shift_lengths_come_from_ascents(self, monkeypatch):
-        # each permutation whose class polynomial is computed has its length
-        # counted at most once; its shifts' lengths come from ascent tests
+        # each key whose class polynomial is computed has its length counted
+        # at most once, on either kind of key; its shifts' lengths come from
+        # ascent tests.  S_5 fits a budget of 5! and takes rank keys.
         calls, entered = [], set()
         counted_length = Permutation.length
         explore = trace._class_polynomial
@@ -508,14 +513,19 @@ class TestDecomposeClosure:
             calls.append(w)
             return counted_length(w)
 
-        def recording(w, field, memo):
+        def recording(w, *args):
             entered.add(w)
-            return explore(w, field, memo)
+            return explore(w, *args)
 
         monkeypatch.setattr(Permutation, "length", length)
         monkeypatch.setattr(trace, "_class_polynomial", recording)
-        decompose_closure(BraidWord(5, [1, 2, 3, 4, 3, 2, 1, -2, 3, -4, 1, 2, 3, 4, 2]))
-        assert entered and len(calls) <= len(entered)
+        for budget, key_type in ((math.factorial(5), int), (math.factorial(5) - 1, Permutation)):
+            calls.clear()
+            entered.clear()
+            monkeypatch.setattr(hecke, "MAX_SUPPORT", budget)
+            decompose_closure(BraidWord(5, [1, 2, 3, 4, 3, 2, 1, -2, 3, -4, 1, 2, 3, 4, 2]))
+            assert entered and all(type(w) is key_type for w in entered)
+            assert len(calls) <= len(entered)
 
     def test_items_come_in_partitions_of_order(self):
         shapes = partitions_of(6)
@@ -559,7 +569,8 @@ class TestDecomposeClosure:
 
     def test_packed_route_equals_the_field_route(self):
         # decompose_closure sums c_w f_w on packed ints and decodes once per
-        # partition; the field route sums the same products over Q(q)
+        # partition; the field route sums the same products over Q(q) on
+        # permutation keys
         rng = random.Random(37)
         braids = [
             BraidWord(n, [rng.randrange(1, n) for _ in range(rng.randrange(20, 41))])
@@ -572,8 +583,40 @@ class TestDecomposeClosure:
         ]
         braids += [random_word(rng, n, rng.randrange(6, 11)) for n in (5, 5, 6, 6)]
         braids += [BraidWord(3, []), BraidWord(3, [1, 2, -2, 1, -1, -1])]
+        # signed words on 2-8 strands, folded and explored on rank keys, and
+        # one on 9 strands, on permutations; the field route keeps those
+        braids += [random_word(rng, n, rng.randrange(4, 11)) for n in range(2, 9) for _ in (0, 1)]
+        braids.append(BraidWord(9, NINE_STRAND_WORD))
         for b in braids:
             assert decompose_closure(b).coefficients == _field_closure(b), b
+
+    def test_per_class_sums_equal_the_term_by_term_sum(self, monkeypatch):
+        # the packed totals before decoding: the c_w summed per class, then
+        # multiplied by the class polynomial, equal sum_w c_w f_w term by
+        # term, folded and explored on permutation keys
+        captured = []
+        unpack = hecke._unpack
+
+        def capture(terms, *args):
+            captured.append((dict(terms), args[2]))
+            return unpack(terms, *args)
+
+        monkeypatch.setattr(hecke, "_unpack", capture)
+        rng = random.Random(39)
+        braids = [random_word(rng, n, rng.randrange(4, 11)) for n in range(2, 9)]
+        braids += [BraidWord(6, list(range(1, 6)) * 6), BraidWord(9, NINE_STRAND_WORD)]
+        for b in braids:
+            captured.clear()
+            decompose_closure(b)
+            ((totals, packed),) = captured
+            terms = {Permutation.identity(b.strands): packed.one()}
+            for letter in _cyclically_reduced(b.letters):
+                terms = hecke.fold_letter(terms, letter, packed)
+            memo, expected = {}, {}
+            for w, c in terms.items():
+                for lam, f in _class_polynomial(w, packed, memo).items():
+                    hecke._add_term(expected, lam, c * f)
+            assert totals == expected, b
 
     def test_budget_counts_each_permutation_once(self, monkeypatch):
         # S_7 has 7! elements, so a budget of 7! holds every closure on 7
