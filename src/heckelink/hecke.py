@@ -33,12 +33,12 @@ Its ``ring``, a ``FieldContext`` or packed ints, carries q1 + q2 and q1 q2.
 It runs over either kind of key, given as ``Keys``: permutations, as in
 ``HeckeElement``, or the ranks of a fixed coordinate order (``_rank_keys``),
 on which a step is a list lookup.  The cell modules, the word-closure oracle
-and the closure decomposition on up to 8 strands fold on ranks; each rank
-table is built from the permutation steps on first use, so the step rule is
-written once.  A fold is refused once its support exceeds
-``MAX_SUPPORT``.  Every coordinate map adds through one rule,
-``_add_term``, which drops a key whose sum vanishes, so no stored
-coefficient is zero; the fold's split shares the moved term's update.
+and the closure decomposition on up to 5 strands fold on ranks, whose tables
+are built on first use: right ones from the permutation steps, left ones
+through the inverses, s_i w = (w^{-1} s_i)^{-1}.  A fold is refused once its
+support exceeds ``MAX_SUPPORT``.  Every coordinate map adds through one rule,
+``_add_term``, which drops a key whose sum vanishes, so no stored coefficient
+is zero; the fold's split shares the moved term's update.
 
 Over a field of rational functions in which q1 and q2 are signed monomials,
 such as Q(q1, q2), Q(q) at (-1, q) and Q(s) at (-s, s^3), ``from_braid_word``

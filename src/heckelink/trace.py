@@ -56,10 +56,10 @@ shift that lowers the length gives T_x = T_s T_{sxs} T_s, hence
 f_x = (q1 + q2) f_{sx} - q1 q2 f_{sxs}; and an element with neither has
 minimal length in its class, where f is the unit vector at its cycle type.
 ``decompose_closure`` runs this on the fold's packed ints at (-1, q), on the
-rank keys of ``hecke._rank_keys`` when all of S_n fits the fold budget,
-n! <= ``hecke.MAX_SUPPORT`` (n <= 8), and on permutations above.  It sums
-the c_w of each class, adds each sum times the class polynomial into one
-int per partition, and decodes each sum once.
+rank keys of ``hecke._rank_keys`` on up to 5 strands, whose tables cost
+under a millisecond, and on permutations above.  It sums the c_w of each
+class, adds each sum times the class polynomial into one int per partition,
+and decodes each sum once.
 """
 
 from __future__ import annotations
@@ -313,7 +313,7 @@ class ClosureDecomposition:
         return {lam.render(): render_scalar(c) for lam, c in self.items()}
 
 
-def _class_polynomial(w, ring, memo: dict, keys: hecke.Keys = hecke.PERMUTATION_KEYS) -> dict:
+def _class_polynomial(w, ring, memo: dict, keys: hecke.Keys) -> dict:
     """Coordinates of T_w modulo [H, H] in the basis T_{w_lambda}, w one of
     ``keys``.  Stores (representative, value), one tuple shared by all, for
     every key of the explored shift class of w.  A shift already in the memo
@@ -377,18 +377,19 @@ def _class_polynomial(w, ring, memo: dict, keys: hecke.Keys = hecke.PERMUTATION_
 def decompose_closure(b: BraidWord) -> ClosureDecomposition:
     """Decompose the closure of b over the partition basis at (-1, q) over
     Q(q): fold the cyclically reduced word (a class function does not see
-    the rest) on packed ints, on rank keys when n! <= ``hecke.MAX_SUPPORT``,
-    sum the c_w of each class, add each sum times its class polynomial into
-    one int per partition, and decode each once.  The fold of L letters has
-    1-norm at most 3^L and l(w) <= min(L, n(n-1)/2) =: M, so sum_w c_w f_w
-    has 1-norm at most 3^(L+M), the bound ``_Packed(L + M)`` holds."""
+    the rest) on packed ints, on rank keys on up to 5 strands, sum the c_w
+    of each class, add each sum times its class polynomial into one int per
+    partition, and decode each once.  The fold of L letters has 1-norm at
+    most 3^L and l(w) <= min(L, n(n-1)/2) =: M, so sum_w c_w f_w has 1-norm
+    at most 3^(L+M), the bound ``_Packed(L + M)`` holds."""
     n = b.strands
     word = _cyclically_reduced(b.letters)
     ring = hecke._Packed(len(word) + min(len(word), n * (n - 1) // 2))
-    if math.factorial(n) <= hecke.MAX_SUPPORT:
+    # rank tables cost 0.7 ms on 5 strands but 5, 60 and 600 ms on 6-8, more
+    # than a call saves (~12 us a key) unless it touches most of S_n
+    keys, identity = hecke.PERMUTATION_KEYS, Permutation.identity(n)
+    if n <= 5:
         keys, identity = hecke._rank_keys(n)[2], 0
-    else:
-        keys, identity = hecke.PERMUTATION_KEYS, Permutation.identity(n)
     terms = {identity: ring.one()}
     for letter in word:
         terms = hecke.fold_letter(terms, letter, ring, keys)

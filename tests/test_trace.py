@@ -466,7 +466,8 @@ class TestWholeBraidMarkovAxioms:
                 assert whole_trace(cut) == product
 
 
-# a mixed-sign word on 9 strands, past the rank keys since 9! > 8!
+# a mixed-sign word on 9 strands, folded on permutations like every closure
+# on more than 5 strands
 NINE_STRAND_WORD = [1, -2, 3, -4, 5, -6, 7, -8, 1, 2, -3, 4, -5, 6, -7, 8]
 
 
@@ -476,7 +477,7 @@ def _field_closure(b):
     field = generic_one_parameter_context()
     memo, totals = {}, {}
     for w, c in from_braid_word(b, HeckeContext(b.strands, field)).terms.items():
-        for lam, f in _class_polynomial(w, field, memo).items():
+        for lam, f in _class_polynomial(w, field, memo, hecke.PERMUTATION_KEYS).items():
             hecke._add_term(totals, lam, c * f)
     return totals
 
@@ -504,7 +505,8 @@ class TestDecomposeClosure:
     def test_shift_lengths_come_from_ascents(self, monkeypatch):
         # each key whose class polynomial is computed has its length counted
         # at most once, on either kind of key; its shifts' lengths come from
-        # ascent tests.  S_5 fits a budget of 5! and takes rank keys.
+        # ascent tests.  Closures on 5 strands take rank keys, on 6
+        # permutations.
         calls, entered = [], set()
         counted_length = Permutation.length
         explore = trace._class_polynomial
@@ -519,13 +521,21 @@ class TestDecomposeClosure:
 
         monkeypatch.setattr(Permutation, "length", length)
         monkeypatch.setattr(trace, "_class_polynomial", recording)
-        for budget, key_type in ((math.factorial(5), int), (math.factorial(5) - 1, Permutation)):
+        for n, key_type in ((5, int), (6, Permutation)):
             calls.clear()
             entered.clear()
-            monkeypatch.setattr(hecke, "MAX_SUPPORT", budget)
-            decompose_closure(BraidWord(5, [1, 2, 3, 4, 3, 2, 1, -2, 3, -4, 1, 2, 3, 4, 2]))
+            decompose_closure(BraidWord(n, [1, 2, 3, 4, 3, 2, 1, -2, 3, -4, 1, 2, 3, 4, 2]))
             assert entered and all(type(w) is key_type for w in entered)
             assert len(calls) <= len(entered)
+
+    def test_only_closures_on_up_to_five_strands_build_rank_keys(self, monkeypatch):
+        # the rank tables cost 5-600 ms on 6-8 strands, more than a short
+        # word saves, so a closure there keeps permutation keys
+        built, rank_keys = [], hecke._rank_keys
+        monkeypatch.setattr(hecke, "_rank_keys", lambda n: built.append(n) or rank_keys(n))
+        for n in range(2, 10):
+            decompose_closure(BraidWord(n, [1]))
+        assert built == [2, 3, 4, 5]
 
     def test_items_come_in_partitions_of_order(self):
         shapes = partitions_of(6)
@@ -583,8 +593,9 @@ class TestDecomposeClosure:
         ]
         braids += [random_word(rng, n, rng.randrange(6, 11)) for n in (5, 5, 6, 6)]
         braids += [BraidWord(3, []), BraidWord(3, [1, 2, -2, 1, -1, -1])]
-        # signed words on 2-8 strands, folded and explored on rank keys, and
-        # one on 9 strands, on permutations; the field route keeps those
+        # signed words on 2-8 strands, folded and explored on rank keys up
+        # to 5 strands and on permutations above, and one on 9 strands; the
+        # field route keeps permutations
         braids += [random_word(rng, n, rng.randrange(4, 11)) for n in range(2, 9) for _ in (0, 1)]
         braids.append(BraidWord(9, NINE_STRAND_WORD))
         for b in braids:
@@ -614,7 +625,7 @@ class TestDecomposeClosure:
                 terms = hecke.fold_letter(terms, letter, packed)
             memo, expected = {}, {}
             for w, c in terms.items():
-                for lam, f in _class_polynomial(w, packed, memo).items():
+                for lam, f in _class_polynomial(w, packed, memo, hecke.PERMUTATION_KEYS).items():
                     hecke._add_term(expected, lam, c * f)
             assert totals == expected, b
 
@@ -672,7 +683,7 @@ class TestDecomposeClosure:
             memo = {}
             total = FIELD.field.zero()
             for w, c in image.terms.items():
-                for lam, f in _class_polynomial(w, FIELD, memo).items():
+                for lam, f in _class_polynomial(w, FIELD, memo, hecke.PERMUTATION_KEYS).items():
                     total = total + c * f * DELTA ** (lam.k - 1)
             assert total == markov_trace(image)
 
