@@ -93,9 +93,9 @@ _CACHES = (
 
 def clear_caches() -> None:
     """Empty the module-level caches, each a bounded lru cache: cell modules
-    per (partition, context), shape combinatorics per partition, the
-    coordinate orders of ``hecke._rank_keys`` with the rank tables built on
-    them, which the cell modules and the word-closure oracle share, the
+    per (partition, context), shape combinatorics per partition, the rank
+    keys of ``hecke._rank_keys`` with their tables, which the cell modules,
+    the word-closure oracle and the closure decomposition share, the
     signed-monomial units per field context and the permutation steps per
     generator; and drop the one ideal ``specht_module`` holds for its next
     build."""

@@ -146,9 +146,10 @@ class Permutation:
 
     def transposition_times(self, i: int) -> Permutation:
         """Left multiplication by (i, i+1): swaps the values i, i+1."""
-        return Permutation._trusted(
-            tuple(i + 1 if v == i else i if v == i + 1 else v for v in self.images)
-        )
+        imgs = list(self.images)
+        a, b = imgs.index(i), imgs.index(i + 1)
+        imgs[a], imgs[b] = i + 1, i
+        return Permutation._trusted(tuple(imgs))
 
     def cycles(self) -> list[tuple[int, ...]]:
         seen = [False] * len(self.images)

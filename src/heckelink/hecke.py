@@ -26,19 +26,21 @@ q_prod T_i^{-1} = q_sum - T_i, which divides nothing: a word with m inverse
 letters folds to q_prod^m times its image, divided once at the end.
 
 One loop, ``fold_letter``, applies both rules on either side: braid words,
-the product walk, left multiplication, the Markov trace steps, the cell
-modules, the word-closure oracle and the closure decomposition all call it
-as ``hecke.fold_letter``, so the quadratic relation is written down once.
+the product walk, the Markov trace steps, the cell modules, the word-closure
+oracle and the closure decomposition all call it as ``hecke.fold_letter``,
+so the quadratic relation is written down once.
 Its ``ring``, a ``FieldContext`` or packed ints, carries q1 + q2 and q1 q2.
 It runs over either kind of key, given as ``Keys``: permutations, as in
 ``HeckeElement``, or the ranks of a fixed coordinate order (``_rank_keys``),
-on which a step is a list lookup.  The cell modules, the word-closure oracle
-and the closure decomposition on up to 5 strands fold on ranks, whose tables
-are built on first use: right ones from the permutation steps, left ones
-through the inverses, s_i w = (w^{-1} s_i)^{-1}.  A fold is refused once its
-support exceeds ``MAX_SUPPORT``.  Every coordinate map adds through one rule,
-``_add_term``, which drops a key whose sum vanishes, so no stored coefficient
-is zero; the fold's split shares the moved term's update.
+on which a step is a list lookup; ``Keys.rank`` and ``Keys.permutation``
+convert between a permutation and its key.  The cell modules, the
+word-closure oracle and the closure decomposition on up to 5 strands fold on
+ranks, whose tables are built on first use: right ones from the permutation
+steps, left ones through the inverses, s_i w = (w^{-1} s_i)^{-1}.  A fold is
+refused once its support exceeds ``MAX_SUPPORT``.  Every coordinate map
+adds through one rule, ``_add_term``, which drops a key whose sum vanishes,
+so no stored coefficient is zero; the fold's split shares the moved term's
+update.
 
 Over a field of rational functions in which q1 and q2 are signed monomials,
 such as Q(q1, q2), Q(q) at (-1, q) and Q(s) at (-s, s^3), ``from_braid_word``
@@ -95,9 +97,9 @@ class HeckeSizeError(HeckeError):
 
 MAX_SUPPORT = 40_320
 """The most terms any fold may leave (``fold_letter`` checks it), so
-braid letters, products, left multiplications and the Markov trace steps are
-all bounded.  It is 8!, which no fold on 8 strands or fewer reaches; on more
-strands the full twist and the trace steps of w0 pass it and are refused.
+braid letters, products and the Markov trace steps are all bounded.  It is
+8!, which no fold on 8 strands or fewer reaches; on more strands the full
+twist and the trace steps of w0 pass it and are refused.
 ``trace.decompose_closure`` bounds the permutations it explores by it too."""
 
 
@@ -109,11 +111,12 @@ class Keys(NamedTuple):
     (w -> s_i w), the ascent being whether that step raises the length;
     ``last_letter(w)`` is the last letter of the canonical reduced word of w,
     0 for the identity alone; ``permutation(w)`` is the permutation w
-    stands for."""
+    stands for, and its inverse ``rank(w)`` the key of a permutation w."""
 
     generator: Callable
     last_letter: Callable
     permutation: Callable
+    rank: Callable
 
 
 @lru_cache(maxsize=128)
@@ -129,7 +132,11 @@ def _permutation_last_letter(w: Permutation) -> int:
     return word[-1] if word else 0
 
 
-PERMUTATION_KEYS = Keys(_permutation_generator, _permutation_last_letter, lambda w: w)
+def _itself(w):
+    return w
+
+
+PERMUTATION_KEYS = Keys(_permutation_generator, _permutation_last_letter, _itself, _itself)
 """Keys that are the permutations themselves, as in ``HeckeElement``."""
 
 
@@ -141,10 +148,11 @@ class _RankTables:
     ``PERMUTATION_KEYS``: per generator and side, the ranks of the steps and
     the ascent bits (``steps``), and the last letter of each rank's reduced
     word (``last_letters``).  Ranks run by length and a step changes it by
-    one, so a step is an ascent exactly when it raises the rank.  Right
-    steps find their ranks by one-line notation (``ranks``); a left step is
-    read off the right one through the rank of each inverse (``inverses``),
-    as s_i w = (w^{-1} s_i)^{-1}.  Two threads may both build a missing
+    one, so a step is an ascent exactly when it raises the rank.  A
+    permutation's rank is found by its one-line notation (``ranks``, the
+    one table built up front, which ``rank`` reads); a left step is read
+    off the right one through the rank of each inverse (``inverses``), as
+    s_i w = (w^{-1} s_i)^{-1}.  Two threads may both build a missing
     table; they build equal lists, and either is kept."""
 
     __slots__ = ("perms", "ranks", "steps", "last_letters", "inverses")
@@ -171,6 +179,9 @@ class _RankTables:
             table = self.steps[i, left] = (steps.__getitem__, ascents.__getitem__)
         return table
 
+    def rank(self, w: Permutation) -> int:
+        return self.ranks[w.images]
+
     def last_letter(self, r: int) -> int:
         if self.last_letters is None:
             self.last_letters = [PERMUTATION_KEYS.last_letter(w) for w in self.perms]
@@ -178,20 +189,18 @@ class _RankTables:
 
 
 @lru_cache(maxsize=8)
-def _rank_keys(n: int) -> tuple[tuple[Permutation, ...], dict[Permutation, int], Keys]:
-    """All permutations of n sorted by (length, one-line), the coordinate
-    order, so that rank 0 is the identity; the rank of each; and the rank
-    keys, the permutation keys read through that order, whose tables
-    (``_RankTables``) are built per generator and side on first use."""
+def _rank_keys(n: int) -> Keys:
+    """The rank keys on n strands: the permutations of n sorted by
+    (length, one-line), the coordinate order, keyed by their positions in
+    it, so that rank 0 is the identity.  Their tables (``_RankTables``)
+    are built per generator and side on first use."""
     # Lehmer codes, the counts of smaller values right of each position, list
     # in the same lexicographic order as the permutations, and the length of
     # a permutation is the sum of its code
     lengths = map(sum, itertools.product(*map(range, range(n, 0, -1))))
     ordered = sorted(zip(lengths, itertools.permutations(range(1, n + 1))))
-    perms = tuple(Permutation._trusted(images) for _, images in ordered)
-    tables = _RankTables(perms)
-    index = dict(zip(perms, range(len(perms))))
-    return perms, index, Keys(tables.generator, tables.last_letter, perms.__getitem__)
+    tables = _RankTables(tuple(Permutation._trusted(images) for _, images in ordered))
+    return Keys(tables.generator, tables.last_letter, tables.perms.__getitem__, tables.rank)
 
 
 @dataclass(frozen=True)
@@ -294,14 +303,6 @@ class HeckeElement:
 
     def support(self) -> list[Permutation]:
         return sorted(self.terms, key=lambda w: (w.length(), w.images))
-
-    # -- symmetry ---------------------------------------------------------------
-
-    def star(self) -> HeckeElement:
-        """The antiautomorphism sending T_w to T_{w^{-1}}."""
-        return HeckeElement(
-            self.context, {w.inverse(): c for w, c in self.terms.items()}
-        )
 
     # -- comparison ---------------------------------------------------------------
 
@@ -488,20 +489,15 @@ def _packing_units(field: FieldContext) -> tuple | None:
     return tuple(units) if any(units[1][0]) else None
 
 
-def _unpack(
-    terms: Mapping,
-    field: FieldContext,
-    units: tuple,
-    packed: _Packed,
-    m: int,
-    e: int,
-) -> dict:
-    """The image over ``field``, whose ``_packing_units`` are ``units``, of
-    the packed fold of a word with m inverse letters and exponent sum e:
-    the coefficient of T_w is (-q1)^(e - l(w)) (-q)^(-m) sum_k a_k q^k over
-    the digits a_k of T_w's int.  When -q1 = 1 no key is read, so the keys
-    may be partitions."""
-    (eu, su), (eq, sq) = units
+def _unpack(terms: Mapping, field: FieldContext, packed: _Packed, letters) -> dict:
+    """The image over ``field``, which ``_packing_units`` packs, of the
+    packed fold of the signed ``letters``: with m of them inverse and
+    exponent sum e, the coefficient of T_w is (-q1)^(e - l(w)) (-q)^(-m)
+    sum_k a_k q^k over the digits a_k of T_w's int.  When -q1 = 1 no key is
+    read, so the keys may be partitions."""
+    (eu, su), (eq, sq) = _packing_units(field)
+    m = sum(letter < 0 for letter in letters)
+    e = len(letters) - 2 * m
     graded = any(eu) or su < 0  # whether (-q1)^(e - l(w)) depends on w
     variables, den = field.field.variables, field.q1.den  # q1's den is 1
     rows: dict[int, list] = {}  # t -> (exponents, sign) of (-q1)^t (-q)^(-m) q^k
@@ -539,19 +535,11 @@ def from_braid_word(b: BraidWord, ctx: HeckeContext) -> HeckeElement:
         cur = fold_letter(cur, letter, ring)
     m = sum(letter < 0 for letter in b.letters)
     if units is not None:
-        cur = _unpack(cur, ctx.field, units, ring, m, len(b.letters) - 2 * m)
+        cur = _unpack(cur, ctx.field, ring, b.letters)
     elif m:
         scale = ring.q_prod ** -m
         cur = {w: c * scale for w, c in cur.items()}
     return HeckeElement(ctx, cur)
-
-
-def left_multiply_generator(x: HeckeElement, i: int) -> HeckeElement:
-    """T_i * x, the mirror of the folding rule (swap the two values i, i+1)."""
-    ctx = x.context
-    if not 1 <= i <= ctx.n - 1:
-        raise HeckeError(f"generator index {i} out of range for n={ctx.n}")
-    return HeckeElement(ctx, fold_letter(x.terms, i, ctx.field, left=True))
 
 
 def to_symmetric_group(x: HeckeElement) -> dict[Permutation, object]:

@@ -134,7 +134,7 @@ def exhaustive_word_closure(
     checked = 0
     violations: list[dict] = []
     # rank keys only for a walk that folds a packed letter
-    keys = hecke._rank_keys(n)[2] if image_fn is None and n > 1 and max_len else None
+    keys = hecke._rank_keys(n) if image_fn is None and n > 1 and max_len else None
     # prefixes[k] is the image of the visited word's first k letters; rank 0
     # is the identity.
     prefixes = [({0: packed.one()}, 0)]

@@ -162,8 +162,8 @@ class SpechtContext:
 
 
 def _from_sparse(vec: dict[int, object], sctx: SpechtContext) -> HeckeElement:
-    order = hecke._rank_keys(sctx.n)[0]
-    return HeckeElement(sctx.hecke_context(), {order[j]: c for j, c in vec.items()})
+    permutation = hecke._rank_keys(sctx.n).permutation
+    return HeckeElement(sctx.hecke_context(), {permutation(j): c for j, c in vec.items()})
 
 
 # -- generators ------------------------------------------------------------------
@@ -235,11 +235,11 @@ def _shape(lam: Partition) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]
     """The combinatorics of lam that every field shares, in ranks: the
     support of each standard coset row T_{d(s)} m_lam, d = 1 first, and each
     d(s)^{-1}, both in the order of ``_standard_representatives``."""
-    index = hecke._rank_keys(lam.n)[1]
+    rank = hecke._rank_keys(lam.n).rank
     standard = _standard_representatives(lam)
     subgroup = young_subgroup(lam)
-    rows = tuple(tuple(index[d * u] for u in subgroup) for d in standard)
-    return rows, tuple(index[d.inverse()] for d in standard)
+    rows = tuple(tuple(rank(d * u) for u in subgroup) for d in standard)
+    return rows, tuple(rank(d.inverse()) for d in standard)
 
 
 def _insert_murphy(basis: SubspaceBasis, shapes: Sequence[Partition]) -> None:
@@ -252,7 +252,7 @@ def _insert_murphy(basis: SubspaceBasis, shapes: Sequence[Partition]) -> None:
     sparse: at n = 6 over F_3, reversed or sorted insertion orders took 2 to
     11 times as long for the same RREF."""
     sctx = basis.sctx
-    keys = hecke._rank_keys(sctx.n)[2]
+    keys = hecke._rank_keys(sctx.n)
     fc = sctx.field_context
     one = fc.field.one()
     for mu in shapes:
@@ -516,7 +516,7 @@ def specht_module(lam: Partition, sctx: SpechtContext) -> SpechtModule:
         f"the cell module {lam.render()}", len(quotient), count_standard_tableaux(lam)
     )
     seed = tuple(quotient.coordinates(reduced[0]))  # m_lam: d = 1 is first
-    keys = hecke._rank_keys(sctx.n)[2]
+    keys = hecke._rank_keys(sctx.n)
     rows = quotient.sparse_rows()
     action = []
     for i in range(1, sctx.n):

@@ -387,10 +387,8 @@ def decompose_closure(b: BraidWord) -> ClosureDecomposition:
     ring = hecke._Packed(len(word) + min(len(word), n * (n - 1) // 2))
     # rank tables cost 0.7 ms on 5 strands but 5, 60 and 600 ms on 6-8, more
     # than a call saves (~12 us a key) unless it touches most of S_n
-    keys, identity = hecke.PERMUTATION_KEYS, Permutation.identity(n)
-    if n <= 5:
-        keys, identity = hecke._rank_keys(n)[2], 0
-    terms = {identity: ring.one()}
+    keys = hecke._rank_keys(n) if n <= 5 else hecke.PERMUTATION_KEYS
+    terms = {keys.rank(Permutation.identity(n)): ring.one()}
     for letter in word:
         terms = hecke.fold_letter(terms, letter, ring, keys)
     memo, sums, totals = {}, {}, {}
@@ -400,7 +398,4 @@ def decompose_closure(b: BraidWord) -> ClosureDecomposition:
     for representative, c in sums.items():
         for lam, f in memo[representative][1].items():
             hecke._add_term(totals, lam, c * f)
-    m = sum(letter < 0 for letter in word)
-    units = hecke._packing_units(_ONE_PARAMETER)
-    totals = hecke._unpack(totals, _ONE_PARAMETER, units, ring, m, len(word) - 2 * m)
-    return ClosureDecomposition(n, totals)
+    return ClosureDecomposition(n, hecke._unpack(totals, _ONE_PARAMETER, ring, word))

@@ -1,8 +1,9 @@
 """The slow, direct routes that the tests compare the library against: the
-Gram form from products in the algebra (``gram_entry``), the ideal and the
-cell module as closures under the generators, products folded one term at a
-time, ranks, kernels and determinants without ``triangulate``, and the Jones
-polynomial of a torus knot in closed form.  Elements meet a
+Gram form from products in the algebra (``gram_entry``) through the star
+antiautomorphism (``star``), the ideal and the cell module as closures under
+the generators, left multiplication by a generator, products folded one
+term at a time, ranks, kernels and determinants without ``triangulate``,
+and the Jones polynomial of a torus knot in closed form.  Elements meet a
 ``SubspaceBasis`` through ``to_sparse``, in the ranks of
 ``hecke._rank_keys``."""
 
@@ -13,7 +14,7 @@ from heckelink.braid import Permutation
 from heckelink.coefficients import (
     LaurentPoly, PrimeField, Rationals, generic_field_context, one_parameter_context,
 )
-from heckelink.hecke import HeckeElement, fold_letter, left_multiply_generator
+from heckelink.hecke import HeckeElement, fold_letter
 from heckelink.linalg import EchelonBasis
 from heckelink.specht import (
     ProportionalityError, SpechtError, SubspaceBasis, ideal_I, young_subgroup,
@@ -26,6 +27,16 @@ FIELDS = {
     "Q at q=2": one_parameter_context(Rationals(), 2),
     "F_7 at q=3": one_parameter_context(PrimeField(7), 3),
 }
+
+
+def star(x):
+    """The antiautomorphism sending T_w to T_{w^{-1}}."""
+    return HeckeElement(x.context, {w.inverse(): c for w, c in x.terms.items()})
+
+
+def left_multiply_generator(x, i):
+    """T_i * x, the fold of the letter i on the left."""
+    return HeckeElement(x.context, fold_letter(x.terms, i, x.context.field, left=True))
 
 
 def reference_product(x, y):
@@ -88,8 +99,8 @@ def kernel_basis(matrix, zero, one):
 
 
 def to_sparse(x, sctx):
-    index = hecke._rank_keys(sctx.n)[1]
-    return {index[w]: c for w, c in x.terms.items()}
+    rank = hecke._rank_keys(sctx.n).rank
+    return {rank(w): c for w, c in x.terms.items()}
 
 
 def insert_element(basis, x):
@@ -182,7 +193,7 @@ def gram_entry(x, y, lam, sctx):
     module_m = module_basis_M(lam, sctx)
     if not contains(module_m, x) or not contains(module_m, y):
         raise SpechtError("form arguments must lie in the left ideal of m_lambda")
-    return bilinear_form(lam, sctx)(x.star() * y)
+    return bilinear_form(lam, sctx)(star(x) * y)
 
 
 def close(basis, seeds, step):

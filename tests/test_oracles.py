@@ -131,7 +131,7 @@ class TestExhaustiveClosure:
         clear_caches()
         exhaustive_word_closure(3, 3)
         assert hecke._rank_keys.cache_info().currsize == 1
-        tables = hecke._rank_keys(3)[2].generator.__self__
+        tables = hecke._rank_keys(3).generator.__self__
         assert set(tables.steps) == {(1, False), (2, False)}
         assert tables.last_letters is None
 

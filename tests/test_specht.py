@@ -17,7 +17,6 @@ import heckelink
 from heckelink import clear_caches, hecke, specht
 from heckelink.braid import BraidWord, Permutation
 from heckelink.coefficients import PrimeField, Rationals, quantum_e
-from heckelink.hecke import left_multiply_generator
 from heckelink.linalg import EchelonBasis
 from heckelink.specht import (
     ProportionalityError,
@@ -39,8 +38,9 @@ from heckelink.trace import (
 )
 from reference import (
     bilinear_form, closure_ideal, closure_quotient, cofactor, contains, coset_rows,
-    gram_entry, insert_element, kernel_basis, m_lambda, matrix_rank, module_basis_M,
-    reduce_element, reference_product, rows_as_elements, to_sparse,
+    gram_entry, insert_element, kernel_basis, left_multiply_generator, m_lambda,
+    matrix_rank, module_basis_M, reduce_element, reference_product, rows_as_elements,
+    star, to_sparse,
 )
 
 
@@ -301,19 +301,30 @@ class TestMurphyAgainstClosure:
 class TestRankKeys:
     def test_tables_equal_the_permutation_methods(self):
         for n in range(1, 7):
-            order, index, keys = hecke._rank_keys(n)
+            keys = hecke._rank_keys(n)
             perms = map(Permutation, itertools.permutations(range(1, n + 1)))
-            assert order == tuple(sorted(perms, key=lambda w: (w.length(), w.images)))
-            assert index == {w: r for r, w in enumerate(order)}
+            order = tuple(sorted(perms, key=lambda w: (w.length(), w.images)))
+            # rank and permutation are inverse bijections between the ranks
+            # 0, ..., n! - 1 and S_n, and rank 0 is the identity
+            assert tuple(map(keys.permutation, range(len(order)))) == order
+            assert [keys.rank(w) for w in order] == list(range(len(order)))
+            assert keys.permutation(0) == Permutation.identity(n)
+            assert keys.rank(Permutation.identity(n)) == 0
+            # the permutation keys are the permutations themselves
+            assert all(
+                hecke.PERMUTATION_KEYS.rank(w) is w
+                and hecke.PERMUTATION_KEYS.permutation(w) is w
+                for w in order
+            )
             for r, w in enumerate(order):
                 word = w.reduced_word()
                 assert keys.last_letter(r) == (word[-1] if word else 0)
                 for i in range(1, n):
                     step, ascent = keys.generator(i, False)
-                    assert step(r) == index[w.times_transposition(i)]
+                    assert step(r) == keys.rank(w.times_transposition(i))
                     assert ascent(r) == w.right_ascent(i)
                     step, ascent = keys.generator(i, True)
-                    assert step(r) == index[w.transposition_times(i)]
+                    assert step(r) == keys.rank(w.transposition_times(i))
                     assert ascent(r) == w.left_ascent(i)
 
     @pytest.mark.parametrize(
@@ -332,12 +343,12 @@ class TestRankKeys:
             sctx = make(n)
             fc = sctx.field_context
             one = fc.field.one()
-            _, index, keys = hecke._rank_keys(n)
+            keys = hecke._rank_keys(n)
             for lam in partitions_of(n):
                 standard = specht._standard_representatives(lam)
                 inverses = dict.fromkeys(d.inverse() for d in standard)
                 rows, inverse_ranks = specht._shape(lam)
-                assert inverse_ranks == tuple(index[v] for v in inverses)
+                assert inverse_ranks == tuple(map(keys.rank, inverses))
                 standard_rows = coset_rows(lam, sctx, standard)
                 assert [to_sparse(row, sctx) for row in standard_rows] == [
                     dict.fromkeys(ranks, one) for ranks in rows
@@ -345,7 +356,7 @@ class TestRankKeys:
                 for row, ranks in zip(standard_rows, rows):
                     walked = hecke._prefix_products(row.terms, inverses, fc)
                     expected = {
-                        index[v]: {index[w]: c for w, c in cur.items()}
+                        keys.rank(v): {keys.rank(w): c for w, c in cur.items()}
                         for v, cur in walked
                     }
                     ranked = dict(hecke._prefix_products(
@@ -682,7 +693,7 @@ class TestGramAgainstReferenceProduct:
                     b.scalar_mul(specht._denominator_factor(b, one)) for b in mod.basis
                 ]
                 expected = tuple(
-                    tuple(form(reference_product(x.star(), y)) for y in cleared)
+                    tuple(form(reference_product(star(x), y)) for y in cleared)
                     for x in cleared
                 )
                 assert mod.gram == expected
@@ -704,7 +715,7 @@ class TestGramAgainstReferenceProduct:
         form = bilinear_form(lam, sctx)
         cleared = [b.scalar_mul(f) for b, f in zip(basis, factors)]
         expected = tuple(
-            tuple(form(reference_product(x.star(), y)) for y in cleared)
+            tuple(form(reference_product(star(x), y)) for y in cleared)
             for x in cleared
         )
         assert scaled.gram == expected

@@ -608,9 +608,9 @@ class TestDecomposeClosure:
         captured = []
         unpack = hecke._unpack
 
-        def capture(terms, *args):
-            captured.append((dict(terms), args[2]))
-            return unpack(terms, *args)
+        def capture(terms, field, packed, letters):
+            captured.append((dict(terms), packed))
+            return unpack(terms, field, packed, letters)
 
         monkeypatch.setattr(hecke, "_unpack", capture)
         rng = random.Random(39)
