@@ -1,7 +1,7 @@
 """Exact linear algebra over the supported coefficient fields.
 
-Matrices are plain Python lists of scalars; vectors are lists too, or sparse
-``{column: value}`` dicts where they are long.  Everything here divides
+Matrices are plain Python lists of scalars; vectors are sparse
+``{column: value}`` dicts of their nonzero entries.  Everything here divides
 exactly and never touches floating point.  There is one elimination routine,
 the reduced-row-echelon basis ``EchelonBasis``, on every field alike, and one
 way to eliminate a matrix: ``triangulate`` yields a square matrix's
@@ -50,11 +50,10 @@ class EchelonBasis:
       remainder;
     * over any other field, the field scalars, with pivot entries one.
 
-    Vectors go in dense, as sequences of length ``dimension``, or sparse, as
-    ``{column: value}`` dicts, of field scalars; ``reduce`` and ``insert``
-    answer in the form they were given.  Every value handed out by
-    ``reduce``, ``insert``, ``coordinates``, ``rows`` and ``sparse_rows`` is
-    a field scalar again.  ``rows`` is a dense view for small matrices.
+    Vectors go in as ``{column: value}`` dicts of field scalars, with columns
+    below ``dimension``, and ``reduce``, ``insert`` and ``sparse_rows``
+    answer with such dicts; ``coordinates`` answers with a list, one entry
+    per row.  Every value handed out is a field scalar again.
     """
 
     def __init__(self, dimension: int, zero, one):
@@ -70,26 +69,17 @@ class EchelonBasis:
     def __len__(self) -> int:
         return len(self.pivots)
 
-    @property
-    def rows(self) -> list[list]:
-        """The rows as dense lists, in pivot order."""
-        return [
-            self._export(self._rows[p], self._scales[p], self.dimension)
-            for p in self.pivots
-        ]
-
     def sparse_rows(self) -> list[dict]:
         """The rows as ``{column: value}`` dicts, in pivot order."""
         return [self._export(self._rows[p], self._scales[p]) for p in self.pivots]
 
-    def reduce(self, vector: Sequence | dict) -> list | dict:
+    def reduce(self, vector: dict) -> dict:
         """Fully reduce a copy of ``vector`` against the basis."""
         v, d = self._import(vector)
         scale = self._eliminate(v)
-        size = None if isinstance(vector, dict) else self.dimension
-        return self._export(v, scale * d, size)
+        return self._export(v, scale * d)
 
-    def coordinates(self, vector: Sequence | dict) -> list | None:
+    def coordinates(self, vector: dict) -> list | None:
         """Coordinates of ``vector`` in the basis rows, or None if it is not
         in the span.
 
@@ -100,9 +90,12 @@ class EchelonBasis:
         v, d = self._import(vector)
         coords = {k: v[p] for k, p in enumerate(self.pivots) if p in v}
         self._eliminate(v)
-        return None if v else self._export(coords, d, len(self.pivots))
+        if v:
+            return None
+        coords = self._export(coords, d)
+        return [coords.get(k, self.zero) for k in range(len(self.pivots))]
 
-    def insert(self, vector: Sequence | dict) -> list | dict | None:
+    def insert(self, vector: dict) -> dict | None:
         """Reduce in one pass and insert; returns a copy of the stored echelon
         row when the span grew, None when the vector was already in the span."""
         v, _ = self._import(vector)
@@ -119,8 +112,7 @@ class EchelonBasis:
                 self._eliminate(other, [pivot])
                 rows[q], scales[q] = self._normalize(other, q)
         bisect.insort(self.pivots, pivot)
-        size = None if isinstance(vector, dict) else self.dimension
-        return self._export(row, scale, size)
+        return self._export(row, scale)
 
     def _eliminate(self, w: dict, pivots: list[int] | None = None) -> int:
         """The one elimination pass, in place: w becomes
@@ -173,12 +165,10 @@ class EchelonBasis:
             w = {j: c * inv for j, c in w.items()}
         return w, 1
 
-    def _import(self, vector: Sequence | dict) -> tuple[dict, int]:
-        """The nonzero entries of a dense or sparse vector of field scalars as
-        a new dict of stored values, and their common denominator over Q (one
-        elsewhere)."""
-        items = vector.items() if isinstance(vector, dict) else enumerate(vector)
-        v = {j: c for j, c in items if c}
+    def _import(self, vector: dict) -> tuple[dict, int]:
+        """The nonzero entries of a vector of field scalars as a new dict of
+        stored values, and their common denominator over Q (one elsewhere)."""
+        v = {j: c for j, c in vector.items() if c}
         if self._rational:
             d = lcm(*(c.denominator for c in v.values()))
             return {j: c.numerator * (d // c.denominator) for j, c in v.items()}, d
@@ -190,22 +180,14 @@ class EchelonBasis:
                 raise ContextMismatchError(f"mixed characteristics {p} and {c.p}")
         return {j: c.value for j, c in v.items()}, 1
 
-    def _export(self, w: dict, d: int, size: int | None = None) -> list | dict:
-        """w / d as field scalars: a dict, or a dense list of length
-        ``size``."""
+    def _export(self, w: dict, d: int) -> dict:
+        """w / d as a dict of field scalars."""
         if self._rational:
-            out = {j: Fraction(x, d) for j, x in w.items()}
-        elif self._p is not None:
-            p = self._p
-            out = {j: PrimeFieldElement(x, p) for j, x in w.items()}
-        else:
-            out = dict(w)
-        if size is None:
-            return out
-        dense = [self.zero] * size
-        for j, c in out.items():
-            dense[j] = c
-        return dense
+            return {j: Fraction(x, d) for j, x in w.items()}
+        p = self._p
+        if p is not None:
+            return {j: PrimeFieldElement(x, p) for j, x in w.items()}
+        return dict(w)
 
 
 def triangulate(matrix: Sequence[Sequence], zero, one) -> tuple[object, EchelonBasis]:
@@ -218,7 +200,7 @@ def triangulate(matrix: Sequence[Sequence], zero, one) -> tuple[object, EchelonB
     so the determinant is the product of the leads, signed by the order in
     which the pivots arrive.  A row that reduces to zero makes it zero, and
     the rows after it are still inserted, so the basis always spans the
-    row space.
+    row space.  Each row enters the basis as a dict of its entries.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -226,8 +208,8 @@ def triangulate(matrix: Sequence[Sequence], zero, one) -> tuple[object, EchelonB
     basis = EchelonBasis(n, zero, one)
     det = one
     for row in matrix:
-        v = basis.reduce(row)
-        pivot = next((j for j, c in enumerate(v) if c), None)
+        v = basis.reduce(dict(enumerate(row)))
+        pivot = min(v, default=None)
         if pivot is None:
             det = zero
             continue

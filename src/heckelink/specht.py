@@ -190,21 +190,12 @@ def young_subgroup(lam: Partition) -> list[Permutation]:
 # -- subspaces -------------------------------------------------------------------
 
 
-class SubspaceBasis:
-    """An echelonized subspace of the algebra: ``echelon`` holds its rows as
+def _subspace(sctx: SpechtContext) -> EchelonBasis:
+    """The zero subspace of the algebra, as an echelon basis whose rows are
     ``{rank: scalar}`` dicts over the coordinate order of
-    ``hecke._rank_keys``, and ``dimension`` is their number, not the n! of
-    the ambient space.
-    """
-
-    def __init__(self, sctx: SpechtContext):
-        self.sctx = sctx
-        field = sctx.field_context.field
-        self.echelon = EchelonBasis(math.factorial(sctx.n), field.zero(), field.one())
-
-    @property
-    def dimension(self) -> int:
-        return len(self.echelon)
+    ``hecke._rank_keys``."""
+    field = sctx.field_context.field
+    return EchelonBasis(math.factorial(sctx.n), field.zero(), field.one())
 
 
 def _standard_representatives(lam: Partition) -> list[Permutation]:
@@ -242,7 +233,9 @@ def _shape(lam: Partition) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]
     return rows, tuple(rank(d.inverse()) for d in standard)
 
 
-def _insert_murphy(basis: SubspaceBasis, shapes: Sequence[Partition]) -> None:
+def _insert_murphy(
+    basis: EchelonBasis, sctx: SpechtContext, shapes: Sequence[Partition]
+) -> None:
     """Insert Murphy's vectors m_st = T_{d(s)} m_mu T_{d(t)^{-1}} of each mu in
     ``shapes``, over the pairs s, t of standard tableaux of shape mu.
 
@@ -251,7 +244,6 @@ def _insert_murphy(basis: SubspaceBasis, shapes: Sequence[Partition]) -> None:
     lists the most dominant shapes first, which keeps the echelon rows
     sparse: at n = 6 over F_3, reversed or sorted insertion orders took 2 to
     11 times as long for the same RREF."""
-    sctx = basis.sctx
     keys = hecke._rank_keys(sctx.n)
     fc = sctx.field_context
     one = fc.field.one()
@@ -263,43 +255,43 @@ def _insert_murphy(basis: SubspaceBasis, shapes: Sequence[Partition]) -> None:
                 hecke._prefix_products(dict.fromkeys(row, one), support, fc, keys)
             )
             for v in inverses:
-                basis.echelon.insert(products[v])
+                basis.insert(products[v])
 
 
 def _grow_ideal(
-    lam: Partition, basis: SubspaceBasis, held: frozenset
-) -> tuple[frozenset, SubspaceBasis]:
+    lam: Partition, sctx: SpechtContext, basis: EchelonBasis, held: frozenset
+) -> tuple[frozenset, EchelonBasis]:
     """Grow ``basis``, which spans the Murphy vectors of the shapes in
     ``held``, to I^lam; return the shapes strictly dominating lam with it.
     The dimension is checked against sum (f^mu)^2 from the tableaux count."""
     shapes = [mu for mu in partitions_of(lam.n) if strictly_dominates(mu, lam)]
-    _insert_murphy(basis, [mu for mu in shapes if mu not in held])
+    _insert_murphy(basis, sctx, [mu for mu in shapes if mu not in held])
     expected = sum(count_standard_tableaux(mu) ** 2 for mu in shapes)
-    _check_dimension(f"I^{lam.render()}", basis.dimension, expected)
+    _check_dimension(f"I^{lam.render()}", len(basis), expected)
     return frozenset(shapes), basis
 
 
-def ideal_I(lam: Partition, sctx: SpechtContext) -> SubspaceBasis:
+def ideal_I(lam: Partition, sctx: SpechtContext) -> EchelonBasis:
     """Echelon basis of the two-sided ideal generated by the m_mu with mu
     strictly dominating lam.
 
     The ideal has Murphy's basis m_st over those mu and the pairs s, t of
     standard tableaux of shape mu, so each m_st is inserted once and no
     closure runs.  The dimension is checked against sum (f^mu)^2 from the
-    tableaux count.  Built anew on each call, so the caller owns it.
+    tableaux count.  Its rows are ``{rank: scalar}`` dicts over the
+    coordinate order of ``hecke._rank_keys``.  Built anew on each call, so
+    the caller owns it.
     """
     _check_shape(lam, sctx)
-    return _grow_ideal(lam, SubspaceBasis(sctx), frozenset())[1]
+    return _grow_ideal(lam, sctx, _subspace(sctx), frozenset())[1]
 
 
 # The ideal of the last cell module built, as (sctx, its shapes, its basis),
 # grown in place for the next shape; one slot, never handed out.
-_held_ideal: list[tuple[SpechtContext, frozenset, SubspaceBasis]] = []
+_held_ideal: list[tuple[SpechtContext, frozenset, EchelonBasis]] = []
 
 
-def _take_ideal(
-    lam: Partition, sctx: SpechtContext
-) -> tuple[frozenset, SubspaceBasis]:
+def _take_ideal(lam: Partition, sctx: SpechtContext) -> tuple[frozenset, EchelonBasis]:
     """``_grow_ideal`` from the held ideal when each of its shapes strictly
     dominates lam, else from an empty one.  The entry leaves its slot while
     in use, so concurrent builds never share it; the echelon form is unique,
@@ -309,8 +301,8 @@ def _take_ideal(
     except IndexError:
         held_sctx = None
     if held_sctx != sctx or not all(strictly_dominates(mu, lam) for mu in held):
-        held, basis = frozenset(), SubspaceBasis(sctx)
-    return _grow_ideal(lam, basis, held)
+        held, basis = frozenset(), _subspace(sctx)
+    return _grow_ideal(lam, sctx, basis, held)
 
 
 # -- cell modules -----------------------------------------------------------------
@@ -396,19 +388,22 @@ class SpechtModule:
                 f"m_{shape} * b is not proportional to m_{shape} modulo the ideal"
             )
         span = EchelonBasis(2 * dim, zero, one)
-        queue = [span.insert(list(self.seed) + phi)]
+        queue = [span.insert(dict(enumerate([*self.seed, *phi])))]
         while queue and len(span) < dim:
             row = queue.pop()
-            v, rho = row[:dim], row[dim:]
+            v = [row.get(k, zero) for k in range(dim)]
+            rho = [row.get(k, zero) for k in range(dim, 2 * dim)]
             for gen in self.action:
                 image = [_dot_row(r, v, zero) for r in gen]
                 image += [_dot_row(c, rho, zero) for c in zip(*gen)]
-                grown = span.insert(image)
+                grown = span.insert(dict(enumerate(image)))
                 if grown is not None:
                     queue.append(grown)
         if span.pivots != list(range(dim)):
             raise ProportionalityError(f"the action on {shape} determines no form")
-        gram = [row[dim:] for row in span.rows]
+        gram = [
+            [row.get(k, zero) for k in range(dim, 2 * dim)] for row in span.sparse_rows()
+        ]
         for mat in [gram] + [_mat_mul(gram, gen, zero) for gen in self.action]:
             if any(mat[r][c] != mat[c][r] for r in range(dim) for c in range(r)):
                 raise ProportionalityError(
@@ -508,8 +503,8 @@ def specht_module(lam: Partition, sctx: SpechtContext) -> SpechtModule:
     shapes, ideal = _take_ideal(lam, sctx)
     fc = sctx.field_context
     one = fc.field.one()
-    quotient = EchelonBasis(math.factorial(sctx.n), fc.field.zero(), one)
-    reduced = [ideal.echelon.reduce(dict.fromkeys(row, one)) for row in _shape(lam)[0]]
+    quotient = _subspace(sctx)
+    reduced = [ideal.reduce(dict.fromkeys(row, one)) for row in _shape(lam)[0]]
     for vec in reduced:
         quotient.insert(vec)
     _check_dimension(
@@ -522,7 +517,7 @@ def specht_module(lam: Partition, sctx: SpechtContext) -> SpechtModule:
     for i in range(1, sctx.n):
         columns = [
             quotient.coordinates(
-                ideal.echelon.reduce(hecke.fold_letter(b, i, fc, keys, left=True))
+                ideal.reduce(hecke.fold_letter(b, i, fc, keys, left=True))
             )
             for b in rows
         ]

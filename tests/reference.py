@@ -3,9 +3,9 @@ Gram form from products in the algebra (``gram_entry``) through the star
 antiautomorphism (``star``), the ideal and the cell module as closures under
 the generators, left multiplication by a generator, products folded one
 term at a time, ranks, kernels and determinants without ``triangulate``,
-and the Jones polynomial of a torus knot in closed form.  Elements meet a
-``SubspaceBasis`` through ``to_sparse``, in the ranks of
-``hecke._rank_keys``."""
+and the Jones polynomial of a torus knot in closed form.  Elements meet an
+n!-dimensional ``EchelonBasis``, passed with its ``SpechtContext``, through
+``to_sparse``, in the ranks of ``hecke._rank_keys``."""
 
 import itertools
 
@@ -17,7 +17,7 @@ from heckelink.coefficients import (
 from heckelink.hecke import HeckeElement, fold_letter
 from heckelink.linalg import EchelonBasis
 from heckelink.specht import (
-    ProportionalityError, SpechtError, SubspaceBasis, ideal_I, young_subgroup,
+    ProportionalityError, SpechtError, ideal_I, young_subgroup,
 )
 from heckelink.trace import partitions_of, strictly_dominates
 
@@ -73,7 +73,7 @@ def cofactor(m, zero):
 def _echelon(matrix, zero, one):
     basis = EchelonBasis(len(matrix[0]) if matrix else 0, zero, one)
     for row in matrix:
-        basis.insert(row)
+        basis.insert(dict(enumerate(row)))
     return basis
 
 
@@ -92,8 +92,8 @@ def kernel_basis(matrix, zero, one):
             continue
         v = [zero] * ncols
         v[free] = one
-        for pcol, row in zip(basis.pivots, basis.rows):
-            v[pcol] = zero - row[free]
+        for pcol, row in zip(basis.pivots, basis.sparse_rows()):
+            v[pcol] = zero - row.get(free, zero)
         kernel.append(v)
     return kernel
 
@@ -103,21 +103,20 @@ def to_sparse(x, sctx):
     return {rank(w): c for w, c in x.terms.items()}
 
 
-def insert_element(basis, x):
-    return basis.echelon.insert(to_sparse(x, basis.sctx))
+def insert_element(basis, sctx, x):
+    return basis.insert(to_sparse(x, sctx))
 
 
-def reduce_element(basis, x):
-    reduced = basis.echelon.reduce(to_sparse(x, basis.sctx))
-    return specht._from_sparse(reduced, basis.sctx)
+def reduce_element(basis, sctx, x):
+    return specht._from_sparse(basis.reduce(to_sparse(x, sctx)), sctx)
 
 
-def contains(basis, x):
-    return not basis.echelon.reduce(to_sparse(x, basis.sctx))
+def contains(basis, sctx, x):
+    return not basis.reduce(to_sparse(x, sctx))
 
 
-def rows_as_elements(basis):
-    return [specht._from_sparse(row, basis.sctx) for row in basis.echelon.sparse_rows()]
+def rows_as_elements(basis, sctx):
+    return [specht._from_sparse(row, sctx) for row in basis.sparse_rows()]
 
 
 def m_lambda(lam, sctx):
@@ -154,16 +153,16 @@ def coset_rows(lam, sctx, reps):
 def module_basis_M(lam, sctx):
     """Echelon basis of the left ideal generated by m_lam."""
     specht._check_shape(lam, sctx)
-    basis = SubspaceBasis(sctx)
+    basis = specht._subspace(sctx)
     for row in coset_rows(lam, sctx, coset_representatives(lam)):
-        insert_element(basis, row)
+        insert_element(basis, sctx, row)
     return basis
 
 
 def bilinear_form(lam, sctx):
     """The bilinear form as a function of the product star(x) * y: the
     scalar r with star(x) * y = r * m_lam modulo the ideal."""
-    ideal = ideal_I(lam, sctx).echelon
+    ideal = ideal_I(lam, sctx)
     m_bar = ideal.reduce(to_sparse(m_lambda(lam, sctx), sctx))
     pivot = min(m_bar, default=None)
     zero = sctx.field_context.field.zero()
@@ -191,21 +190,20 @@ def gram_entry(x, y, lam, sctx):
     """Bilinear form value <x, y> for x, y in the left ideal of m_lam; it
     builds M^lam and I^lam on every call."""
     module_m = module_basis_M(lam, sctx)
-    if not contains(module_m, x) or not contains(module_m, y):
+    if not contains(module_m, sctx, x) or not contains(module_m, sctx, y):
         raise SpechtError("form arguments must lie in the left ideal of m_lambda")
     return bilinear_form(lam, sctx)(star(x) * y)
 
 
-def close(basis, seeds, step):
+def close(basis, sctx, seeds, step):
     """Grow ``basis`` to the span of ``seeds`` closed under x -> step(x, i)
     for i = 1, ..., n-1, with a worklist of the rows that grew it."""
-    n = basis.sctx.n
-    queue = [x for x in seeds if insert_element(basis, x) is not None]
+    queue = [x for x in seeds if insert_element(basis, sctx, x) is not None]
     while queue:
         x = queue.pop()
-        for i in range(1, n):
+        for i in range(1, sctx.n):
             image = step(x, i)
-            if insert_element(basis, image) is not None:
+            if insert_element(basis, sctx, image) is not None:
                 queue.append(image)
 
 
@@ -213,25 +211,28 @@ def closure_ideal(lam, sctx):
     """The reference I^lam: the left ideals H m_mu, mu strictly dominating
     lam, closed under right multiplication by the generators."""
     ctx = sctx.hecke_context()
-    basis = SubspaceBasis(sctx)
+    basis = specht._subspace(sctx)
     seeds = [
         row
         for mu in partitions_of(sctx.n)
         if strictly_dominates(mu, lam)
         for row in coset_rows(mu, sctx, coset_representatives(mu))
     ]
-    close(basis, seeds, lambda x, i: HeckeElement(ctx, fold_letter(x.terms, i, ctx.field)))
+    close(
+        basis, sctx, seeds,
+        lambda x, i: HeckeElement(ctx, fold_letter(x.terms, i, ctx.field)),
+    )
     return basis
 
 
 def closure_quotient(lam, sctx, ideal):
     """The reference cell module: m_lam modulo the ideal, closed under left
     multiplication by the generators modulo the ideal."""
-    quotient = SubspaceBasis(sctx)
-    m_bar = reduce_element(ideal, m_lambda(lam, sctx))
+    quotient = specht._subspace(sctx)
+    m_bar = reduce_element(ideal, sctx, m_lambda(lam, sctx))
     close(
-        quotient, [m_bar],
-        lambda x, i: reduce_element(ideal, left_multiply_generator(x, i)),
+        quotient, sctx, [m_bar],
+        lambda x, i: reduce_element(ideal, sctx, left_multiply_generator(x, i)),
     )
     return quotient
 

@@ -270,8 +270,8 @@ def test_criterion_09_murphy_proportionality():
         m = m_lambda(lam, sctx)
         sandwich = m * ctx.basis_element(w) * m
         ideal = ideal_I(lam, sctx)
-        reduced = reduce_element(ideal, sandwich)
-        m_bar = reduce_element(ideal, m)
+        reduced = reduce_element(ideal, sctx, sandwich)
+        m_bar = reduce_element(ideal, sctx, m)
         # proportionality: reduced == r * m_bar for the scalar at the pivot
         if m_bar.is_zero():
             assert reduced.is_zero()

@@ -8,8 +8,10 @@ import json
 
 import pytest
 
-from heckelink import hecke
+from heckelink import cli, hecke
 from heckelink.cli import main
+from heckelink.invariants import InvariantError
+from heckelink.specht import ProportionalityError
 
 
 def run(capsys, *argv):
@@ -225,6 +227,18 @@ class TestSpecht:
             {"partition": "(2)", "dim_S": 1, "dim_D": 1, "gram_det": "q+1"},
             {"partition": "(1,1)", "dim_S": 1, "dim_D": 1, "gram_det": "1"},
         ]
+
+    @pytest.mark.parametrize("error", [ProportionalityError, InvariantError])
+    def test_an_internal_fault_exits_4(self, capsys, monkeypatch, error):
+        # a failed identity inside the library is no input error: exit 4,
+        # nothing on stdout and one "internal error:" line on stderr
+        def fail(lam, sctx):
+            raise error(f"injected fault at {lam.render()}")
+
+        monkeypatch.setattr(cli, "specht_module", fail)
+        code, out, err = run(capsys, "specht", "--n", "3")
+        assert (code, out) == (4, "")
+        assert err == "internal error: injected fault at (3)\n"
 
 
 QUICK_SUITES = [

@@ -24,36 +24,45 @@ def fr(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def vec(*entries):
+    """A vector over Q as an echelon basis takes it: a dict of its nonzero
+    entries."""
+    return {j: Fraction(x) for j, x in enumerate(entries) if x}
+
+
 class TestEchelonBasis:
     def test_insert_and_reduce(self):
         eb = EchelonBasis(3, Fraction(0), Fraction(1))
-        assert eb.insert(fr([[2, 0, 2]])[0]) is not None
-        assert eb.insert(fr([[0, 1, 1]])[0]) is not None
-        assert eb.insert(fr([[2, 1, 3]])[0]) is None  # dependent
+        assert eb.insert(vec(2, 0, 2)) is not None
+        assert eb.insert(vec(0, 1, 1)) is not None
+        assert eb.insert(vec(2, 1, 3)) is None  # dependent
         assert len(eb) == 2
         assert eb.pivots == [0, 1]
         # rows are normalized and mutually reduced
-        assert eb.rows[0] == fr([[1, 0, 1]])[0]
+        assert eb.sparse_rows() == [vec(1, 0, 1), vec(0, 1, 1)]
+        assert eb.reduce(vec(2, 1, 3)) == {}
+        assert eb.reduce(vec(0, 0, 4)) == vec(0, 0, 4)
 
     def test_coordinates(self):
         eb = EchelonBasis(3, Fraction(0), Fraction(1))
-        eb.insert(fr([[1, 0, 1]])[0])
-        eb.insert(fr([[0, 1, 1]])[0])
-        coords = eb.coordinates(fr([[2, 3, 5]])[0])
+        eb.insert(vec(1, 0, 1))
+        eb.insert(vec(0, 1, 1))
+        coords = eb.coordinates(vec(2, 3, 5))
         assert coords == [Fraction(2), Fraction(3)]
-        assert eb.coordinates(fr([[0, 0, 1]])[0]) is None
+        assert eb.coordinates(vec(0, 3, 3)) == [Fraction(0), Fraction(3)]
+        assert eb.coordinates(vec(0, 0, 1)) is None
 
     def test_contains(self):
         eb = EchelonBasis(2, Fraction(0), Fraction(1))
-        eb.insert(fr([[1, 1]])[0])
-        assert eb.coordinates(fr([[3, 3]])[0]) is not None
-        assert eb.coordinates(fr([[1, 0]])[0]) is None
+        eb.insert(vec(1, 1))
+        assert eb.coordinates(vec(3, 3)) is not None
+        assert eb.coordinates(vec(1, 0)) is None
 
     def test_mixed_characteristics_refused(self):
         f3, f5 = PrimeField(3), PrimeField(5)
         eb = EchelonBasis(2, f3.zero(), f3.one())
         with pytest.raises(ContextMismatchError):
-            eb.insert([f5.one(), f5.zero()])
+            eb.insert({0: f5.one()})
 
 
 class TestSolveAndDeterminant:

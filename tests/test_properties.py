@@ -257,29 +257,42 @@ def sweep_determinant(m, zero, one):
     return det
 
 
-def _insert_all(name, m, as_dict):
+def sparse(v):
+    """The nonzero entries of a dense vector, as an echelon basis takes it."""
+    return {j: c for j, c in enumerate(v) if c}
+
+
+def _insert_all(name, m, with_zeros):
+    """Insert the rows of m, each as a dict of its nonzero entries or, where
+    ``with_zeros`` says so, of all its entries."""
     field = ECHELON_FIELDS[name]
     basis = EchelonBasis(len(m[0]), field.zero(), field.one())
-    for row, sparse in zip(m, as_dict):
-        given_row = {j: c for j, c in enumerate(row) if c} if sparse else row
-        grown = basis.insert(given_row)
-        assert grown is None or isinstance(grown, dict) == sparse
+    for row, zeros in zip(m, with_zeros):
+        grown = basis.insert(dict(enumerate(row)) if zeros else sparse(row))
         if grown is not None:
-            assert_field_scalars(name, grown.values() if sparse else grown)
+            assert all(grown.values())
+            assert_field_scalars(name, grown.values())
     return field, basis
+
+
+def dense_rows(basis):
+    """The basis rows as dense lists, as the dense sweep reads them."""
+    return [
+        [row.get(j, basis.zero) for j in range(basis.dimension)]
+        for row in basis.sparse_rows()
+    ]
 
 
 @PROPERTY
 @given(matrices(), st.lists(st.booleans(), min_size=5, max_size=5))
-def test_echelon_rows_are_sympy_rref(named, as_dict):
+def test_echelon_rows_are_sympy_rref(named, with_zeros):
     name, m = named
-    _, basis = _insert_all(name, m, as_dict)
+    _, basis = _insert_all(name, m, with_zeros)
     rows, pivots = sympy_rref(name, m)
     assert basis.pivots == pivots
-    assert basis.rows == rows
-    assert basis.sparse_rows() == [{j: x for j, x in enumerate(r) if x} for r in rows]
-    for dense, sparse in zip(basis.rows, basis.sparse_rows()):
-        assert_field_scalars(name, dense + list(sparse.values()))
+    assert basis.sparse_rows() == [sparse(r) for r in rows]
+    for row in basis.sparse_rows():
+        assert_field_scalars(name, row.values())
 
 
 @PROPERTY
@@ -291,19 +304,16 @@ def test_echelon_reduce_and_coordinates_match_a_dense_sweep(named, mix):
     for c, row in zip(mix, m):
         inside = [a + field.from_int(c) * b for a, b in zip(inside, row)]
     for v in probes + [inside]:
-        sparse = {j: c for j, c in enumerate(v) if c}
-        rest, used = sweep_reduce(basis.rows, basis.pivots, v)
-        assert basis.reduce(v) == rest
-        assert basis.reduce(sparse) == {j: c for j, c in enumerate(rest) if c}
-        assert_field_scalars(name, basis.reduce(v) + list(basis.reduce(sparse).values()))
+        rest, used = sweep_reduce(dense_rows(basis), basis.pivots, v)
+        assert basis.reduce(sparse(v)) == sparse(rest)
+        assert basis.reduce(dict(enumerate(v))) == sparse(rest)
+        assert_field_scalars(name, basis.reduce(sparse(v)).values())
         expected = None if any(rest) else used
-        assert basis.coordinates(v) == expected
-        assert basis.coordinates(sparse) == expected
+        assert basis.coordinates(sparse(v)) == expected
+        assert basis.coordinates(dict(enumerate(v))) == expected
         if expected is not None:
-            assert_field_scalars(name, basis.coordinates(v) + basis.coordinates(sparse))
-        in_span = basis.coordinates(v) is not None
-        assert in_span == (basis.coordinates(sparse) is not None) == (expected is not None)
-    assert basis.coordinates(inside) is not None
+            assert_field_scalars(name, basis.coordinates(sparse(v)))
+    assert basis.coordinates(sparse(inside)) is not None
 
 
 @PROPERTY
@@ -320,7 +330,7 @@ def test_determinant_matches_a_dense_sweep(named):
     assert det == expected
     rows, pivots = sympy_rref(name, m)
     assert basis.pivots == pivots
-    assert basis.rows == rows
+    assert basis.sparse_rows() == [sparse(r) for r in rows]
 
 
 @PROPERTY

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -365,9 +366,21 @@ def _factoring_words(seed, count=70):
     return words
 
 
+def _x_context():
+    """Q(x) at (x + 1, x): q1 is no signed monomial, so braid words fold over
+    ``RationalFunction`` scalars, not packed ints."""
+    x_field = RationalFunctionField(("x",))
+    x = x_field.variable("x")
+    return FieldContext(x_field, x + 1, x)
+
+
 FACTOR_CONTEXTS = REFERENCE_CONTEXTS[:2] + [
     pytest.param(generic_one_parameter_context(), id="Q(q)"),
-] + REFERENCE_CONTEXTS[2:]
+    pytest.param(_x_context(), id="Q(x) at (x+1,x)"),
+] + REFERENCE_CONTEXTS[2:] + [
+    pytest.param(FieldContext(Rationals(), Fraction(2, 3), 5), id="Q at (2/3,5)"),
+    pytest.param(FieldContext(PrimeField(7), 3, 2), id="F7 at (3,2)"),
+]
 
 
 class TestFactoredTrace:
@@ -379,10 +392,12 @@ class TestFactoredTrace:
             assert render_scalar(got) == render_scalar(whole)
 
     def test_random_words_match_whole_braid_trace(self):
-        rng = random.Random(31)
-        for _ in range(40):
-            b = random_word(rng, rng.randrange(1, 8), rng.randrange(0, 9))
-            assert trace_of_braid(b) == whole_trace(b)
+        for context in FACTOR_CONTEXTS:
+            (field,) = context.values
+            rng = random.Random(31)
+            for _ in range(40):
+                b = random_word(rng, rng.randrange(1, 8), rng.randrange(0, 9))
+                assert trace_of_braid(b, field) == whole_trace(b, field), context.id
 
     def test_words_exercise_every_rule(self):
         unused = once = wrapped = split = 0
