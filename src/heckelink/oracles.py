@@ -9,15 +9,13 @@ values.
 
 ``exhaustive_word_closure`` enumerates every braid word up to a length bound
 and checks that each single rewrite (free cancellation, far commutation, or
-a braid-relation triple) leaves the algebra image unchanged.  Images are
-folded along the depth-first walk: a word's image is its parent's with one
-more letter folded, and a rewrite's is folded onto the image of the longest
-prefix it shares with a word or rewrite already folded.  They are folded on
-packed ints, as ``from_braid_word`` folds over Q(q1, q2), on the rank keys
-that the cell modules use (``hecke._rank_keys``), so a step is a list
-lookup, and compared packed.  The image map is injectable so a corrupted
-pipeline can be shown to fail; an injected map is called once per word, and
-``faulty_braid_image`` provides one with the quadratic sign flipped.
+a braid-relation triple) leaves the algebra image unchanged.  Each letter's
+image is a unit and folding a letter is linear, so a rewrite inside the
+parent word keeps a passing verdict: only the rewrites at a word's end, and
+any that failed in the parent, are folded, on packed ints over the rank keys
+of ``hecke._rank_keys``.  The image map is injectable so a corrupted
+pipeline can be shown to fail; ``faulty_braid_image`` provides one with the
+quadratic sign flipped.
 """
 
 from __future__ import annotations
@@ -100,26 +98,24 @@ def exhaustive_word_closure(
 ) -> dict:
     """Check every single-move rewrite on every word up to the length bound.
 
-    By default images are folded along the depth-first walk.  A visited
-    word's image is its parent's with its last letter folded.  When a move
-    lies inside the parent word, the rewritten word is the parent's rewrite
-    with that letter appended, so its image is the parent's rewrite image
-    with one fold.  Any other rewrite keeps the word's first k letters, and
-    its remaining letters are folded onto the image of those k letters,
-    kept on a prefix stack.  ``from_braid_word`` folds the same letters from
-    the identity in the same order and passes through each of these
-    starting images, so every image equals the one it builds.  An injected
-    ``image_fn`` is called once per word, visited or rewritten.
+    The walk is depth-first: a visited word's image is its parent's with the
+    last letter folded.  A move inside the parent word rewrites this word to
+    the parent's rewrite with that letter appended.  The fold is linear over
+    the integers, so if the parent's two images agreed (up to the power of
+    q_prod that ``same`` allows) these agree too, and are neither folded nor
+    compared.  Any other rewrite keeps the word's first k letters, and the
+    rest are folded onto the stored image of those k letters.  An injected
+    ``image_fn`` inherits nothing: it is called once per word, visited or
+    rewritten.
 
     Without one, an image is (D, m): the packed fold D of a word with m
     inverse letters, which is q_prod^m times its image under
     sigma_i -> T'_i (see ``hecke``).  A rewrite keeps the exponent sum, so
     it keeps the image under sigma_i -> T_i exactly when it keeps this one.
-    Slots wide enough for ``max_len`` letters serve every word, and D is
-    keyed by the ranks of ``hecke._rank_keys``, whose tables the first fold
-    builds; a walk that folds no letter builds none.  Two images
-    compare after the one with fewer inverse letters is multiplied by the
-    missing power of q_prod = -2^K, a shift and a sign.
+    D is keyed by the ranks of ``hecke._rank_keys``; a walk that folds no
+    letter builds no table.  Two images compare after the one with fewer
+    inverse letters is multiplied by the missing power of q_prod = -2^K, a
+    shift and a sign.
 
     Exponential by nature and guarded accordingly; the report carries the
     number of checks and any violating pairs.
@@ -139,11 +135,11 @@ def exhaustive_word_closure(
     # is the identity.
     prefixes = [({0: packed.one()}, 0)]
 
-    def image(word: tuple[int, ...], k: int, start):
-        """Image of ``word``, given the image ``start`` of its first k letters."""
+    def image(word: tuple[int, ...], k: int):
+        """Image of ``word``, whose first k letters are the visited word's."""
         if image_fn is not None:
             return image_fn(BraidWord(n, word))
-        terms, m = start
+        terms, m = prefixes[k]
         for letter in word[k:]:
             terms = hecke.fold_letter(terms, letter, packed, keys)
             m += letter < 0
@@ -158,24 +154,20 @@ def exhaustive_word_closure(
         scale = packed.q_prod ** (my - mx)
         return {w: c * scale for w, c in x.items()} == y
 
-    def visit(letters: tuple[int, ...], parent_images: dict) -> None:
-        """``parent_images`` maps the (move, k) of each rewrite of the parent
-        word to its image; the same move rewrites ``letters`` to that rewrite
-        with the last letter appended."""
+    def visit(letters: tuple[int, ...], inherited: set) -> None:
+        """``inherited`` holds the (move, k) of each rewrite of the parent
+        word whose image agreed; the same move rewrites ``letters`` to that
+        rewrite with the last letter appended, so it agrees too."""
         nonlocal checked
         depth = len(letters)
-        last = max(depth - 1, 0)
-        word_image = image(letters, last, prefixes[last])
+        word_image = image(letters, max(depth - 1, 0))
         prefixes[depth:] = [word_image]
-        images = {}
+        agreed = set()
         for move, k, rewritten in _single_rewrites(letters):
             checked += 1
-            shared = parent_images.get((move, k))
-            if shared is None:
-                images[move, k] = image(rewritten, k, prefixes[k])
+            if (move, k) in inherited or same(image(rewritten, k), word_image):
+                agreed.add((move, k))
             else:
-                images[move, k] = image(rewritten, len(rewritten) - 1, shared)
-            if not same(images[move, k], word_image):
                 violations.append(
                     {
                         "word": list(letters),
@@ -184,10 +176,11 @@ def exhaustive_word_closure(
                     }
                 )
         if depth < max_len:
+            inherit = agreed if image_fn is None else set()
             for j in alphabet:
-                visit(letters + (j,), images)
+                visit(letters + (j,), inherit)
 
-    visit((), {})
+    visit((), set())
     return {
         "n": n,
         "max_len": max_len,

@@ -248,3 +248,19 @@ class TestCounts:
         assert closure_components(BraidWord(2, [1])) == 1
         # the braid attached to the partition (2,1) of 3
         assert closure_components(BraidWord(3, [1])) == 2
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: BraidWord(3, [3]), "letter 3 at position 0 out of range"),
+        (lambda: BraidWord(2, [1]).concat(BraidWord(3, [1])), "strand counts differ"),
+        (lambda: conjugate(BraidWord(2, [1]), BraidWord(3, [2])), "share the strand count"),
+        (lambda: stabilize(BraidWord(2, [1]), 0), r"sign must be \+-1, got 0"),
+        (lambda: Permutation([1, 1]), "is not a permutation"),
+        (lambda: Permutation.transposition(3, 3), "out of range for degree 3"),
+    ],
+)
+def test_typed_errors(build, message):
+    with pytest.raises(BraidError, match=message):
+        build()

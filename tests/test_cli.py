@@ -422,3 +422,9 @@ class TestMalformedFieldSpec:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert f"error: {flag} is not read by" in err
+
+
+def test_a_word_without_a_strand_count_is_refused(capsys):
+    code, out, err = run(capsys, "reduce", "1 2")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "no strand count given" in err

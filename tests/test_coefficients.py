@@ -628,3 +628,34 @@ def _random_rf(rng, variables=Q12):
     while den.is_zero():
         den = _random_poly(rng, variables, ordinary=True)
     return canonicalize(num, den)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: RationalFunctionField(()), CoefficientError, "needs variables"),
+        (lambda: RationalFunctionField(("q", "q")), CoefficientError, "duplicate variables"),
+        (lambda: quantum_e("2"), CoefficientError, "unsupported scalar"),
+        (lambda: quantum_e(0), CoefficientError, "q must be a unit"),
+        (lambda: PrimeField(5).one() / 0, ZeroDivisionError, "division by zero in F_5"),
+        (lambda: PrimeField(5).zero() ** -1, ZeroDivisionError, "inverting zero in F_5"),
+        (
+            lambda: RationalFunctionField(("q",)).coerce(
+                RationalFunctionField(("t",)).variable("t")
+            ),
+            ContextMismatchError,
+            "does not live in",
+        ),
+        (lambda: RationalFunctionField(("q",)).coerce(0.5), ContextMismatchError, "cannot coerce"),
+        (lambda: Rationals().coerce(0.5), ContextMismatchError, "cannot coerce"),
+        (
+            lambda: PrimeField(5).coerce(PrimeField(7).one()),
+            ContextMismatchError,
+            "F_7 does not live in F_5",
+        ),
+        (lambda: PrimeField(5).coerce(0.5), ContextMismatchError, "cannot coerce"),
+    ],
+)
+def test_typed_errors(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

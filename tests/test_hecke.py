@@ -456,3 +456,23 @@ class TestRendering:
             {"perm": [2, 1], "coeff": "q1+q2"},
             {"perm": [1, 2], "coeff": "-q1*q2"},
         ]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: HeckeContext(0, generic_field_context()), "strand count must be >= 1"),
+        (
+            lambda: HeckeContext(3, generic_field_context()).generator_image(5),
+            "generator index 5 out of range for n=3",
+        ),
+        (
+            lambda: HeckeContext(2, generic_field_context()).identity()
+            + HeckeContext(3, generic_field_context()).identity(),
+            "context mismatch",
+        ),
+    ],
+)
+def test_typed_errors(build, message):
+    with pytest.raises(HeckeError, match=message):
+        build()

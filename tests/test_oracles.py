@@ -85,7 +85,7 @@ class TestExhaustiveClosure:
         )
         assert exhaustive_word_closure(n, max_len) == reference
 
-    @pytest.mark.parametrize("n, max_len", [(2, 4), (3, 3)])
+    @pytest.mark.parametrize("n, max_len", [(2, 4), (3, 3), (3, 5), (4, 4)])
     def test_walk_finds_a_faulty_fold_like_the_per_word_path(
         self, monkeypatch, n, max_len
     ):
@@ -104,6 +104,14 @@ class TestExhaustiveClosure:
         if (n, max_len) == (3, 3):
             assert report["checked"] == 40
             assert len(report["violations"]) == 36
+        # the per-word path checks every rewrite, so it is the independent
+        # check of the verdicts the walk inherits from the parent word
+        if (n, max_len) == (3, 5):
+            assert report["checked"] == 1480
+            assert len(report["violations"]) == 1252
+        if (n, max_len) == (4, 4):
+            assert report["checked"] == 1798
+            assert len(report["violations"]) == 726
 
     def test_walk_folds_each_shared_prefix_once(self, monkeypatch):
         calls = []
@@ -114,11 +122,24 @@ class TestExhaustiveClosure:
 
         monkeypatch.setattr(hecke, "fold_letter", counted)
         exhaustive_word_closure(3, 4)
-        # 340 folds for the nonempty words and 220 for the 264 rewrites: one
-        # for each of the 160 inherited from the parent word, none for the 84
+        # 340 folds for the nonempty words and 60 for the 264 rewrites: none
+        # for the 160 that keep the parent word's verdict, none for the 84
         # cancellations at the end, three for each of the 20 braid triples at
         # the end.  Folding every word from the identity takes 1,808.
-        assert len(calls) == 560
+        assert len(calls) == 400
+
+    def test_an_injected_map_is_called_once_per_word(self):
+        words = []
+        ctx = HeckeContext(3, generic_field_context())
+
+        def counted(b):
+            words.append(b.letters)
+            return from_braid_word(b, ctx)
+
+        report = exhaustive_word_closure(3, 3, image_fn=counted)
+        # the 85 words of up to 3 letters on 3 strands, then every rewrite:
+        # an injected map inherits no verdict from the parent word
+        assert len(words) == 85 + report["checked"] == 125
 
     def test_a_walk_without_folds_builds_no_rank_table(self):
         clear_caches()

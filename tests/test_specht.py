@@ -16,7 +16,7 @@ import pytest
 import heckelink
 from heckelink import clear_caches, hecke, specht
 from heckelink.braid import BraidWord, Permutation
-from heckelink.coefficients import PrimeField, Rationals, quantum_e
+from heckelink.coefficients import PrimeField, Rationals, one_parameter_context, quantum_e
 from heckelink.linalg import EchelonBasis
 from heckelink.specht import (
     ProportionalityError,
@@ -1016,6 +1016,10 @@ class TestStandardTableaux:
 
 
 class TestContextValidation:
+    def test_rejects_no_strands(self):
+        with pytest.raises(SpechtError, match="strand count must be >= 1"):
+            SpechtContext(0, one_parameter_context(Rationals(), 2))
+
     def test_rejects_wrong_first_parameter(self):
         from heckelink.coefficients import FieldContext
 

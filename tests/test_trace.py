@@ -730,3 +730,19 @@ class TestDecomposeClosure:
     def test_rendering(self):
         dec = ClosureDecomposition(2, {Partition((2,)): 1})
         assert dec.render() == "(2): 1"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: partitions_of(-1), "cannot partition -1"),
+        (lambda: e_restricted(Partition((2, 1)), 1), "e must be >= 2"),
+        (
+            lambda: ClosureDecomposition(3, {Partition((2,)): 1}),
+            "is not a partition of 3",
+        ),
+    ],
+)
+def test_typed_errors(build, message):
+    with pytest.raises(PartitionError, match=message):
+        build()
