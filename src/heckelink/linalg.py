@@ -11,7 +11,9 @@ echelon rows.
 Over Q and F_p the basis computes on plain integers, since every operation on
 a scalar object costs a type check and an allocation: field scalars become
 integers where a vector enters the basis and field scalars again where one
-leaves it.  Over Q(q) it computes on the scalars themselves.
+leaves it, so coordinates modulo a second basis over the same field are read
+in one pass on those integers.  Over Q(q) it computes on the scalars
+themselves.
 """
 
 from __future__ import annotations
@@ -79,15 +81,22 @@ class EchelonBasis:
         scale = self._eliminate(v)
         return self._export(v, scale * d)
 
-    def coordinates(self, vector: dict) -> list | None:
+    def coordinates(self, vector: dict, modulo: EchelonBasis | None = None) -> list | None:
         """Coordinates of ``vector`` in the basis rows, or None if it is not
-        in the span.
+        in the span; with ``modulo``, of its remainder modulo that basis.
 
         Each row is the only one nonzero in its pivot column, where the echelon
         row holds one, so a vector in the span has its own pivot entries as
-        coordinates.
+        coordinates.  A remainder keeps its stored values, its scale folded
+        into the denominator.
         """
         v, d = self._import(vector)
+        if modulo is not None:
+            if modulo.dimension != self.dimension:
+                raise LinearAlgebraError("the bases have different dimensions")
+            if type(modulo.zero) is not type(self.zero) or modulo._p != self._p:
+                raise ContextMismatchError("the bases are over different fields")
+            d *= modulo._eliminate(v)
         coords = {k: v[p] for k, p in enumerate(self.pivots) if p in v}
         self._eliminate(v)
         if v:

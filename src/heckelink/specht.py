@@ -25,7 +25,10 @@ be the generic variable or any specialized field value.  For a partition
   form value.  The Gram matrix is solved in the module's own coordinates:
   the form is symmetric and invariant, <T_i x, y> = <x, T_i y>, and
   m_lam y = <m_lam, y> m_lam modulo I^lam, so the action matrices and the
-  coordinates of m_lam determine it with no product in the algebra;
+  coordinates of m_lam determine it with no product in the algebra.  Per
+  block, m_lam factors over the distinguished right coset representatives
+  of S_j in S_{j+1}, D_j = 1 + T_j D_{j-1}, whose lengths add (Geck and
+  Pfeiffer 2000, Prop. 2.1.1);
 * the Gram matrix is eliminated once, by ``triangulate``, and its
   determinant, rank and head character are all read off that one echelon
   basis.  The head is the module modulo the radical, the kernel of the Gram
@@ -368,6 +371,9 @@ class SpechtModule:
 
         Solved in module coordinates from the action and the seed u alone.
         The action of m_lam sends b_k to phi_k u, where phi_k = <m_lam, b_k>.
+        On each block o+1..o+k its matrix is E_{o+1} ... E_{o+k-1}, with
+        E_j = I + A_j E_{j-1} the sum over the distinguished right coset
+        representatives d of S_j in S_{j+1}, where lengths add: T_u T_d = T_{ud}.
         For h in H, v = A(h) u holds the coordinates of h m_lam and
         rho = phi A(star h) the values <h m_lam, b_k>, so v G = rho; a
         closure over h -> T_i h collects rows [v | rho] until their echelon
@@ -379,11 +385,21 @@ class SpechtModule:
         field = self.sctx.field_context.field
         zero, one = field.zero(), field.one()
         shape = self.lam.render()
-        mats = [self.matrix(w) for w in young_subgroup(self.lam)]
-        m_action = [[sum(col, zero) for col in zip(*rows)] for rows in zip(*mats)]
+        ident = self.matrix(Permutation.identity(self.sctx.n))
+        m_action, offset = ident, 0
+        for part in self.lam.parts:
+            coset = ident
+            for j in range(offset + 1, offset + part):
+                coset = _mat_mul(self.action[j - 1], coset, zero)
+                coset = tuple(
+                    tuple(x + one if r == c else x for c, x in enumerate(row))
+                    for r, row in enumerate(coset)
+                )
+                m_action = _mat_mul(m_action, coset, zero)
+            offset += part
         pivot = next(k for k, c in enumerate(self.seed) if c)
         phi = [c / self.seed[pivot] for c in m_action[pivot]]
-        if m_action != [[p * s for p in phi] for s in self.seed]:
+        if m_action != tuple(tuple(p * s for p in phi) for s in self.seed):
             raise ProportionalityError(
                 f"m_{shape} * b is not proportional to m_{shape} modulo the ideal"
             )
@@ -516,9 +532,7 @@ def specht_module(lam: Partition, sctx: SpechtContext) -> SpechtModule:
     action = []
     for i in range(1, sctx.n):
         columns = [
-            quotient.coordinates(
-                ideal.reduce(hecke.fold_letter(b, i, fc, keys, left=True))
-            )
+            quotient.coordinates(hecke.fold_letter(b, i, fc, keys, left=True), ideal)
             for b in rows
         ]
         if None in columns:

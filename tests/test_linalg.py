@@ -58,6 +58,38 @@ class TestEchelonBasis:
         assert eb.coordinates(vec(3, 3)) is not None
         assert eb.coordinates(vec(1, 0)) is None
 
+    def test_coordinates_modulo_a_basis_with_row_scales(self):
+        # the ideal's rows are stored as primitive integer rows with scales
+        # 3 and 5, so the remainder carries their lcm into the denominator
+        ideal = EchelonBasis(4, Fraction(0), Fraction(1))
+        ideal.insert({0: Fraction(1), 3: Fraction(2, 3)})
+        ideal.insert({1: Fraction(1), 2: Fraction(2, 5)})
+        assert sorted(ideal._scales.values()) == [3, 5]
+        quotient = EchelonBasis(4, Fraction(0), Fraction(1))
+        quotient.insert({2: Fraction(1), 3: Fraction(1, 7)})
+        rows = [vec(1, 0, 0, Fraction(2, 3)), vec(0, 1, Fraction(2, 5), 0)]
+        for c in (Fraction(4), Fraction(1, 3), Fraction(0)):
+            v = {j: 2 * rows[0].get(j, 0) - 3 * rows[1].get(j, 0) for j in range(4)}
+            v[2] += c
+            v[3] += c / 7
+            assert quotient.coordinates(v, ideal) == [c]
+            assert quotient.coordinates(ideal.reduce(v)) == [c]
+            v[3] += 1
+            assert quotient.coordinates(v, ideal) is None
+        assert quotient.coordinates(rows[1], ideal) == [Fraction(0)]
+
+    def test_coordinates_modulo_another_space_refused(self):
+        f3, f5 = PrimeField(3), PrimeField(5)
+        eb = EchelonBasis(2, Fraction(0), Fraction(1))
+        with pytest.raises(LinearAlgebraError):
+            eb.coordinates(vec(1, 0), EchelonBasis(3, Fraction(0), Fraction(1)))
+        for zero, one in [(f3.zero(), f3.one()), (QQ.zero(), QQ.one())]:
+            with pytest.raises(ContextMismatchError):
+                eb.coordinates(vec(1, 0), EchelonBasis(2, zero, one))
+        e3 = EchelonBasis(2, f3.zero(), f3.one())
+        with pytest.raises(ContextMismatchError):
+            e3.coordinates({0: f3.one()}, EchelonBasis(2, f5.zero(), f5.one()))
+
     def test_mixed_characteristics_refused(self):
         f3, f5 = PrimeField(3), PrimeField(5)
         eb = EchelonBasis(2, f3.zero(), f3.one())

@@ -314,6 +314,22 @@ def test_echelon_reduce_and_coordinates_match_a_dense_sweep(named, mix):
         if expected is not None:
             assert_field_scalars(name, basis.coordinates(sparse(v)))
     assert basis.coordinates(sparse(inside)) is not None
+    # coordinates modulo a second basis, spanned by the first probe, in the
+    # span of the rows reduced modulo it; the last vector lies in the span of
+    # both bases together
+    other = EchelonBasis(len(m[0]), field.zero(), field.one())
+    other.insert(sparse(probes[0]))
+    quotient = EchelonBasis(len(m[0]), field.zero(), field.one())
+    for row in m:
+        quotient.insert(other.reduce(sparse(row)))
+    shifted = [a + field.from_int(mix[0] - 2) * b for a, b in zip(inside, probes[0])]
+    for v in probes + [inside, shifted]:
+        expected = quotient.coordinates(other.reduce(sparse(v)))
+        assert quotient.coordinates(sparse(v), other) == expected
+        assert quotient.coordinates(dict(enumerate(v)), other) == expected
+        if expected is not None:
+            assert_field_scalars(name, expected)
+    assert quotient.coordinates(sparse(shifted), other) is not None
 
 
 @PROPERTY
