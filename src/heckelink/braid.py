@@ -13,8 +13,9 @@ at position i leaves at position phi(b)(i).
 
 Permutations are stored in one-line notation (1-based).  The canonical
 reduced word of a permutation is selection-sort form: repeatedly move the
-largest remaining value into place.  Any reduced word serves equally well
-downstream; the canonical one just makes output reproducible.
+largest remaining value into place.  Its last letter i is the position of
+the largest value out of place (``_last_letter``) and w s_i has the word less
+i, so the words are closed under prefixes and ``hecke``'s walks share folds.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class BraidSyntaxError(BraidError):
 class Permutation:
     """An element of the symmetric group on {1, ..., n}, one-line notation."""
 
-    __slots__ = ("images", "_hash", "_word")
+    __slots__ = ("images", "_hash")
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
@@ -53,7 +54,6 @@ class Permutation:
             raise BraidError(f"{images} is not a permutation of 1..{n}")
         self.images = images
         self._hash = hash(images)
-        self._word: tuple[int, ...] | None = None
 
     @classmethod
     def _trusted(cls, images: tuple[int, ...]) -> Permutation:
@@ -61,7 +61,6 @@ class Permutation:
         w = object.__new__(cls)
         w.images = images
         w._hash = hash(images)
-        w._word = None
         return w
 
     @classmethod
@@ -109,25 +108,17 @@ class Permutation:
         return count
 
     def reduced_word(self) -> tuple[int, ...]:
-        """Canonical reduced word (selection-sort form).
-
-        For each target value n, n-1, ... the value is marched right into its
-        slot by adjacent swaps; undoing the accumulated right-multiplications
-        yields a positive word whose letter count equals the length.
-        """
-        if self._word is not None:
-            return self._word
+        """Canonical reduced word, read from the end by ``_last_letter``: it
+        ends m-1, ..., i+1, i for the last letter i and the value m that i
+        moves home, and the values above m are not read again."""
         v = list(self.images)
-        n = len(v)
         rev: list[int] = []
-        for target in range(n, 1, -1):
-            p = v.index(target) + 1
-            for i in range(p, target):
-                v[i - 1], v[i] = v[i], v[i - 1]
-                rev.append(i)
-        word = tuple(reversed(rev))
-        self._word = word
-        return word
+        top = len(v)
+        while i := _last_letter(v[:top]):
+            top = v[i - 1]
+            rev += range(i, top)
+            v.insert(top - 1, v.pop(i - 1))
+        return tuple(reversed(rev))
 
     def right_ascent(self, i: int) -> bool:
         """True when multiplying by the transposition (i, i+1) on the right
@@ -178,6 +169,16 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.images)})"
+
+
+def _last_letter(images) -> int:
+    """The last letter of the canonical reduced word of the permutation with
+    these images, 0 for the identity: the position of the largest value out
+    of its place, which selection sort moves first."""
+    m = len(images)
+    while m and images[m - 1] == m:
+        m -= 1
+    return images.index(m) + 1 if m else 0
 
 
 def _check_strands(strands: int) -> None:

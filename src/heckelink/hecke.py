@@ -8,12 +8,13 @@ group.  Right multiplication by a generator is the folding rule
     T_w * T_i = (q1+q2) T_w - q1 q2 T_{w s_i}          otherwise,
 
 which is the quadratic relation (T_i - q1)(T_i - q2) = 0 in action.  Right
-products walk a prefix tree: each T_v of a support hangs off T_{v s_i}, and
+products walk a prefix tree: each T_v of a support hangs off T_{v s_i}, i
+the last letter of v's canonical reduced word (``braid._last_letter``), and
 x is folded once per edge, so the x * T_v share their common prefixes.  The
 product x * y sums them over y; the cell modules read Murphy's vectors off
-the same walk.  The tree's paths are reduced words chosen per support, so
-associativity of the product doubles as a confluence check and is exercised
-heavily by the test suite.
+the same walk.  The tree's paths are the canonical words, so associativity
+of the product doubles as a confluence check and is exercised heavily by
+the test suite.
 
 The generators are units:
 
@@ -75,7 +76,7 @@ from functools import lru_cache
 from operator import add, attrgetter, gt, methodcaller
 from typing import Callable, Mapping, NamedTuple
 
-from .braid import BraidWord, Permutation
+from .braid import BraidWord, Permutation, _last_letter
 from .coefficients import (
     FieldContext,
     LaurentPoly,
@@ -109,12 +110,10 @@ class Keys(NamedTuple):
     ``generator(i, left)`` gives the pair (step, ascent) of one-argument
     lookups for the generator i on the right (w -> w s_i) or on the left
     (w -> s_i w), the ascent being whether that step raises the length;
-    ``last_letter(w)`` is the last letter of the canonical reduced word of w,
-    0 for the identity alone; ``permutation(w)`` is the permutation w
-    stands for, and its inverse ``rank(w)`` the key of a permutation w."""
+    ``permutation(w)`` is the permutation w stands for, and its inverse
+    ``rank(w)`` the key of a permutation w."""
 
     generator: Callable
-    last_letter: Callable
     permutation: Callable
     rank: Callable
 
@@ -127,16 +126,11 @@ def _permutation_generator(i: int, left: bool) -> tuple:
     return methodcaller("times_transposition", i), methodcaller("right_ascent", i)
 
 
-def _permutation_last_letter(w: Permutation) -> int:
-    word = w.reduced_word()
-    return word[-1] if word else 0
-
-
 def _itself(w):
     return w
 
 
-PERMUTATION_KEYS = Keys(_permutation_generator, _permutation_last_letter, _itself, _itself)
+PERMUTATION_KEYS = Keys(_permutation_generator, _itself, _itself)
 """Keys that are the permutations themselves, as in ``HeckeElement``."""
 
 
@@ -146,22 +140,20 @@ _images = attrgetter("images")
 class _RankTables:
     """The lookups of the rank keys, each a list built on first use from
     ``PERMUTATION_KEYS``: per generator and side, the ranks of the steps and
-    the ascent bits (``steps``), and the last letter of each rank's reduced
-    word (``last_letters``).  Ranks run by length and a step changes it by
-    one, so a step is an ascent exactly when it raises the rank.  A
+    the ascent bits (``steps``).  Ranks run by length and a step changes it
+    by one, so a step is an ascent exactly when it raises the rank.  A
     permutation's rank is found by its one-line notation (``ranks``, the
     one table built up front, which ``rank`` reads); a left step is read
     off the right one through the rank of each inverse (``inverses``), as
     s_i w = (w^{-1} s_i)^{-1}.  Two threads may both build a missing
     table; they build equal lists, and either is kept."""
 
-    __slots__ = ("perms", "ranks", "steps", "last_letters", "inverses")
+    __slots__ = ("perms", "ranks", "steps", "inverses")
 
     def __init__(self, perms: tuple):
         self.perms = perms
         self.ranks = dict(zip(map(_images, perms), range(len(perms))))
         self.steps: dict = {}
-        self.last_letters: list | None = None
         self.inverses: list | None = None
 
     def generator(self, i: int, left: bool) -> tuple:
@@ -182,11 +174,6 @@ class _RankTables:
     def rank(self, w: Permutation) -> int:
         return self.ranks[w.images]
 
-    def last_letter(self, r: int) -> int:
-        if self.last_letters is None:
-            self.last_letters = [PERMUTATION_KEYS.last_letter(w) for w in self.perms]
-        return self.last_letters[r]
-
 
 @lru_cache(maxsize=8)
 def _rank_keys(n: int) -> Keys:
@@ -200,7 +187,7 @@ def _rank_keys(n: int) -> Keys:
     lengths = map(sum, itertools.product(*map(range, range(n, 0, -1))))
     ordered = sorted(zip(lengths, itertools.permutations(range(1, n + 1))))
     tables = _RankTables(tuple(Permutation._trusted(images) for _, images in ordered))
-    return Keys(tables.generator, tables.last_letter, tables.perms.__getitem__, tables.rank)
+    return Keys(tables.generator, tables.perms.__getitem__, tables.rank)
 
 
 @dataclass(frozen=True)
@@ -400,18 +387,19 @@ def fold_letter(
 def _prefix_products(left: Mapping, support, ring, keys: Keys = PERMUTATION_KEYS):
     """Yield (v, left * T_v), a dict not to be mutated, for each v in
     ``support``, a collection of ``keys``.  Each v hangs off v s_i, i the
-    last letter of its reduced word, down to the identity, the one key
-    without a last letter; a depth-first walk folds once per edge."""
+    last letter of its canonical reduced word, down to the identity, the one
+    key without a last letter; a depth-first walk folds once per edge, and
+    shares the prefixes of the canonical words."""
     if not support:
         return
-    last_letter, generator = keys.last_letter, keys.generator
+    permutation, generator = keys.permutation, keys.generator
     children: dict = {}
     linked = set()
     root = None
     for v in support:
         while v not in linked:
             linked.add(v)
-            i = last_letter(v)
+            i = _last_letter(permutation(v).images)
             if not i:
                 root = v
                 break

@@ -40,8 +40,8 @@ be the generic variable or any specialized field value.  For a partition
 A build computes in ranks: its vectors are ``{rank: scalar}`` dicts over
 the coordinate order of ``hecke._rank_keys``, the sparse rows
 ``EchelonBasis`` stores, and the fold runs on them with its rank keys,
-per-n tables of the generator steps, ascent bits and last letters, so a
-step is a list lookup.
+per-n tables of the generator steps and ascent bits, so a step is a list
+lookup.
 What depends on the shape alone, the supports of the coset rows and the
 d(s)^{-1}, is built once per partition by ``_shape`` and shared by every
 field, the d(s) by one filter of the n! permutations.  Permutations appear
@@ -71,7 +71,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .braid import Permutation
+from .braid import Permutation, _last_letter
 from .coefficients import (
     Field,
     FieldContext,
@@ -339,7 +339,7 @@ class SpechtModule:
 
     def matrix(self, w: Permutation) -> tuple:
         """Action matrix of T_w, the product of the generator matrices along
-        the reduced word of w, memoized by prefix."""
+        the canonical reduced word of w, memoized by prefix."""
         if w.degree != self.sctx.n:
             raise SpechtError(
                 f"T_w acts on the cell module {self.lam.render()} for w of "
@@ -348,15 +348,15 @@ class SpechtModule:
         cached = self._matrices.get(w)
         if cached is not None:
             return cached
-        word = w.reduced_word()
+        i = _last_letter(w.images)
         field = self.sctx.field_context.field
-        if not word:
+        if not i:
             one, zero = field.one(), field.zero()
             rows = range(self.dimension)
             mat = tuple(tuple(one if r == c else zero for c in rows) for r in rows)
         else:
-            prefix = self.matrix(w.times_transposition(word[-1]))
-            mat = _mat_mul(prefix, self.action[word[-1] - 1], field.zero())
+            prefix = self.matrix(w.times_transposition(i))
+            mat = _mat_mul(prefix, self.action[i - 1], field.zero())
         self._matrices[w] = mat
         return mat
 

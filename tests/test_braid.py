@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from heckelink import braid
 from heckelink.braid import (
     BraidError,
     BraidSyntaxError,
@@ -112,6 +113,28 @@ class TestPermutation:
 
     def test_reduced_word_simple(self):
         assert Permutation([2, 1]).reduced_word() == (1,)
+
+    def test_canonical_word_is_selection_sort(self):
+        # an independent selection sort: march each value n, n-1, ... right
+        # into its place by adjacent swaps, and read the swaps backwards
+        def selection_sort_word(imgs):
+            v, swaps = list(imgs), []
+            for target in range(len(v), 1, -1):
+                for i in range(v.index(target) + 1, target):
+                    v[i - 1], v[i] = v[i], v[i - 1]
+                    swaps.append(i)
+            return tuple(reversed(swaps))
+
+        for n in range(8):
+            assert braid._last_letter(tuple(range(1, n + 1))) == 0
+            for imgs in itertools.permutations(range(1, n + 1)):
+                w = Permutation(imgs)
+                word = w.reduced_word()
+                assert word == selection_sort_word(imgs), imgs
+                assert braid._last_letter(imgs) == (word[-1] if word else 0), imgs
+                # the words are closed under prefixes
+                if word:
+                    assert w.times_transposition(word[-1]).reduced_word() == word[:-1]
 
     def test_inverse(self):
         assert Permutation([2, 3, 1]).inverse().images == (3, 1, 2)

@@ -154,7 +154,6 @@ class TestExhaustiveClosure:
         assert hecke._rank_keys.cache_info().currsize == 1
         tables = hecke._rank_keys(3).generator.__self__
         assert set(tables.steps) == {(1, False), (2, False)}
-        assert tables.last_letters is None
 
     def test_guard(self):
         with pytest.raises(OracleError):

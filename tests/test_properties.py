@@ -314,15 +314,23 @@ def test_echelon_reduce_and_coordinates_match_a_dense_sweep(named, mix):
         if expected is not None:
             assert_field_scalars(name, basis.coordinates(sparse(v)))
     assert basis.coordinates(sparse(inside)) is not None
-    # coordinates modulo a second basis, spanned by the first probe, in the
-    # span of the rows reduced modulo it; the last vector lies in the span of
-    # both bases together
+    # coordinates modulo a second basis, spanned by one vector, in the span
+    # of the rows reduced modulo it; the last vector lies in the span of both
+    # bases together.  Over F_p the vector is the first probe.  Over Q, on two
+    # columns or more, it starts 2, 1: its echelon row starts 1, 1/2, so its
+    # row scale is never one, and a remainder must carry that scale into the
+    # denominator of its coordinates.
+    modulo = probes[0]
+    if name == "Q" and len(modulo) > 1:
+        modulo = [field.from_int(2), field.one()] + modulo[2:]
     other = EchelonBasis(len(m[0]), field.zero(), field.one())
-    other.insert(sparse(probes[0]))
+    other.insert(sparse(modulo))
+    if modulo is not probes[0]:
+        assert any(x.denominator != 1 for x in other.sparse_rows()[0].values())
     quotient = EchelonBasis(len(m[0]), field.zero(), field.one())
     for row in m:
         quotient.insert(other.reduce(sparse(row)))
-    shifted = [a + field.from_int(mix[0] - 2) * b for a, b in zip(inside, probes[0])]
+    shifted = [a + field.from_int(mix[0] - 2) * b for a, b in zip(inside, modulo)]
     for v in probes + [inside, shifted]:
         expected = quotient.coordinates(other.reduce(sparse(v)))
         assert quotient.coordinates(sparse(v), other) == expected
