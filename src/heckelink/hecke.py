@@ -33,15 +33,15 @@ so the quadratic relation is written down once.
 Its ``ring``, a ``FieldContext`` or packed ints, carries q1 + q2 and q1 q2.
 It runs over either kind of key, given as ``Keys``: permutations, as in
 ``HeckeElement``, or the ranks of a fixed coordinate order (``_rank_keys``),
-on which a step is a list lookup; ``Keys.rank`` and ``Keys.permutation``
+on which a step is a tuple lookup; ``Keys.rank`` and ``Keys.permutation``
 convert between a permutation and its key.  The cell modules, the
 word-closure oracle and the closure decomposition on up to 5 strands fold on
-ranks, whose tables are built on first use: right ones from the permutation
-steps, left ones through the inverses, s_i w = (w^{-1} s_i)^{-1}.  A fold is
-refused once its support exceeds ``MAX_SUPPORT``.  Every coordinate map
-adds through one rule, ``_add_term``, which drops a key whose sum vanishes,
-so no stored coefficient is zero; the fold's split shares the moved term's
-update.
+ranks, whose tables one call builds whole for each n: right ones from the
+permutation steps, left ones through the inverses, s_i w = (w^{-1} s_i)^{-1}.
+A fold is refused once its support exceeds ``MAX_SUPPORT``.  Every
+coordinate map adds through one rule, ``_add_term``, which drops a key whose
+sum vanishes, so no stored coefficient is zero; the fold's split shares the
+moved term's update.
 
 Over a field of rational functions in which q1 and q2 are signed monomials,
 such as Q(q1, q2), Q(q) at (-1, q) and Q(s) at (-s, s^3), ``from_braid_word``
@@ -73,7 +73,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, attrgetter, gt, methodcaller
+from operator import add, gt, methodcaller
 from typing import Callable, Mapping, NamedTuple
 
 from .braid import BraidWord, Permutation, _last_letter
@@ -134,60 +134,34 @@ PERMUTATION_KEYS = Keys(_permutation_generator, _itself, _itself)
 """Keys that are the permutations themselves, as in ``HeckeElement``."""
 
 
-_images = attrgetter("images")
-
-
-class _RankTables:
-    """The lookups of the rank keys, each a list built on first use from
-    ``PERMUTATION_KEYS``: per generator and side, the ranks of the steps and
-    the ascent bits (``steps``).  Ranks run by length and a step changes it
-    by one, so a step is an ascent exactly when it raises the rank.  A
-    permutation's rank is found by its one-line notation (``ranks``, the
-    one table built up front, which ``rank`` reads); a left step is read
-    off the right one through the rank of each inverse (``inverses``), as
-    s_i w = (w^{-1} s_i)^{-1}.  Two threads may both build a missing
-    table; they build equal lists, and either is kept."""
-
-    __slots__ = ("perms", "ranks", "steps", "inverses")
-
-    def __init__(self, perms: tuple):
-        self.perms = perms
-        self.ranks = dict(zip(map(_images, perms), range(len(perms))))
-        self.steps: dict = {}
-        self.inverses: list | None = None
-
-    def generator(self, i: int, left: bool) -> tuple:
-        table = self.steps.get((i, left))
-        if table is None:
-            if not left:
-                step = PERMUTATION_KEYS.generator(i, False)[0]
-                steps = list(map(self.ranks.__getitem__, map(_images, map(step, self.perms))))
-            else:
-                if self.inverses is None:
-                    self.inverses = [self.ranks[w.inverse().images] for w in self.perms]
-                right, inverses = self.generator(i, False)[0], self.inverses
-                steps = [inverses[right(r)] for r in inverses]
-            ascents = list(map(gt, steps, range(len(steps))))
-            table = self.steps[i, left] = (steps.__getitem__, ascents.__getitem__)
-        return table
-
-    def rank(self, w: Permutation) -> int:
-        return self.ranks[w.images]
-
-
 @lru_cache(maxsize=8)
 def _rank_keys(n: int) -> Keys:
     """The rank keys on n strands: the permutations of n sorted by
     (length, one-line), the coordinate order, keyed by their positions in
-    it, so that rank 0 is the identity.  Their tables (``_RankTables``)
-    are built per generator and side on first use."""
+    it, so that rank 0 is the identity.  One call builds every table: the
+    rank of each permutation by its one-line notation, then as tuples the
+    rank of each inverse and, per generator and side, the ranks of the steps
+    and the ascent bits.  A left step is read off the right one through the
+    inverses, as s_i w = (w^{-1} s_i)^{-1}.  Ranks run by length and a step
+    changes it by one, so a step is an ascent exactly when it raises the
+    rank."""
     # Lehmer codes, the counts of smaller values right of each position, list
     # in the same lexicographic order as the permutations, and the length of
     # a permutation is the sum of its code
     lengths = map(sum, itertools.product(*map(range, range(n, 0, -1))))
     ordered = sorted(zip(lengths, itertools.permutations(range(1, n + 1))))
-    tables = _RankTables(tuple(Permutation._trusted(images) for _, images in ordered))
-    return Keys(tables.generator, tables.perms.__getitem__, tables.rank)
+    lines = tuple(line for _, line in ordered)
+    perms = tuple(map(Permutation._trusted, lines))
+    ranks = dict(zip(lines, range(len(lines))))
+    inverses = tuple(ranks[w.inverse().images] for w in perms)
+    tables = {}
+    for i in range(1, n):
+        right = tuple(ranks[w.times_transposition(i).images] for w in perms)
+        left = tuple(inverses[right[r]] for r in inverses)
+        for side, steps in (False, right), (True, left):
+            ascents = tuple(map(gt, steps, range(len(steps))))
+            tables[i, side] = steps.__getitem__, ascents.__getitem__
+    return Keys(lambda i, left: tables[i, left], perms.__getitem__, lambda w: ranks[w.images])
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,8 @@ be the generic variable or any specialized field value.  For a partition
 A build computes in ranks: its vectors are ``{rank: scalar}`` dicts over
 the coordinate order of ``hecke._rank_keys``, the sparse rows
 ``EchelonBasis`` stores, and the fold runs on them with its rank keys,
-per-n tables of the generator steps and ascent bits, so a step is a list
-lookup.
+per-n tables of the generator steps and ascent bits, all built in one call,
+so a step is a tuple lookup.
 What depends on the shape alone, the supports of the coset rows and the
 d(s)^{-1}, is built once per partition by ``_shape`` and shared by every
 field, the d(s) by one filter of the n! permutations.  Permutations appear
@@ -82,7 +82,7 @@ from .coefficients import (
 from . import hecke
 from .hecke import HeckeContext, HeckeElement
 from .linalg import EchelonBasis, triangulate
-from .trace import Partition, partitions_of, strictly_dominates
+from .trace import Partition, _blocks, partitions_of, strictly_dominates
 
 
 class SpechtError(ValueError):
@@ -174,11 +174,7 @@ def _from_sparse(vec: dict[int, object], sctx: SpechtContext) -> HeckeElement:
 
 def young_subgroup(lam: Partition) -> list[Permutation]:
     """All permutations fixing each block {k_i+1, ..., k_i+lam_i} setwise."""
-    blocks: list[list[int]] = []
-    offset = 0
-    for part in lam.parts:
-        blocks.append(list(range(offset + 1, offset + part + 1)))
-        offset += part
+    blocks = _blocks(lam)
     n = lam.n
     out = []
     for choice in itertools.product(*(itertools.permutations(b) for b in blocks)):
@@ -205,8 +201,7 @@ def _standard_representatives(lam: Partition) -> list[Permutation]:
     """The permutations whose images, cut into the rows of lam, increase along
     rows and down columns, listing a standard tableau row by row: all n! are
     filtered (n <= MAX_N) in lexicographic order, so the identity comes first."""
-    starts = list(itertools.accumulate(lam.parts, initial=0))
-    rows = [range(a, b) for a, b in zip(starts, starts[1:])]
+    rows = [range(block.start - 1, block.stop - 1) for block in _blocks(lam)]
     pairs = [(j - 1, j) for row in rows for j in row[1:]]
     pairs += [cells for above, below in zip(rows, rows[1:]) for cells in zip(above, below)]
     return [
@@ -386,17 +381,16 @@ class SpechtModule:
         zero, one = field.zero(), field.one()
         shape = self.lam.render()
         ident = self.matrix(Permutation.identity(self.sctx.n))
-        m_action, offset = ident, 0
-        for part in self.lam.parts:
+        m_action = ident
+        for block in _blocks(self.lam):
             coset = ident
-            for j in range(offset + 1, offset + part):
+            for j in block[:-1]:
                 coset = _mat_mul(self.action[j - 1], coset, zero)
                 coset = tuple(
                     tuple(x + one if r == c else x for c, x in enumerate(row))
                     for r, row in enumerate(coset)
                 )
                 m_action = _mat_mul(m_action, coset, zero)
-            offset += part
         pivot = next(k for k, c in enumerate(self.seed) if c)
         phi = [c / self.seed[pivot] for c in m_action[pivot]]
         if m_action != tuple(tuple(p * s for p in phi) for s in self.seed):

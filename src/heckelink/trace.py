@@ -56,14 +56,15 @@ shift that lowers the length gives T_x = T_s T_{sxs} T_s, hence
 f_x = (q1 + q2) f_{sx} - q1 q2 f_{sxs}; and an element with neither has
 minimal length in its class, where f is the unit vector at its cycle type.
 ``decompose_closure`` runs this on the fold's packed ints at (-1, q), on the
-rank keys of ``hecke._rank_keys`` on up to 5 strands, whose tables cost
-under a millisecond, and on permutations above.  It sums the c_w of each
-class, adds each sum times the class polynomial into one int per partition,
-and decodes each sum once.
+rank keys of ``hecke._rank_keys`` on up to 5 strands, whose tables are
+built whole in under a millisecond, and on permutations above.  It sums the
+c_w of each class, adds each sum times the class polynomial into one int per
+partition, and decodes each sum once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -117,6 +118,13 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition{self.parts}"
+
+
+def _blocks(lam: Partition) -> list[range]:
+    """The 1-based positions of each part of lam: part k fills
+    o_k + 1, ..., o_k + lam_k, where o_k is the sum of the parts before it."""
+    ends = itertools.accumulate(lam.parts)
+    return [range(end - part + 1, end + 1) for part, end in zip(lam.parts, ends)]
 
 
 def partitions_of(n: int) -> list[Partition]:
@@ -173,11 +181,7 @@ def b_lambda(lam: Partition) -> BraidWord:
     sigma_{k+m-1} ... sigma_{k+1}; one-part partitions give the standard
     (m)-cycle braid, and parts of size one contribute straight strands.
     """
-    letters: list[int] = []
-    offset = 0
-    for part in lam.parts:
-        letters.extend(range(offset + part - 1, offset, -1))
-        offset += part
+    letters = [i for block in _blocks(lam) for i in reversed(block[:-1])]
     return BraidWord(max(lam.n, 1), letters)
 
 
@@ -385,7 +389,7 @@ def decompose_closure(b: BraidWord) -> ClosureDecomposition:
     n = b.strands
     word = _cyclically_reduced(b.letters)
     ring = hecke._Packed(len(word) + min(len(word), n * (n - 1) // 2))
-    # rank tables cost 0.7 ms on 5 strands but 5, 60 and 600 ms on 6-8, more
+    # rank tables cost 0.6 ms on 5 strands but 5, 40 and 460 ms on 6-8, more
     # than a call saves (~12 us a key) unless it touches most of S_n
     keys = hecke._rank_keys(n) if n <= 5 else hecke.PERMUTATION_KEYS
     terms = {keys.rank(Permutation.identity(n)): ring.one()}

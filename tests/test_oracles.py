@@ -1,5 +1,6 @@
 """The shipped verification oracles."""
 
+import itertools
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -148,12 +149,15 @@ class TestExhaustiveClosure:
         exhaustive_word_closure(3, 3, image_fn=faulty_braid_image)
         assert hecke._rank_keys.cache_info().currsize == 0
 
-    def test_a_walk_builds_only_the_right_side_tables(self):
+    def test_a_walk_builds_the_rank_keys_whole(self):
         clear_caches()
         exhaustive_word_closure(3, 3)
         assert hecke._rank_keys.cache_info().currsize == 1
-        tables = hecke._rank_keys(3).generator.__self__
-        assert set(tables.steps) == {(1, False), (2, False)}
+        # every step and ascent lookup, on either side, reads a built tuple
+        keys = hecke._rank_keys(3)
+        for i, left in itertools.product((1, 2), (False, True)):
+            step, ascent = keys.generator(i, left)
+            assert type(step.__self__) is tuple and type(ascent.__self__) is tuple
 
     def test_guard(self):
         with pytest.raises(OracleError):

@@ -300,7 +300,7 @@ class TestMurphyAgainstClosure:
 
 class TestRankKeys:
     def test_tables_equal_the_permutation_methods(self):
-        for n in range(1, 7):
+        for n in range(1, 8):
             keys = hecke._rank_keys(n)
             perms = map(Permutation, itertools.permutations(range(1, n + 1)))
             order = tuple(sorted(perms, key=lambda w: (w.length(), w.images)))

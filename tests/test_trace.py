@@ -544,7 +544,7 @@ class TestDecomposeClosure:
             assert len(calls) <= len(entered)
 
     def test_only_closures_on_up_to_five_strands_build_rank_keys(self, monkeypatch):
-        # the rank tables cost 5-600 ms on 6-8 strands, more than a short
+        # the rank tables cost 5-460 ms on 6-8 strands, more than a short
         # word saves, so a closure there keeps permutation keys
         built, rank_keys = [], hecke._rank_keys
         monkeypatch.setattr(hecke, "_rank_keys", lambda n: built.append(n) or rank_keys(n))
