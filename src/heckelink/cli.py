@@ -275,7 +275,6 @@ def _quick_suites(image_fn):
         return markov_trace(from_braid_word(b, HeckeContext(b.strands, field)))
 
     def trace_axioms():
-        one_plus = field.field.one() + field.q_prod
         for _ in range(20):
             n = rng.randrange(2, 4)
             ctx = HeckeContext(n, field)
@@ -285,7 +284,7 @@ def _quick_suites(image_fn):
         for _ in range(15):
             n = rng.randrange(1, 4)
             b = random_word(rng, n, rng.randrange(0, 5))
-            yield one_plus * whole_trace(b) == field.q_sum * whole_trace(
+            yield field.one_plus_q_prod * whole_trace(b) == field.q_sum * whole_trace(
                 BraidWord(n + 1, b.letters)
             )
             yield whole_trace(stabilize(b, -1)) == whole_trace(b)

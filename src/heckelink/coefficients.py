@@ -664,11 +664,14 @@ def divide_by_power(x, base, k: int):
     For a rational function and a base with denominator one, the ordinary
     part of the base is divided out of the numerator's ordinary part as often
     as it goes in, up to k times; ``canonicalize`` removes whatever common
-    factor is left, so the result is canonical whatever the base factors into.
-    An ordinary part of total degree one, such as q1 + q2 or q - 1, is
-    irreducible: once it stops going in, the numerator is prime to it and,
-    as a factor of x's numerator, to x's denominator, so the gcd is skipped.
+    factor is left.  Three cases skip it, their result already canonical:
+    k = 0 returns x; if all k factors go in, the numerator only lost factors
+    and stays prime to x's denominator; and an ordinary part of total degree
+    one, such as q1 + q2 or q - 1, is irreducible, so once it stops going in
+    the numerator, a factor of x's, is prime to it and to x's denominator.
     """
+    if k == 0:
+        return x
     exact = isinstance(x, RationalFunction) and isinstance(base, RationalFunction)
     if not (exact and x and base and base.den.is_one() and k >= 0):
         return x / base ** k
@@ -682,6 +685,8 @@ def divide_by_power(x, base, k: int):
             break
         m += 1
     shift = tuple(a - k * b for a, b in zip(unit_n, unit_b))
+    if m == k:
+        return RationalFunction(pn._shifted(shift), x.den)
     den = x.den * pb ** (k - m)
     if sum(pb.leading()[0]) == 1:
         return _canonical_coprime(shift, pn, den)
@@ -848,10 +853,14 @@ class RationalFunctionField:
             raise CoefficientError(f"duplicate variables in {self.variables}")
 
     def zero(self) -> RationalFunction:
-        return RationalFunction.constant(self.variables, 0)
+        return self._constants[0]
 
     def one(self) -> RationalFunction:
-        return RationalFunction.constant(self.variables, 1)
+        return self._constants[1]
+
+    @cached_property
+    def _constants(self) -> tuple[RationalFunction, RationalFunction]:
+        return tuple(RationalFunction.constant(self.variables, c) for c in (0, 1))
 
     def from_fraction(self, value) -> RationalFunction:
         return RationalFunction.constant(self.variables, value)
@@ -970,7 +979,9 @@ Field = Union[RationalFunctionField, Rationals, PrimeField]
 class FieldContext:
     """A coefficient field together with the two unit parameters of the
     quadratic relation.  ``delta`` is the extra-component factor
-    (1 + q1*q2)/(q1 + q2), defined only when q1 + q2 is a unit."""
+    (1 + q1*q2)/(q1 + q2), defined only when q1 + q2 is a unit.  ``q_sum``,
+    ``q_prod`` and ``one_plus_q_prod`` are built on first use and shared, as
+    are a rational function field's 0 and 1: values are immutable."""
 
     field: Field
     q1: object
@@ -992,11 +1003,15 @@ class FieldContext:
     def q_prod(self):
         return self.q1 * self.q2
 
+    @cached_property
+    def one_plus_q_prod(self):
+        return self.field.one() + self.q_prod
+
     def delta(self):
         s = self.q_sum
         if not s:
             raise CoefficientError("q1 + q2 is not a unit in this context")
-        return (self.field.one() + self.q_prod) / s
+        return self.one_plus_q_prod / s
 
     def zero(self):
         return self.field.zero()

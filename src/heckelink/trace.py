@@ -42,10 +42,10 @@ n_j strands,
 
 Either way the power of q1 + q2 is known in advance and divided out once,
 so over a rational function field it leaves the numerator by exact
-polynomial division.  What does not divide needs a gcd only when the
-ordinary part of q1 + q2 is not linear: a linear one, as over Q(q1, q2) or
-over Q(q) at (-1, q), is irreducible, so the remaining numerator is prime
-to it; over Q(s) at (-s, s^3) it is s^2 - 1 and the gcd runs.
+polynomial division, and a power that goes in whole, or is 0, needs no gcd.
+A remainder needs one only when the ordinary part of q1 + q2 is not
+linear: a linear one, as over Q(q1, q2) or over Q(q) at (-1, q), is
+irreducible; over Q(s) at (-s, s^3) it is s^2 - 1 and the gcd runs.
 
 Closed braids decompose over the basis T_{w_lambda} of H_n / [H_n, H_n],
 the images of the braids b_lambda at (q1, q2) = (-1, q).  The coordinates
@@ -202,7 +202,6 @@ def _expectation(terms: Mapping, n: int, field: FieldContext) -> dict:
     for w, c in terms.items():
         p = w.images.index(n) + 1
         buckets.setdefault(p, {})[Permutation(w.images[: p - 1] + w.images[p:])] = c
-    q_sum, q_prod = field.q_sum, field.q_prod
     chain: dict = {}
     for p in range(1, n):
         if chain:
@@ -210,7 +209,7 @@ def _expectation(terms: Mapping, n: int, field: FieldContext) -> dict:
         for x, c in buckets.get(p, {}).items():
             hecke._add_term(chain, x, c)
     out: dict = {}
-    for scale, part in ((q_sum, chain), (field.one() + q_prod, buckets.get(n, {}))):
+    for scale, part in ((field.q_sum, chain), (field.one_plus_q_prod, buckets.get(n, {}))):
         for x, c in part.items():
             hecke._add_term(out, x, c * scale)
     return out
@@ -253,6 +252,8 @@ def _closure_factors(strands: int, letters: Sequence[int]) -> tuple[int, list]:
     """(k, pieces): the closure is k split unions and connected sums of the
     closures of the pieces (m, word), in each of which every index 1..m-1
     is used at least twice."""
+    if strands <= 1:
+        return 0, [(strands, [])]
     word = _cyclically_reduced(letters)
     uses = [0] * strands
     for letter in word:
@@ -277,7 +278,7 @@ def trace_of_braid(b: BraidWord, field: FieldContext | None = None) -> object:
         field = _GENERIC
     q_sum = _q_sum(field)
     k, pieces = _closure_factors(b.strands, b.letters)
-    value, power = (field.one() + field.q_prod) ** k, k
+    value, power = field.one_plus_q_prod ** k, k
     for m, word in pieces:
         if m > 1:
             image = from_braid_word(BraidWord(m, word), HeckeContext(m, field))

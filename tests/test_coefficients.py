@@ -366,8 +366,21 @@ class TestLinearBaseSkipsGcd:
                 denominators += not got.den.is_one()
         assert denominators >= 10
 
+    @staticmethod
+    def _divides_out(x, base, k):
+        """Whether the ordinary part of base^k divides that of x's numerator."""
+        try:
+            poly_divexact(x.num.split_unit()[1], base.num.split_unit()[1] ** k)
+        except CoefficientError:
+            return False
+        return True
+
     def test_nonlinear_base_still_runs_the_gcd(self, monkeypatch):
+        # Only a power of the base left in the denominator can share a factor
+        # with the numerator.  At k = 0, or once every factor divides out, the
+        # numerator is still prime to x's denominator, so no gcd runs.
         rng = random.Random(47)
+        left = divided = 0
         for variables, text in self.NONLINEAR:
             base = rf(text, variables)
             for x, k in self._cases(rng, variables, base):
@@ -375,7 +388,35 @@ class TestLinearBaseSkipsGcd:
                     continue
                 got, full, gcds = self._run(monkeypatch, x, base, k)
                 assert (got.num, got.den) == (full.num, full.den)
-                assert gcds > 0
+                if self._divides_out(x, base, k):
+                    assert gcds == 0
+                    divided += 1
+                else:
+                    assert gcds > 0
+                    left += 1
+        assert min(left, divided) >= 10
+
+    @pytest.mark.parametrize("variables, text", LINEAR + NONLINEAR)
+    def test_zero_power_and_full_division_skip_the_gcd(self, monkeypatch, variables, text):
+        # k = 0 returns x itself.  When base^k divides out, x's denominator,
+        # one or not, is left as it was, with no gcd.
+        rng = random.Random(48)
+        base = rf(text, variables)
+        over_one = 0
+        for _ in range(8):
+            p = RationalFunction.from_poly(_random_poly(rng, variables))
+            for x in (p, _random_rf(rng, variables)):
+                if not x:
+                    continue
+                assert divide_by_power(x, base, 0) is x
+                k = rng.randrange(1, 4)
+                value = x * base ** k
+                got, full, gcds = self._run(monkeypatch, value, base, k)
+                assert (got.num, got.den) == (full.num, full.den)
+                if self._divides_out(value, base, k):
+                    assert gcds == 0
+                    over_one += value.den.is_one()
+        assert over_one >= 5
 
 
 class TestPrimeField:
@@ -564,6 +605,47 @@ class TestFieldContext:
         ctx = FieldContext(Rationals(), Fraction(1), Fraction(-1))
         with pytest.raises(CoefficientError):
             ctx.delta()
+
+
+class TestSharedConstants:
+    # zero(), one() and 1 + q1*q2 are built once and then shared by every
+    # caller, so no operation that reads them may change them.
+    def test_built_once(self):
+        field = RationalFunctionField(Q12)
+        assert field.one() is field.one()
+        assert field.zero() is field.zero()
+        ctx = generic_field_context()
+        assert ctx.one_plus_q_prod is ctx.one_plus_q_prod
+        assert ctx.one_plus_q_prod == rf("1+q1*q2")
+
+    def test_arithmetic_leaves_them_unchanged(self):
+        from heckelink.braid import BraidWord
+        from heckelink.hecke import HeckeContext, from_braid_word
+        from heckelink.trace import markov_trace
+
+        x_field = RationalFunctionField(("x",))
+        x = x_field.variable("x")
+        contexts = [generic_field_context(), FieldContext(x_field, x + 1, x)]
+        for ctx in contexts:
+            field = ctx.field
+            zero, one, one_plus = field.zero(), field.one(), ctx.one_plus_q_prod
+            y = ctx.q1 / ctx.q_sum
+            assert (one + y) - one == y and y + one == one + y
+            assert one * y == y and one / y * y == one and -one + one == zero
+            assert y * zero == zero and zero + y == y and sum([one] * 3, zero) == 3
+            assert one ** 4 == one and one_plus ** 2 == one_plus * one_plus
+            assert divide_by_power(one_plus, ctx.q_sum, 2) == ctx.delta() / ctx.q_sum
+            # folds start from one() and sum into dicts of shared values
+            h = from_braid_word(BraidWord(3, [1, -2, 1]), HeckeContext(3, ctx))
+            assert markov_trace(h * h) == markov_trace(h * h)
+            fresh = [
+                RationalFunction.constant(field.variables, 0),
+                RationalFunction.constant(field.variables, 1),
+                RationalFunction.constant(field.variables, 1) + ctx.q1 * ctx.q2,
+            ]
+            for shared, built in zip((zero, one, one_plus), fresh):
+                assert (shared.num.terms, shared.den.terms) == (built.num.terms, built.den.terms)
+            assert (field.zero(), field.one()) == (zero, one)
 
 
 class TestRendering:

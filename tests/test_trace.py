@@ -14,6 +14,7 @@ from heckelink.coefficients import (
     PrimeField,
     RationalFunctionField,
     Rationals,
+    divide_by_power,
     generic_field_context,
     generic_one_parameter_context,
     render_scalar,
@@ -383,6 +384,25 @@ FACTOR_CONTEXTS = REFERENCE_CONTEXTS[:2] + [
 ]
 
 
+def _closure_factors_reference(strands, letters):
+    """``_closure_factors`` without its early exit on one strand."""
+    word = _cyclically_reduced(letters)
+    uses = [0] * strands
+    for letter in word:
+        uses[abs(letter)] += 1
+    j = min(range(1, strands), key=uses.__getitem__, default=None)
+    if j is None or uses[j] > 1:
+        return 0, [(strands, word)]
+    if uses[j]:
+        i = next(i for i, letter in enumerate(word) if abs(letter) == j)
+        word = word[i + 1 :] + word[:i]
+    below = [a for a in word if abs(a) < j]
+    above = [a - j if a > 0 else a + j for a in word if abs(a) > j]
+    kx, x = _closure_factors_reference(j, below)
+    ky, y = _closure_factors_reference(strands - j, above)
+    return (not uses[j]) + kx + ky, x + y
+
+
 class TestFactoredTrace:
     @pytest.mark.parametrize("field", FACTOR_CONTEXTS)
     def test_matches_whole_braid_trace(self, field):
@@ -409,6 +429,23 @@ class TestFactoredTrace:
             wrapped += bool(b.letters) and b.letters[0] == -b.letters[-1]
             split += _closure_factors(b.strands, b.letters)[0] > 0
         assert min(unused, once, wrapped, split) >= 5
+
+    def test_closure_factors_match_the_reference_without_early_exit(self):
+        rng = random.Random(38)
+        one_strand = 0
+        for _ in range(300):
+            b = random_word(rng, rng.randrange(1, 9), rng.randrange(0, 12))
+            got = _closure_factors(b.strands, b.letters)
+            assert got == _closure_factors_reference(b.strands, b.letters)
+            one_strand += any(m == 1 for m, _ in got[1])
+        assert one_strand >= 100
+
+    @pytest.mark.parametrize("field", FACTOR_CONTEXTS)
+    def test_division_by_the_zeroth_power_returns_the_value(self, field):
+        for b in _factoring_words(32, count=10):
+            x = trace_of_braid(b, field)
+            for base in (field.q_sum, field.q_prod, x):
+                assert divide_by_power(x, base, 0) is x
 
     def test_cyclic_reduction(self):
         assert _cyclically_reduced([2, 1, -1, 3, 2, -3, -2]) == [2]
