@@ -655,7 +655,8 @@ def _canonical_coprime(shift: Exponents, pn: LaurentPoly, pd: LaurentPoly) -> Ra
     both are scaled so that pd has coprime integer coefficients and a
     positive leading coefficient."""
     c, pd = _primitive(pd)
-    return RationalFunction(pn._shifted(shift).scale(_div(1, c)), pd)
+    pn = pn._shifted(shift)
+    return RationalFunction(pn if c == 1 else pn.scale(_div(1, c)), pd)
 
 
 def divide_by_power(x, base, k: int):
@@ -685,10 +686,8 @@ def divide_by_power(x, base, k: int):
             break
         m += 1
     shift = tuple(a - k * b for a, b in zip(unit_n, unit_b))
-    if m == k:
-        return RationalFunction(pn._shifted(shift), x.den)
-    den = x.den * pb ** (k - m)
-    if sum(pb.leading()[0]) == 1:
+    den = x.den * pb ** (k - m) if m < k else x.den
+    if m == k or sum(pb.leading()[0]) == 1:
         return _canonical_coprime(shift, pn, den)
     return canonicalize(pn._shifted(shift), den)
 
